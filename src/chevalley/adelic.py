@@ -90,19 +90,11 @@ class SL2Group:
         mats = mats.astype(ring.dtype)
 
         self._zs = self._central_scalars()
-        mats = self.canon(mats)
-        keys = self._pack(mats)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        keep = np.ones(len(keys), dtype=bool)
-        keep[1:] = keys[1:] != keys[:-1]
-        self.elements = np.ascontiguousarray(mats[order][keep])
+        # elements in lexicographic order, numbered by position
+        self.elements = gfmat.MatSet(self.canon(mats)).sorted()
         self.order = len(self.elements)
-        self._lookup = {int(k): i for i, k in enumerate(keys[keep])}
-        inv = self._adjugate(self.elements)
-        self.inv_idx = np.fromiter(
-            (self._lookup[int(k)] for k in self._pack(self.canon(inv))),
-            dtype=np.int64, count=self.order)
+        self._set = gfmat.MatSet(self.elements)
+        self.inv_idx = self.idx(self._adjugate(self.elements))
 
         class _Rep:
             dim = 2
@@ -118,21 +110,16 @@ class SL2Group:
             return [ring.one, ring.neg(ring.one)]
         return [z for z in ring.units() if ring.mul(z, z) == ring.one]
 
-    def _pack(self, mats: np.ndarray) -> np.ndarray:
-        flat = mats.reshape(-1, 4).astype(np.int64)
-        s = np.int64(self.ring.size)
-        return ((flat[:, 0] * s + flat[:, 1]) * s + flat[:, 2]) * s + flat[:, 3]
-
     def canon(self, mats: np.ndarray) -> np.ndarray:
         """Lex-least matrix in the coset mats * Z."""
         mats = np.asarray(mats, dtype=self.ring.dtype)
         if len(self._zs) == 1:
             return mats
         variants = np.stack([self.ring.mul_t[mats, z] for z in self._zs])
-        keys = self._pack(variants).reshape(len(self._zs), -1)
-        pick = keys.argmin(axis=0)
+        # row 0 of a stable argsort is the first least key, as argmin would give
+        pick = gfmat.MatSet.keys(variants).argsort(axis=0, kind="stable")[0]
         flat = variants.reshape(len(self._zs), -1, 2, 2)
-        return flat[pick, np.arange(flat.shape[1])].reshape(mats.shape)
+        return flat[pick.ravel(), np.arange(flat.shape[1])].reshape(mats.shape)
 
     def _adjugate(self, mats: np.ndarray) -> np.ndarray:
         # inverse for det 1: [[d, -b], [-c, a]]
@@ -144,12 +131,10 @@ class SL2Group:
         out[..., 1, 1] = mats[..., 0, 0]
         return out
 
-    def idx(self, mat: np.ndarray) -> int:
-        key = int(self._pack(self.canon(mat))[0])
-        try:
-            return self._lookup[key]
-        except KeyError:
-            raise ValueError("matrix not in group") from None
+    def idx(self, mats: np.ndarray):
+        """Index of the coset of a matrix, or the indices of a stack; raises
+        KeyError for a matrix outside the group."""
+        return self._set.index(self.canon(mats))
 
     def mul(self, a, b) -> np.ndarray:
         return self.canon(gfmat.mat_mul(self.ring, a, b))
@@ -210,22 +195,6 @@ def _unit_table(ring: FiniteRing) -> np.ndarray:
     return tab
 
 
-def _keyset(G: SL2Group, mats: np.ndarray) -> set:
-    if len(mats) == 0:
-        return set()
-    return set(int(k) for k in G._pack(G.canon(mats)))
-
-
-def _uniq(G: SL2Group, mats: np.ndarray) -> np.ndarray:
-    mats = G.canon(mats.reshape(-1, 2, 2))
-    keys = G._pack(mats)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return np.ascontiguousarray(mats[order][keep])
-
-
 # ---------------------------------------------------------------------------
 # the subsets of section interest, built directly
 
@@ -235,7 +204,7 @@ def u_set(G: SL2Group) -> np.ndarray:
     mats = np.zeros((ring.size, 2, 2), dtype=ring.dtype)
     mats[:, 0, 0] = mats[:, 1, 1] = ring.one
     mats[:, 0, 1] = np.arange(ring.size)
-    return _uniq(G, mats)
+    return G.elements[np.unique(G.idx(mats))]
 
 
 def v_set(G: SL2Group) -> np.ndarray:
@@ -243,7 +212,7 @@ def v_set(G: SL2Group) -> np.ndarray:
     mats = np.zeros((ring.size, 2, 2), dtype=ring.dtype)
     mats[:, 0, 0] = mats[:, 1, 1] = ring.one
     mats[:, 1, 0] = ring.neg_t[np.arange(ring.size)]
-    return _uniq(G, mats)
+    return G.elements[np.unique(G.idx(mats))]
 
 
 def h_set(G: SL2Group) -> np.ndarray:
@@ -252,7 +221,7 @@ def h_set(G: SL2Group) -> np.ndarray:
     mats = np.zeros((len(units), 2, 2), dtype=ring.dtype)
     mats[:, 0, 0] = ring.inv_t[units]
     mats[:, 1, 1] = units
-    return _uniq(G, mats)
+    return G.elements[np.unique(G.idx(mats))]
 
 
 def centralizer_H(G: SL2Group, tau=None) -> np.ndarray:
@@ -262,8 +231,9 @@ def centralizer_H(G: SL2Group, tau=None) -> np.ndarray:
     ht = G.h(tau)
     left = G.canon(gfmat.mat_mul(G.ring, G.elements, ht))
     right = G.canon(gfmat.mat_mul(G.ring, ht, G.elements))
-    cent = G.elements[(left == right).all(axis=(-1, -2))]
-    if _keyset(G, cent) != _keyset(G, h_set(G)):
+    hit = np.nonzero((left == right).all(axis=(-1, -2)))[0]
+    cent = G.elements[hit]
+    if not np.array_equal(hit, G.idx(h_set(G))):
         raise RuntimeError(f"C(h(tau)) != h(A*) over {G.ring.name} [{G.mode}]")
     return cent
 
@@ -273,25 +243,20 @@ def define_U(G: SL2Group, S=(0,)) -> dict:
     ring = G.ring
     S = [ring.from_int(s) if isinstance(s, int) else s for s in S]
     H = h_set(G)
-    got = set()
+    got = []
     u1 = G.u(ring.one)
     Hinv = G._adjugate(H)
     ux = gfmat.mat_mul_many(ring, [Hinv, u1[None], H])          # u^x per x
     uy = gfmat.mat_mul_many(ring, [Hinv, G.inv(u1)[None], H])   # u^-y per y
     for s in S:
         prods = gfmat.mat_mul(ring, ux[:, None], uy[None, :])
-        prods = gfmat.mat_mul(ring, prods, G.u(s))
-        got |= _keyset(G, prods)
-    ukeys = {}
-    for lam in range(ring.size):
-        ukeys[int(G._pack(G.u(ring.dtype(lam)))[0])] = lam
-    missing = sorted(ukeys[k] for k in set(ukeys) - got)
-    stray = got - set(ukeys)
-    if stray:
+        got.append(G.idx(gfmat.mat_mul(ring, prods, G.u(s))).ravel())
+    got = np.unique(np.concatenate(got)) if got else np.zeros(0, dtype=np.int64)
+    U = G.idx(np.stack([G.u(ring.dtype(lam)) for lam in range(ring.size)]))
+    missing = [lam for lam in range(ring.size) if U[lam] not in got]
+    if np.setdiff1d(got, U).size:
         raise RuntimeError("define_U produced elements outside u(A)")
-    mats = np.array([G.u(ring.dtype(ukeys[k])) for k in sorted(got)],
-                    dtype=ring.dtype) if got else np.zeros((0, 2, 2), ring.dtype)
-    return {"elements": mats, "size": len(got), "expected": ring.size,
+    return {"elements": G.elements[got], "size": len(got), "expected": ring.size,
             "complete": not missing, "missing": missing}
 
 
@@ -379,7 +344,8 @@ def define_W(G: SL2Group) -> dict:
     mats = comps[0] * strides[0]
     for comp, st in zip(comps[1:], strides[1:]):
         mats = (mats[:, None] + st * comp[None, :]).reshape(-1, 2, 2)
-    direct = _uniq(G, mats.astype(ring.dtype))
+    direct_idx = np.unique(G.idx(mats.astype(ring.dtype)))
+    direct = G.elements[direct_idx]
     # scan route: x = y z^w y with y, z in u(A_{0,1}) and x^4 = 1
     D = [G.u(c) for c in at_codes(ring, (0, 1))]
     w = G.w
@@ -391,8 +357,7 @@ def define_W(G: SL2Group) -> dict:
             x2 = G.mul(x, x)
             if (G.mul(x2, x2) == eye).all():
                 found.append(x)
-    scanned = _uniq(G, np.array(found, dtype=ring.dtype))
-    ok = _keyset(G, direct) == _keyset(G, scanned)
+    ok = np.array_equal(direct_idx, np.unique(G.idx(np.array(found, dtype=ring.dtype))))
     return {"elements": direct, "size": len(direct),
             "expected": 2 ** len(factors), "ok": ok and len(direct) == 2 ** len(factors)}
 
@@ -576,24 +541,17 @@ def theta_report(G: SL2Group, sample: int = 500, pairs: int = 200, seed: int = 0
 def k_alpha_product(G: SL2Group, chunk: int = 1 << 18) -> dict:
     """The alternating 8-factor product V U V U V U V U, grown stagewise;
     covers the whole group."""
-    keys = G._pack(G.elements)
-    order = np.argsort(keys, kind="stable")
-    skeys = keys[order]
     factors = [v_set(G), u_set(G)] * 4
     reached = None
     sizes = []
     for fac in factors:
+        mask = np.zeros(G.order, dtype=bool)
         if reached is None:
-            mask = np.zeros(G.order, dtype=bool)
-            pos = order[np.searchsorted(skeys, G._pack(fac))]
-            mask[pos] = True
+            mask[G.idx(fac)] = True
         else:
             cur = G.elements[reached]
-            mask = np.zeros(G.order, dtype=bool)
             for lo in range(0, len(cur), chunk):
-                prods = G.canon(gfmat.mat_mul(G.ring, cur[lo:lo + chunk, None], fac[None]))
-                pos = order[np.searchsorted(skeys, G._pack(prods))]
-                mask[pos] = True
+                mask[G.idx(gfmat.mat_mul(G.ring, cur[lo:lo + chunk, None], fac[None]))] = True
         reached = np.nonzero(mask)[0]
         sizes.append(len(reached))
     covered = sizes[-1] == G.order
@@ -601,13 +559,6 @@ def k_alpha_product(G: SL2Group, chunk: int = 1 << 18) -> dict:
     h_in = bool(mask[G.idx(G.h(make_tau(G.ring)))])
     return {"stage_sizes": sizes, "order": G.order, "covered": covered,
             "w_reached": w_in, "h_reached": h_in}
-
-
-def _unique_rows(mats: np.ndarray) -> np.ndarray:
-    flat = np.ascontiguousarray(mats.reshape(len(mats), -1))
-    view = flat.view([("", flat.dtype)] * flat.shape[1]).reshape(-1)
-    _, keep = np.unique(view, return_index=True)
-    return mats[np.sort(keep)]
 
 
 def higher_rank_width(rep, ring: FiniteRing, cap: int = 10_000_000) -> dict:
@@ -626,7 +577,7 @@ def higher_rank_width(rep, ring: FiniteRing, cap: int = 10_000_000) -> dict:
             grown = gfmat.mat_mul(ring, cur[:, None], sub[None]).reshape(-1, rep.dim, rep.dim)
             if len(grown) > cap:
                 raise ValueError(f"width product exceeded cap {cap}")
-            new = _unique_rows(grown)
+            new = gfmat.MatSet.unique(grown)
             sequence.append(a)
             sizes.append(len(new))
             stable_run = stable_run + 1 if len(new) == len(cur) else 0
@@ -646,16 +597,14 @@ def higher_rank_width(rep, ring: FiniteRing, cap: int = 10_000_000) -> dict:
 class _ParamBag:
     def __init__(self):
         self.mats = []
-        self._seen = {}
 
     def add(self, m: np.ndarray) -> Param:
-        key = np.ascontiguousarray(m).tobytes()
-        k = self._seen.get(key)
-        if k is None:
-            self.mats.append(np.asarray(m))
-            k = len(self.mats)
-            self._seen[key] = k
-        return Param(k)
+        """The parameter holding m, numbered from 1 in order of first use."""
+        for k, seen in enumerate(self.mats, start=1):
+            if np.array_equal(seen, m):
+                return Param(k)
+        self.mats.append(np.asarray(m))
+        return Param(len(self.mats))
 
 
 class _Fresh:
@@ -792,12 +741,12 @@ def sl2_formula_report(ring: FiniteRing, sets=("H", "U", "AT", "W", "G1"),
         S = [ring.zero]
     out = {}
     units = _unit_table(ring)
-    expected = {
-        "H": lambda: _keyset(G, h_set(G)),
-        "U": lambda: _keyset(G, u_set(G)),
-        "AT": lambda: _keyset(G, np.array([G.u(c) for c in at_codes(ring, T)])),
-        "W": lambda: _keyset(G, define_W(G)["elements"]),
-        "G1": lambda: _keyset(G, G.elements[units[G.elements[:, 0, 0]]]),
+    expected = {  # element indices; define_set returns them ascending
+        "H": lambda: G.idx(h_set(G)),
+        "U": lambda: G.idx(u_set(G)),
+        "AT": lambda: np.unique(G.idx(np.array([G.u(c) for c in at_codes(ring, T)]))),
+        "W": lambda: G.idx(define_W(G)["elements"]),
+        "G1": lambda: np.nonzero(units[G.elements[:, 0, 0]])[0],
     }
     for name in sets:
         bag, fresh = _ParamBag(), _Fresh()
@@ -814,8 +763,7 @@ def sl2_formula_report(ring: FiniteRing, sets=("H", "U", "AT", "W", "G1"),
         else:
             raise ValueError(f"unknown set {name!r}")
         got = define_set(F, G, bag.mats)
-        keys = _keyset(G, G.elements[got])
-        out[name] = {"size": len(got), "match": keys == expected[name]()}
+        out[name] = {"size": len(got), "match": np.array_equal(got, expected[name]())}
     return out
 
 

@@ -28,7 +28,7 @@ from math import factorial
 import numpy as np
 
 from . import gfmat
-from .rings import FiniteRing, IntRing, Ring
+from .rings import FiniteRing
 from .rootsys import RootSystem, StructureConstants, build_root_system, commutator_template, structure_constants
 
 ENUM_CAP = 2_000_000
@@ -111,20 +111,14 @@ class MatrixRep:
                 for a, powers in self.divpow.items()
             }
             cache["h"] = {}
+            cache["n"] = {}
         return cache
 
-    def identity(self, ring) -> np.ndarray:
-        if isinstance(ring, IntRing):
-            return np.eye(self.dim, dtype=np.int64)
+    def identity(self, ring: FiniteRing) -> np.ndarray:
         return gfmat.identity(ring, self.dim)
 
-    def x(self, ring: Ring, a: int, r) -> np.ndarray:
+    def x(self, ring: FiniteRing, a: int, r) -> np.ndarray:
         """x_alpha(r) = 1 + r M_1 + ... + r^q M_q."""
-        if isinstance(ring, IntRing):
-            out = np.eye(self.dim, dtype=np.int64)
-            for i, M in enumerate(self.divpow[a][1:], start=1):
-                out = out + r**i * M
-            return out
         return self.x_batch(ring, a, np.array([r], dtype=ring.dtype))[0]
 
     def x_batch(self, ring: FiniteRing, a: int, rcodes: np.ndarray) -> np.ndarray:
@@ -140,59 +134,36 @@ class MatrixRep:
                 rp = ring.mul_t[rp, rcodes]
         return out
 
-    def h(self, ring: Ring, g: int, t) -> np.ndarray:
+    def h(self, ring: FiniteRing, g: int, t) -> np.ndarray:
         """h_gamma(t) = n_gamma(t) n_gamma(1)^-1 with
         n_gamma(t) = x_g(t) x_-g(-1/t) x_g(t)."""
-        if isinstance(ring, IntRing):
-            if t not in (1, -1):
-                raise ZeroDivisionError("torus elements over Z need t a unit")
-            ti = t
-            mats = [
-                self.x(ring, g, t),
-                self.x(ring, self.sys.neg(g), -ti),
-                self.x(ring, g, t),
-                self.x(ring, g, -1),
-                self.x(ring, self.sys.neg(g), 1),
-                self.x(ring, g, -1),
-            ]
-            out = mats[0]
-            for m in mats[1:]:
-                out = out @ m
-            return out
         cache = self._reduced(ring)["h"]
         key = (g, int(t))
         if key not in cache:
             if not ring.is_unit(t):
                 raise ZeroDivisionError(f"h requires a unit, got {ring.elem_str(t)}")
-            ng = self.sys.neg(g)
-            one = ring.one
-            mats = [
-                self.x(ring, g, t),
-                self.x(ring, ng, ring.neg(ring.inv(t))),
-                self.x(ring, g, t),
-                self.x(ring, g, ring.neg(one)),
-                self.x(ring, ng, one),
-                self.x(ring, g, ring.neg(one)),
-            ]
-            cache[key] = gfmat.mat_mul_many(ring, mats)
+            cache[key] = gfmat.mat_mul(ring, self._n(ring, g, t), self._n(ring, g, ring.neg(ring.one)))
         return cache[key]
 
-    def n_root(self, ring: Ring, g: int) -> np.ndarray:
-        """Weyl representative n_gamma = x_g(1) x_-g(-1) x_g(1)."""
-        one = 1 if isinstance(ring, IntRing) else ring.one
-        neg_one = -1 if isinstance(ring, IntRing) else ring.neg(ring.one)
-        mats = [self.x(ring, g, one), self.x(ring, self.sys.neg(g), neg_one), self.x(ring, g, one)]
-        if isinstance(ring, IntRing):
-            return mats[0] @ mats[1] @ mats[2]
-        return gfmat.mat_mul_many(ring, mats)
+    def _n(self, ring: FiniteRing, g: int, t) -> np.ndarray:
+        """n_gamma(t) = x_g(t) x_-g(-1/t) x_g(t) for a unit t, memoised per ring."""
+        cache = self._reduced(ring)["n"]
+        key = (g, int(t))
+        if key not in cache:
+            x = self.x(ring, g, t)
+            cache[key] = gfmat.mat_mul_many(ring, [x, self.x(ring, self.sys.neg(g), ring.neg(ring.inv(t))), x])
+        return cache[key]
 
-    def weyl_rep(self, ring: Ring, word) -> np.ndarray:
-        """n_w for w given as a word in reflections (list of root indices)."""
-        out = self.identity(ring)
-        for g in word:
-            n = self.n_root(ring, g)
-            out = out @ n if isinstance(ring, IntRing) else gfmat.mat_mul(ring, out, n)
-        return out
+    def weyl_rep(self, ring: FiniteRing, word) -> np.ndarray:
+        """n_w = n_{w_0}(1) n_{w_1}(1) ... for w given as a word in
+        reflections (list of root indices)."""
+        return gfmat.mat_mul_many(ring, [self.identity(ring)] + [self._n(ring, g, ring.one) for g in word])
+
+    def weyl_rep_inv(self, ring: FiniteRing, word) -> np.ndarray:
+        """n_w^-1 as the reversed product of the factors
+        n_g(1)^-1 = n_g(-1) = x_g(-1) x_-g(1) x_g(-1), exact over any ring."""
+        m1 = ring.neg(ring.one)
+        return gfmat.mat_mul_many(ring, [self.identity(ring)] + [self._n(ring, g, m1) for g in reversed(word)])
 
     def weyl_eta(self, ring: FiniteRing, word, a: int):
         """Image data of conjugation by n_w on U_a: returns (b, eta) with
@@ -202,9 +173,8 @@ class MatrixRep:
         b = a
         for g in word:
             b = self.sys.reflect(g, b)
-        n = self.weyl_rep(ring, word)
-        ninv = gfmat.mat_inv(ring, n) if ring.is_field else _inverse_by_order(ring, n)
-        conj = gfmat.mat_mul_many(ring, [ninv, self.x(ring, a, ring.one), n])
+        conj = gfmat.mat_mul_many(ring, [self.weyl_rep_inv(ring, word), self.x(ring, a, ring.one),
+                                         self.weyl_rep(ring, word)])
         for eta in (ring.one, ring.neg(ring.one)):
             if (conj == self.x(ring, b, eta)).all():
                 return b, eta
@@ -224,28 +194,11 @@ class MatrixRep:
         return (prod == J).reshape(mats.shape[0], -1).all(axis=1)
 
 
-def _inverse_by_order(ring: FiniteRing, m: np.ndarray) -> np.ndarray:
-    """Inverse of a finite-order matrix by cycling (non-field rings)."""
-    prev = m
-    for _ in range(10**7):
-        cur = gfmat.mat_mul(ring, prev, m)
-        if (cur == gfmat.identity(ring, m.shape[0])).all():
-            return prev
-        prev = cur
-    raise RuntimeError("order search exceeded budget")
-
-
-def commutator_word(sc: StructureConstants, ring: Ring, a: int, b: int, r, s):
+def commutator_word(sc: StructureConstants, ring: FiniteRing, a: int, b: int, r, s):
     """[x_a(r), x_b(s)] (convention g^-1 h^-1 g h) as a list of
     (root index, ring element), empty when a+b is not a root."""
-    out = []
-    for g, ea, eb, c in commutator_template(sc, a, b):
-        if isinstance(ring, IntRing):
-            val = c * r**ea * s**eb
-        else:
-            val = ring.mul(ring.from_int(c), ring.mul(ring.pow(r, ea), ring.pow(s, eb)))
-        out.append((g, val))
-    return out
+    return [(g, ring.mul(ring.from_int(c), ring.mul(ring.pow(r, ea), ring.pow(s, eb))))
+            for g, ea, eb, c in commutator_template(sc, a, b)]
 
 
 @lru_cache(maxsize=None)
@@ -434,7 +387,7 @@ class EnumeratedGroup:
         self.rep = rep
         self.ring = ring
         self.elements = elements  # (order, d, d)
-        self.index = index  # bytes -> idx
+        self.index = index  # gfmat.MatSet numbering the elements in BFS order
         self.dist = dist
         self.parent = parent
         self.genidx = genidx
@@ -442,17 +395,10 @@ class EnumeratedGroup:
         self.gens_meta = gens_meta  # list of generator labels (root, ring elt)
         self.order = len(elements)
 
-    def idx(self, mat: np.ndarray) -> int:
-        key = np.ascontiguousarray(mat.astype(self.ring.dtype)).tobytes()
-        if key not in self.index:
-            raise KeyError("matrix is not an element of the enumerated group")
-        return self.index[key]
-
-    def __contains__(self, mat) -> bool:
-        return np.ascontiguousarray(np.asarray(mat).astype(self.ring.dtype)).tobytes() in self.index
-
-    def inv_mat(self, mat: np.ndarray) -> np.ndarray:
-        return self.elements[self.inv_idx[self.idx(mat)]]
+    def idx(self, mats: np.ndarray):
+        """BFS index of a matrix, or the indices of a stack of matrices;
+        raises KeyError for a matrix outside the group."""
+        return self.index.index(mats)
 
     def word(self, i: int):
         """Generator-index word with elements[i] = prod of gens (left to right)."""
@@ -461,9 +407,6 @@ class EnumeratedGroup:
             out.append(int(self.genidx[i]))
             i = int(self.parent[i])
         return out[::-1]
-
-    def width(self) -> int:
-        return int(self.dist.max())
 
 
 def root_element_generators(rep: MatrixRep, ring: FiniteRing, roots=None):
@@ -494,54 +437,41 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None, cap: int 
         labels, gmats, ginvs = root_element_generators(rep, ring, roots=generators)
     d = rep.dim
     G = len(gmats)
-    ident = rep.identity(ring)
-    index = {ident.tobytes(): 0}
-    elems = [ident]
-    dist = [0]
-    parent = [-1]
-    genidx = [-1]
-    frontier = [0]
-    level = 0
+    ident = rep.identity(ring)[None]
+    index = gfmat.MatSet(ident)
+    elems, dist, parent, genidx = [ident], [[0]], [[-1]], [[-1]]
+    frontier, start = ident, 0  # the last level and the index of its first element
     chunk = max(1, (1 << 22) // (G * d * d))
-    while frontier:
-        level += 1
-        new = []
-        farr = np.array(frontier)
-        for c0 in range(0, len(farr), chunk):
-            batch = np.stack([elems[i] for i in farr[c0 : c0 + chunk]])
-            cand = gfmat.mat_mul(ring, batch[:, None], gmats[None, :, :, :])
-            flat = np.ascontiguousarray(cand.reshape(-1, d * d))
-            vv = flat.view(f"V{flat.shape[1] * flat.itemsize}").ravel()
-            _, first = np.unique(vv, return_index=True)
-            for fi in np.sort(first):
-                key = flat[fi].tobytes()
-                if key not in index:
-                    idx = len(elems)
-                    if idx >= cap:
-                        raise RuntimeError(f"enumeration cap {cap} exceeded at {idx} elements")
-                    index[key] = idx
-                    elems.append(flat[fi].reshape(d, d))
-                    dist.append(level)
-                    parent.append(int(farr[c0 + fi // G]))
-                    genidx.append(int(fi % G))
-                    new.append(idx)
-        frontier = new
-    elements = np.stack(elems)
-    dist = np.array(dist)
-    parent = np.array(parent)
-    genarr = np.array(genidx)
+    while len(frontier):
+        level = len(elems)
+        new, par, gen = [], [], []
+        # deduplicate chunk by chunk against everything seen so far, so new
+        # elements come in order of their first (frontier position, generator)
+        for c0 in range(0, len(frontier), chunk):
+            cand = gfmat.mat_mul(ring, frontier[c0:c0 + chunk, None], gmats[None]).reshape(-1, d, d)
+            fresh = index.add(cand)
+            if len(index) > cap:
+                raise RuntimeError(f"enumeration cap {cap} exceeded at {cap} elements")
+            new.append(cand[fresh])
+            par.append(start + c0 + fresh // G)
+            gen.append(fresh % G)
+        start += len(frontier)
+        frontier = np.concatenate(new)
+        elems.append(frontier)
+        dist.append(np.full(len(frontier), level))
+        parent += par
+        genidx += gen
+    elements = np.concatenate(elems)
+    dist = np.concatenate(dist)
+    parent = np.concatenate(parent)
+    genarr = np.concatenate(genidx)
     # inverses, level by level: inv(e g) = g^-1 inv(e)
     inv_mats = np.empty_like(elements)
-    inv_mats[0] = ident
-    order = np.argsort(dist, kind="stable")
-    for lv in range(1, int(dist.max()) + 1 if len(dist) else 1):
+    inv_mats[0] = ident[0]
+    for lv in range(1, int(dist.max()) + 1):
         sel = np.nonzero(dist == lv)[0]
-        if not len(sel):
-            break
         inv_mats[sel] = gfmat.mat_mul(ring, ginvs[genarr[sel]], inv_mats[parent[sel]])
-    flatinv = np.ascontiguousarray(inv_mats.reshape(len(elems), d * d))
-    inv_idx = np.array([index[flatinv[i].tobytes()] for i in range(len(elems))])
-    del order
+    inv_idx = index.index(inv_mats)
     return EnumeratedGroup(rep, ring, elements, index, dist, parent, genarr, inv_idx, labels)
 
 
@@ -633,15 +563,8 @@ def product_set(ring: FiniteRing, sets) -> np.ndarray:
     out = sets[0]
     for s in sets[1:]:
         prods = gfmat.mat_mul(ring, out[:, None], s[None, :, :, :])
-        out = _unique_mats(prods.reshape(-1, *out.shape[1:]))
+        out = gfmat.MatSet.unique(prods.reshape(-1, *out.shape[1:]))
     return out
-
-
-def _unique_mats(mats: np.ndarray) -> np.ndarray:
-    flat = np.ascontiguousarray(mats.reshape(len(mats), -1))
-    vv = flat.view(f"V{flat.shape[1] * flat.itemsize}").ravel()
-    _, first = np.unique(vv, return_index=True)
-    return mats[np.sort(first)]
 
 
 def torus_set(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
@@ -650,7 +573,7 @@ def torus_set(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
     out = rep.identity(ring)[None]
     while True:
         prods = gfmat.mat_mul(ring, out[:, None], np.stack(gens)[None])
-        nxt = _unique_mats(np.concatenate([out, prods.reshape(-1, rep.dim, rep.dim)]))
+        nxt = gfmat.MatSet.unique(np.concatenate([out, prods.reshape(-1, rep.dim, rep.dim)]))
         if len(nxt) == len(out):
             return out
         out = nxt
@@ -667,9 +590,8 @@ def center_set(rep: MatrixRep, ring: FiniteRing, group: EnumeratedGroup | None =
         out = scalars[rep.membership_mask(ring, scalars)]
     if group is not None:
         zc = group.elements[center_indices(group)]
-        assert len(zc) == len(out) and {m.tobytes() for m in zc} == {
-            np.ascontiguousarray(m).tobytes() for m in out
-        }, "scalar center disagrees with enumerated center"
+        assert len(zc) == len(out) and gfmat.MatSet(out).contains(zc).all(), \
+            "scalar center disagrees with enumerated center"
     return out
 
 
@@ -677,9 +599,11 @@ def center_set(rep: MatrixRep, ring: FiniteRing, group: EnumeratedGroup | None =
 # Weyl group and Bruhat
 
 
+@lru_cache(maxsize=None)
 def weyl_elements(sys: RootSystem):
     """The Weyl group as root permutations, each with a reduced word in
-    fundamental reflections (BFS, so words are geodesic)."""
+    fundamental reflections (BFS, so words are geodesic).  Memoised per
+    root system; callers must not modify the result."""
     n = len(sys.roots)
     fund_perms = {
         k: tuple(sys.reflect(k, j) for j in range(n)) for k in sys.fundamental
@@ -709,9 +633,7 @@ def verify_bruhat(E: EnumeratedGroup) -> dict:
     U_full = product_set(ring, [rep.x_batch(ring, a, rcodes) for a in range(sys.n_pos)])
     assert len(U_full) == ring.size**sys.n_pos, "unipotent product set collapsed"
     T = torus_set(rep, ring)
-    seen = set()
-    total = 0
-    dup = None
+    prods = []
     for perm, word in weyl_elements(sys).items():
         nw = rep.weyl_rep(ring, word)
         sw = [i for i in range(sys.n_pos) if perm[i] >= sys.n_pos]
@@ -719,52 +641,13 @@ def verify_bruhat(E: EnumeratedGroup) -> dict:
         assert len(V) == ring.size ** len(sw)
         for t in T:
             mid = gfmat.mat_mul(ring, gfmat.mat_mul(ring, U_full, t[None]), nw[None])
-            prods = gfmat.mat_mul(ring, mid[:, None], V[None])
-            flat = np.ascontiguousarray(prods.reshape(-1, rep.dim * rep.dim))
-            total += len(flat)
-            for i in range(len(flat)):
-                key = flat[i].tobytes()
-                if key in seen:
-                    dup = key
-                else:
-                    seen.add(key)
-    ok = dup is None and total == E.order == len(seen)
+            prods.append(gfmat.mat_mul(ring, mid[:, None], V[None]).reshape(-1, rep.dim, rep.dim))
+    total = sum(len(p) for p in prods)
+    distinct = len(gfmat.MatSet(np.concatenate(prods)))
     return {
         "order": E.order,
         "tuple_count": total,
-        "distinct_products": len(seen),
-        "unique": dup is None,
-        "ok": ok,
+        "distinct_products": distinct,
+        "unique": distinct == total,
+        "ok": total == E.order == distinct,
     }
-
-
-# ---------------------------------------------------------------------------
-# convenience wrapper
-
-
-class GroupElem:
-    """Thin operator wrapper around a matrix of ring codes."""
-
-    __slots__ = ("rep", "ring", "mat")
-
-    def __init__(self, rep: MatrixRep, ring: FiniteRing, mat: np.ndarray):
-        self.rep = rep
-        self.ring = ring
-        self.mat = np.asarray(mat, dtype=ring.dtype)
-
-    def __mul__(self, other: "GroupElem") -> "GroupElem":
-        return GroupElem(self.rep, self.ring, gfmat.mat_mul(self.ring, self.mat, other.mat))
-
-    def inv(self) -> "GroupElem":
-        if self.ring.is_field:
-            return GroupElem(self.rep, self.ring, gfmat.mat_inv(self.ring, self.mat))
-        return GroupElem(self.rep, self.ring, _inverse_by_order(self.ring, self.mat))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupElem) and (self.mat == other.mat).all()
-
-    def __hash__(self):
-        return hash(np.ascontiguousarray(self.mat).tobytes())
-
-    def __repr__(self):
-        return f"GroupElem({self.mat.tolist()})"

@@ -27,7 +27,7 @@ from .definability import (
     free_vars, map_c, map_m, parse_formula, verify_dc_formula, width_probe,
 )
 from .rings import GF, ProductRing, decompose_square_diff, hypothesis_profile, parse_ring, Zmod
-from .rootsys import build_root_system, commutator_template, dump_roots, structure_constants
+from .rootsys import build_root_system, dump_roots, structure_constants
 from .witnesses import (
     classical_witness_set, expected_descriptor, f4_witness_set, matrix_witness_check,
     torus_witness, verify_containment, verify_dc, verify_dc_exceptional_sp4,
@@ -140,7 +140,6 @@ def _commutator_sweep(rep, ring) -> tuple[int, int]:
         for b in range(len(sys_.roots)):
             if b == a or b == sys_.neg(a):
                 continue
-            template = commutator_template(sc, a, b)
             for r in codes:
                 xa = rep.x(ring, a, r)
                 xa_inv = rep.x(ring, a, ring.neg(r))
@@ -154,7 +153,6 @@ def _commutator_sweep(rep, ring) -> tuple[int, int]:
                     checked += 1
                     if not (direct == word).all():
                         mismatches += 1
-            del template
     return checked, mismatches
 
 
@@ -389,11 +387,12 @@ def _sqd_ok(ring, a) -> bool:
 def suite_adelic(config: dict, seed: int) -> dict:
     s = Suite("adelic", config, seed)
     primes = config.get("primes", (7, 11))
+    modes = config.get("modes", adelic.SL2Group.MODES)
     rings = [GF(primes[0])]
     if len(primes) > 1:
         rings.append(ProductRing([GF(p) for p in primes]))
     for ring in rings:
-        rpt = adelic.adelic_report(ring, seed=seed)
+        rpt = adelic.adelic_report(ring, modes=modes, seed=seed)
         s.add(f"SL2 over {ring.name}", "sl2-product-rings", rpt["ok"],
               define_U=rpt["define_U"]["complete"], P=rpt["P_all_pairs"],
               A_T=rpt["A_T"], W=rpt["W"], gamma1=rpt["gamma1"],
@@ -574,21 +573,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "check-adelic":
-        primes = [int(p) for p in args.primes.split(",") if p]
-        modes = adelic.SL2Group.MODES if args.mode == "all" else (args.mode,)
-        cfg = {"primes": primes}
-        s = Suite("adelic", cfg, args.seed)
-        rings = [GF(primes[0])]
-        if len(primes) > 1:
-            rings.append(ProductRing([GF(p) for p in primes]))
-        for ring in rings:
-            rpt = adelic.adelic_report(ring, modes=modes, seed=args.seed)
-            s.add(f"SL2 over {ring.name}", "sl2-product-rings", rpt["ok"],
-                  formulas={k: v["match"] for k, v in rpt["formulas"].items()},
-                  theta={m: v["theta"]["ok"] for m, v in rpt["modes"].items()},
-                  k_alpha=rpt["k_alpha"], define_U=rpt["define_U"]["complete"],
-                  A_T=rpt["A_T"], W=rpt["W"], gamma1=rpt["gamma1"])
-        return _emit(s.done(), args)
+        cfg = {"primes": [int(p) for p in args.primes.split(",") if p],
+               "modes": list(adelic.SL2Group.MODES) if args.mode == "all" else [args.mode]}
+        return _emit(suite_adelic(cfg, args.seed), args)
 
     if args.cmd == "run":
         report = run_suite(args.suite, {}, args.seed)

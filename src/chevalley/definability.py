@@ -345,7 +345,6 @@ class _EvalCtx:
         self.params = [np.asarray(p, dtype=E.ring.dtype) for p in params]
         self.env = {}  # var -> (axis, mats (n, d, d))
         self.naxes = 0
-        self._inv_cache = {}
 
     def shaped(self, axis, mats):
         n = len(mats)
@@ -354,17 +353,8 @@ class _EvalCtx:
         return mats.reshape(shape)
 
     def invert(self, mats: np.ndarray) -> np.ndarray:
-        flat = mats.reshape(-1, self.d, self.d)
-        out = np.empty_like(flat)
-        for k in range(len(flat)):
-            key = np.ascontiguousarray(flat[k]).tobytes()
-            got = self._inv_cache.get(key)
-            if got is None:
-                idx = self.E.idx(flat[k])
-                got = self.E.elements[self.E.inv_idx[idx]]
-                self._inv_cache[key] = got
-            out[k] = got
-        return out.reshape(mats.shape)
+        E = self.E
+        return E.elements[E.inv_idx[E.idx(mats)]]
 
 
 def _eval_term(t, ctx: _EvalCtx) -> np.ndarray:
@@ -426,7 +416,6 @@ def _eval_quant(f, ctx: _EvalCtx) -> np.ndarray:
         guard, rest = body.left, body.right
     if guard is not None and free_vars(guard) <= {f.var}:
         sub = _EvalCtx(ctx.E, ctx.params)
-        sub._inv_cache = ctx._inv_cache
         sub.naxes = 1
         mask = np.zeros(len(domain), dtype=bool)
         step = max(1, 2**22 // (ctx.d * ctx.d))
@@ -555,9 +544,9 @@ def verify_dc_formula(E: EnumeratedGroup, alpha: int) -> dict:
     F, params = dc_definition_formula(rep, ring, alpha)
     got = E.elements[define_set(F, E, params)]
     want = materialize(SubgroupDescriptor("root", (alpha,), with_center=True), rep, ring, group=E)
-    gk = {np.ascontiguousarray(m).tobytes() for m in got}
-    wk = {np.ascontiguousarray(m).tobytes() for m in want}
-    return {"extension_size": len(gk), "UZ_size": len(wk), "ok": gk == wk}
+    # both hold distinct matrices: equal sizes and containment mean equal sets
+    ok = len(got) == len(want) and bool(gfmat.MatSet(want).contains(got).all())
+    return {"extension_size": len(got), "UZ_size": len(want), "ok": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +562,8 @@ def proj_pi1(rep: MatrixRep, ring: FiniteRing, roots, g: np.ndarray) -> np.ndarr
         U = rep.x_batch(ring, a, codes)
         prods = gfmat.mat_mul(ring, cur[:, None], U[None])
         cur = prods.reshape(-1, rep.dim, rep.dim)
-    U1 = {np.ascontiguousarray(m).tobytes(): m for m in rep.x_batch(ring, roots[0], codes)}
-    hits = [U1[k] for k in {np.ascontiguousarray(m).tobytes() for m in cur} if k in U1]
+    U1 = gfmat.MatSet(rep.x_batch(ring, roots[0], codes))
+    hits = gfmat.MatSet.unique(cur[U1.contains(cur)])
     if len(hits) != 1:
         raise ValueError(f"pi_1 intersection has {len(hits)} points; input not in the product set")
     return hits[0]
@@ -594,9 +583,8 @@ def _same_length_transport(rep: MatrixRep, ring: FiniteRing, a: int, b: int, g: 
         raise ValueError("roots lie in different Weyl orbits")
     bb, eta = rep.weyl_eta(ring, word, a)
     assert bb == b
-    n = rep.weyl_rep(ring, word)
-    ninv = gfmat.mat_inv(ring, n)
-    out = gfmat.mat_mul_many(ring, [ninv, np.asarray(g, dtype=ring.dtype), n])
+    out = gfmat.mat_mul_many(ring, [rep.weyl_rep_inv(ring, word), np.asarray(g, dtype=ring.dtype),
+                                    rep.weyl_rep(ring, word)])
     if eta == ring.neg(ring.one) and eta != ring.one:
         out = _group_inverse(rep, ring, out)
     return out
@@ -663,14 +651,12 @@ def map_c(rep: MatrixRep, ring: FiniteRing, a: int, b: int, g: np.ndarray) -> np
         ggam = _comm_leading(rep, ring, mu, nu, base, gnu)
         return _same_length_transport(rep, ring, gamma, b, ggam)
     # short to long: invert map_c(b -> a)
-    table = {}
-    for r in ring.elements():
-        img = map_c(rep, ring, b, a, rep.x(ring, b, r))
-        table[np.ascontiguousarray(img).tobytes()] = rep.x(ring, b, r)
-    key = np.ascontiguousarray(np.asarray(g, dtype=ring.dtype)).tobytes()
-    if key not in table:
-        raise ValueError("element not in the source root subgroup")
-    return table[key]
+    images = gfmat.MatSet(np.stack([map_c(rep, ring, b, a, rep.x(ring, b, r)) for r in ring.elements()]))
+    try:
+        r = images.index(g)
+    except KeyError:
+        raise ValueError("element not in the source root subgroup") from None
+    return rep.x(ring, b, ring.dtype(r))
 
 
 def map_m(rep: MatrixRep, ring: FiniteRing, a: int, b: int, c: int,
@@ -718,16 +704,14 @@ class RingInGroup:
         self.a0 = a0
         codes = np.arange(ring.size, dtype=ring.dtype)
         self.carrier = rep.x_batch(ring, a0, codes)
-        self._decode = {
-            np.ascontiguousarray(m).tobytes(): int(r)
-            for r, m in zip(codes, self.carrier)
-        }
+        self._decode = gfmat.MatSet(self.carrier)  # numbers the carrier by code
 
     def encode(self, r) -> np.ndarray:
         return self.rep.x(self.ring, self.a0, r)
 
-    def decode(self, m: np.ndarray) -> int:
-        return self._decode[np.ascontiguousarray(np.asarray(m, dtype=self.ring.dtype)).tobytes()]
+    def decode(self, m: np.ndarray):
+        """The code r of x_{a0}(r), or the codes of a stack; KeyError off the carrier."""
+        return self._decode.index(m)
 
     def add(self, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
         return gfmat.mat_mul(self.ring, m1, m2)
@@ -740,9 +724,6 @@ class RingInGroup:
 
     def one_elt(self) -> np.ndarray:
         return self.encode(self.ring.one)
-
-    def neg_elt(self, m: np.ndarray) -> np.ndarray:
-        return gfmat.mat_inv(self.ring, m)
 
 
 def check_ring_axioms(rig: RingInGroup) -> bool:
@@ -853,11 +834,7 @@ class ThetaMap:
 
     def decode(self, arr) -> np.ndarray:
         d = self.rep.dim
-        out = np.empty((d, d), dtype=self.ring.dtype)
-        for i in range(d):
-            for j in range(d):
-                out[i, j] = self.rig.decode(arr[i, j])
-        return out
+        return self.rig.decode(np.stack(arr.ravel())).reshape(d, d).astype(self.ring.dtype)
 
     def round_trip(self, idx: int) -> bool:
         return bool((self.decode(self.theta(idx)) == self.E.elements[idx]).all())

@@ -1,8 +1,9 @@
-"""Batched matrix arithmetic over table-backed finite rings.
+"""Batched matrix arithmetic over table-backed finite rings, and matrix sets.
 
 Matrices are numpy arrays of ring codes with shape (..., d, d); all leading
 axes broadcast.  Prime-residue rings (GF(p), Z/n) get an integer fast path,
-everything else goes through the ring's lookup tables.
+everything else goes through the ring's lookup tables.  `MatSet` is the one
+way to key, deduplicate and look up matrices.
 """
 
 from __future__ import annotations
@@ -57,14 +58,6 @@ def scalar_mat(ring: FiniteRing, d: int, c) -> np.ndarray:
 def from_int_matrix(ring: FiniteRing, M: np.ndarray) -> np.ndarray:
     """Reduce an integer matrix into ring codes through Z -> R."""
     return ring.from_int_array(np.asarray(M, dtype=np.int64))
-
-
-def scale(ring: FiniteRing, c, A: np.ndarray) -> np.ndarray:
-    return ring.mul_t[c, A]
-
-
-def mat_add(ring: FiniteRing, A, B) -> np.ndarray:
-    return ring.add_t[A, B]
 
 
 def mat_det(ring: FiniteRing, A: np.ndarray) -> np.ndarray:
@@ -166,3 +159,85 @@ def span_elements(ring: FiniteRing, basis: np.ndarray, budget: int = 2_000_000) 
         terms = ring.mul_t[np.arange(ring.size, dtype=ring.dtype)[:, None], b[None, :]]
         combos = ring.add_t[combos[:, None, :], terms[None, :, :]].reshape(-1, basis.shape[1])
     return combos
+
+
+class MatSet:
+    """A set of distinct d x d matrices, numbered in order of first insertion.
+
+    The key of a matrix is its entries in big-endian byte order, viewed as
+    one fixed-width ``np.void`` (or, when 1, 2, 4 or 8 bytes wide, as one
+    unsigned integer): keys compare as byte strings, so sorted keys follow
+    the lexicographic order of the entries for every code dtype.  This
+    class is the only place that builds such a key.  Lookups are batched:
+    sort and ``searchsorted`` over the sorted keys."""
+
+    def __init__(self, mats: np.ndarray):
+        mats = np.asarray(mats)
+        self.dtype = mats.dtype
+        self.shape = mats.shape[-2:]
+        self._keys, first = np.unique(self.keys(mats.reshape(-1, *self.shape)), return_index=True)
+        self._num = np.empty(len(first), dtype=np.int64)  # number of each sorted key
+        self._num[np.argsort(first)] = np.arange(len(first))
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    @staticmethod
+    def keys(mats: np.ndarray) -> np.ndarray:
+        """One key per matrix, shape mats.shape[:-2]."""
+        mats = np.asarray(mats)
+        be = mats.dtype.newbyteorder(">")
+        w = mats.shape[-1] * mats.shape[-2]
+        flat = np.ascontiguousarray(mats.reshape(-1, w), dtype=be)
+        width = w * be.itemsize
+        if width in (1, 2, 4, 8):
+            # the same bytes read as one big-endian integer, held natively:
+            # ordered alike, and sorted and searched faster than np.void
+            return flat.view(f">u{width}").astype(f"u{width}").reshape(mats.shape[:-2])
+        return flat.view(f"V{width}").reshape(mats.shape[:-2])
+
+    @staticmethod
+    def unique(mats: np.ndarray) -> np.ndarray:
+        """The distinct matrices of a stack, each at its first occurrence, in order."""
+        _, first = np.unique(MatSet.keys(mats), return_index=True)
+        return mats[np.sort(first)]
+
+    def _find(self, keys: np.ndarray):
+        """Sorted positions of the keys, and which of them are present."""
+        if not len(self._keys):
+            return np.zeros(keys.shape, dtype=np.intp), np.zeros(keys.shape, dtype=bool)
+        pos = np.minimum(self._keys.searchsorted(keys), len(self._keys) - 1)
+        return pos, self._keys[pos] == keys
+
+    def contains(self, mats) -> np.ndarray:
+        """Membership of each matrix of a stack, shape mats.shape[:-2]."""
+        return self._find(self.keys(np.asarray(mats, dtype=self.dtype)))[1]
+
+    def index(self, mats):
+        """Number of each matrix of a stack, or of a single matrix; raises
+        KeyError when any is not in the set."""
+        pos, hit = self._find(self.keys(np.asarray(mats, dtype=self.dtype)))
+        if not hit.all():
+            raise KeyError("matrix is not in the set")
+        return self._num[pos]
+
+    def add(self, mats: np.ndarray) -> np.ndarray:
+        """Insert the matrices of a stack that are not yet in the set, each
+        once, numbered in order of first occurrence.  Returns the positions
+        in `mats` of the inserted ones, ascending."""
+        keys = self.keys(np.asarray(mats, dtype=self.dtype).reshape(-1, *self.shape))
+        uniq, first = np.unique(keys, return_index=True)
+        fresh = ~self._find(uniq)[1]
+        uniq, first = uniq[fresh], first[fresh]
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(self), len(self) + len(first))
+        at = self._keys.searchsorted(uniq)
+        self._keys = np.insert(self._keys, at, uniq)
+        self._num = np.insert(self._num, at, rank)
+        return np.sort(first)
+
+    def sorted(self) -> np.ndarray:
+        """The matrices of the set in key order, i.e. lexicographic entry order."""
+        be = self.dtype.newbyteorder(">")
+        keys = self._keys.astype(self._keys.dtype.newbyteorder(">"))
+        return keys.view(be).reshape(-1, *self.shape).astype(self.dtype)

@@ -36,7 +36,6 @@ from .chevgroup import (
     linear_commutant,
     materialize,
     product_set,
-    _unique_mats,
 )
 from .rings import FiniteRing, hypothesis_profile
 from .rootsys import RootSystem, build_root_system, commutator_template
@@ -378,8 +377,7 @@ def verify_containment(rep: MatrixRep, ring: FiniteRing, Y,
     basis = linear_commutant(rep, ring, Y)
     points = commutant_group_points(rep, ring, basis, budget=budget)
     exp = materialize(expected, rep, ring)
-    exp_keys = _set_keys(exp)
-    contained = all(np.ascontiguousarray(p).tobytes() in exp_keys for p in points)
+    contained = gfmat.MatSet(exp).contains(points).all()
     return {
         "witness_commutes_with_U": commutes,
         "commutant_dim": int(len(basis)),
@@ -408,10 +406,6 @@ class DCReport:
         return "dc2" if self.exceptional else "dc1"
 
 
-def _set_keys(mats) -> set:
-    return {np.ascontiguousarray(m).tobytes() for m in mats}
-
-
 def verify_dc(E: EnumeratedGroup, alpha: int, r=None) -> DCReport:
     """Compute C(u), C(C(u)) and Z(C(u)) for u = x_alpha(r) by direct scan
     and compare with U_alpha(R) Z(R) (or the dc2 bound in the exceptional
@@ -422,20 +416,16 @@ def verify_dc(E: EnumeratedGroup, alpha: int, r=None) -> DCReport:
         r = ring.one
     u = rep.x(ring, alpha, r)
     C = centralizer_indices(E, [u])
-    Cmats = E.elements[C]
-    CC = centralizer_indices(E, Cmats)
-    Ckeys = _set_keys(Cmats)
-    ZC = [i for i in CC if E.elements[i].tobytes() in Ckeys]
+    CC = centralizer_indices(E, E.elements[C])
+    ZC = np.intersect1d(CC, C)
     UZ = materialize(SubgroupDescriptor("root", (alpha,), with_center=True), rep, ring, group=E)
-    cc_keys = _set_keys(E.elements[CC])
-    zc_keys = _set_keys(E.elements[ZC])
-    uz_keys = _set_keys(UZ)
     exceptional = (
         sys.type_label == "C"
         and not sys.is_long(alpha)
         and hypothesis_profile(ring).units_eq_pm1
     )
-    dc1 = cc_keys == zc_keys == uz_keys
+    dc1 = (np.array_equal(CC, ZC) and len(CC) == len(UZ)
+           and bool(gfmat.MatSet(UZ).contains(E.elements[CC]).all()))
     dc2 = None
     if exceptional:
         # U1, U2: long roots adjacent to alpha in a C2 subsystem
@@ -447,7 +437,7 @@ def verify_dc(E: EnumeratedGroup, alpha: int, r=None) -> DCReport:
             + [rep.x_batch(ring, g, codes) for g in longs]
             + [center_set(rep, ring, group=E)],
         )
-        dc2 = zc_keys <= _set_keys(bound)
+        dc2 = bool(gfmat.MatSet(bound).contains(E.elements[ZC]).all())
     sizes = {
         "C_u": int(len(C)),
         "CC_u": int(len(CC)),
@@ -495,7 +485,7 @@ def sp4_phi_set(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
     base = gfmat.from_int_matrix(ring, _e(d, pos(1), pos(-1)) - _e(d, pos(-2), pos(2)))
     ident = rep.identity(ring)
     out = [ring.add_t[ident, ring.mul_t[r, base]] for r in ring.elements()]
-    return _unique_mats(np.stack(out))
+    return gfmat.MatSet.unique(np.stack(out))
 
 
 def sp4_xi_matrix(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
@@ -545,13 +535,14 @@ def verify_dc_exceptional_sp4(ring: FiniteRing, group: EnumeratedGroup | None = 
     ZC = Cv[keep]
     codes = np.arange(ring.size, dtype=ring.dtype)
     U = rep.x_batch(ring, alpha, codes)
-    pm = _unique_mats(
+    pm = gfmat.MatSet.unique(
         np.stack([gfmat.scalar_mat(ring, rep.dim, ring.one), gfmat.scalar_mat(ring, rep.dim, ring.neg(ring.one))])
     )
     pmU = product_set(ring, [pm, U])
     pmUphi = product_set(ring, [pm, U, sp4_phi_set(rep, ring)])
     prof = hypothesis_profile(ring)
-    zc_keys = _set_keys(ZC)
+    in_pmU = gfmat.MatSet(pmU).contains(ZC).all()
+    in_pmUphi = gfmat.MatSet(pmUphi).contains(ZC).all()
     xi = sp4_xi_matrix(rep, ring)
     xi_centralizes = bool(
         (gfmat.mat_mul(ring, xi, v) == gfmat.mat_mul(ring, v, xi)).all()
@@ -562,14 +553,16 @@ def verify_dc_exceptional_sp4(ring: FiniteRing, group: EnumeratedGroup | None = 
         "pmU_size": int(len(pmU)),
         "pmUphi_size": int(len(pmUphi)),
         "xi_in_C_v": xi_centralizes,
-        "eq1_upper_bound": zc_keys <= _set_keys(pmUphi),
+        "eq1_upper_bound": bool(in_pmUphi),
     }
+    # ZC, pmU and pmUphi hold distinct matrices, so equal sizes and
+    # containment mean equal sets
     if prof.units_eq_pm1 and ring.char != 2:
         out["expected"] = "pmU.phi"
-        out["ok"] = zc_keys == _set_keys(pmUphi)
+        out["ok"] = bool(in_pmUphi) and len(ZC) == len(pmUphi)
     elif not prof.units_eq_pm1:
         out["expected"] = "pmU"
-        out["ok"] = zc_keys == _set_keys(pmU)
+        out["ok"] = bool(in_pmU) and len(ZC) == len(pmU)
     else:
         out["expected"] = "open(char 2)"
         out["ok"] = None  # exploratory: no claim made
@@ -607,7 +600,7 @@ def verify_witness_centralizer(rep: MatrixRep, ring: FiniteRing, alpha: int,
         CY = centralizer_by_commutant(rep, ring, Y, budget=budget)
         route = "linear_commutant"
     UZ = materialize(SubgroupDescriptor("root", (alpha,), with_center=True), rep, ring, group=group)
-    contained = _set_keys(CY) <= _set_keys(UZ)
+    contained = gfmat.MatSet(UZ).contains(CY).all()
     return {
         "route": route,
         "C_Y_size": int(len(CY)),

@@ -156,3 +156,12 @@ def test_quotient_modes_canonical(g7):
 def test_higher_rank_width_sl3_f3():
     res = higher_rank_width(classical_rep("A", 2), GF(3))
     assert res["order"] == 5616 and res["N"] == 11
+
+
+def test_idx_raises_key_error_off_group(g7):
+    bad = np.array([[2, 0], [0, 2]], dtype=F7.dtype)  # det 4
+    with pytest.raises(KeyError):
+        g7.idx(bad)
+    with pytest.raises(KeyError):
+        g7.idx(np.stack([g7.elements[3], bad]))
+    assert g7.idx(g7.elements[[9, 2]]).tolist() == [9, 2]

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from chevalley import gfmat
 from chevalley.chevgroup import (
-    adjoint_rep, center_set, classical_rep, commutator_word, torus_set,
-    verify_bruhat,
+    adjoint_rep, center_set, classical_rep, commutator_word, root_element_generators,
+    torus_set, verify_bruhat, weyl_elements,
 )
-from chevalley.rings import GF
+from chevalley.rings import GF, Zmod
 from chevalley.rootsys import commutator_template, structure_constants
 
 ORDERS = {
@@ -120,3 +120,56 @@ def test_bruhat_uniqueness_sl3_f2(group_of):
 
 def test_adjoint_g2_order(group_of):
     assert group_of("adjoint", "G", 2, 2).order == 12096
+
+
+@pytest.mark.parametrize("t,r,q", [("A", 2, 2), ("C", 2, 2)])
+def test_bfs_order_oracle(group_of, t, r, q):
+    # every element's (parent, genidx) is the first (frontier position,
+    # generator) pair of the previous level whose product gives it, and each
+    # level lists its new elements in that order
+    E = group_of("classical", t, r, q)
+    ring = E.ring
+    _, gens, _ = root_element_generators(E.rep, ring)
+    seen = {E.elements[0].tobytes()}
+    assert (E.dist[0], E.parent[0], E.genidx[0]) == (0, -1, -1)
+    level = 0
+    while True:
+        frontier = np.nonzero(E.dist == level)[0]
+        first = {}
+        for p in frontier:
+            for g in range(len(gens)):
+                key = gfmat.mat_mul(ring, E.elements[p], gens[g]).tobytes()
+                if key not in seen and key not in first:
+                    first[key] = (int(p), g)
+        nxt = np.nonzero(E.dist == level + 1)[0]
+        assert [E.elements[i].tobytes() for i in nxt] == list(first)
+        assert [(int(E.parent[i]), int(E.genidx[i])) for i in nxt] == list(first.values())
+        if not len(nxt):
+            break
+        seen.update(first)
+        level += 1
+    assert len(seen) == E.order
+    assert np.array_equal(np.nonzero(E.dist <= level)[0], np.arange(E.order))
+
+
+@pytest.mark.parametrize("rep", [classical_rep("A", 2), classical_rep("C", 2), adjoint_rep("G", 2)],
+                         ids=["A2", "C2", "G2"])
+@pytest.mark.parametrize("ring", [GF(4), Zmod(6)], ids=["F4", "Z/6"])
+def test_weyl_rep_inverse(rep, ring):
+    ident = rep.identity(ring)
+    words = list(weyl_elements(rep.sys).values())
+    assert len(words) == {"A": 6, "C": 8, "G": 12}[rep.sys.type_label]
+    for word in words:
+        nw, nwinv = rep.weyl_rep(ring, word), rep.weyl_rep_inv(ring, word)
+        assert (gfmat.mat_mul(ring, nw, nwinv) == ident).all()
+        assert (gfmat.mat_mul(ring, nwinv, nw) == ident).all()
+
+
+def test_idx_raises_key_error_off_group(group_of):
+    E = group_of("classical", "A", 2, 3)
+    two = gfmat.scalar_mat(E.ring, 3, E.ring.dtype(2))  # det 8 = 2, not in SL3(F3)
+    with pytest.raises(KeyError):
+        E.idx(two)
+    with pytest.raises(KeyError):
+        E.idx(np.stack([E.elements[5], two]))
+    assert E.idx(E.elements[[7, 3]]).tolist() == [7, 3]

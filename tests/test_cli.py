@@ -76,6 +76,11 @@ def test_check_adelic_single_prime(capsys):
                  "--primes", "7", "--mode", "SL2"]) == 0
     body = json.loads(capsys.readouterr().out)
     assert body["failures"] == 0
+    # a thin alias of the adelic suite: flags become the suite config
+    assert body["suite"] == "adelic"
+    assert body["config"] == {"primes": [7], "modes": ["SL2"]}
+    (check,) = body["checks"]
+    assert check["data"]["P"] is True and list(check["data"]["theta"]) == ["SL2"]
 
 
 def test_run_suite_roots_json_is_deterministic():
