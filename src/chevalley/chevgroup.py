@@ -112,6 +112,7 @@ class MatrixRep:
             }
             cache["h"] = {}
             cache["n"] = {}
+            cache["transport"] = {}
         return cache
 
     def identity(self, ring: FiniteRing) -> np.ndarray:
@@ -165,20 +166,29 @@ class MatrixRep:
         m1 = ring.neg(ring.one)
         return gfmat.mat_mul_many(ring, [self.identity(ring)] + [self._n(ring, g, m1) for g in reversed(word)])
 
-    def weyl_eta(self, ring: FiniteRing, word, a: int):
-        """Image data of conjugation by n_w on U_a: returns (b, eta) with
-        x_a(r)^{n_w} = x_b(eta * r).  With n_w = n_{w_0} n_{w_1} ... the
-        conjugation action n^-1 x n realizes the inverse permutation, so b
+    def weyl_transport(self, ring: FiniteRing, a: int, b: int):
+        """(n_w^-1, n_w, eta) with n_w^-1 x_a(r) n_w = x_b(eta * r), eta = +-1,
+        for the first Weyl element w (BFS order) with w(b) = a; memoised per
+        ring and root pair.  With n_w = n_{w_0} n_{w_1} ... the conjugation
+        n^-1 x n realizes the inverse permutation, so the image root
         accumulates the reflections in word order."""
-        b = a
-        for g in word:
-            b = self.sys.reflect(g, b)
-        conj = gfmat.mat_mul_many(ring, [self.weyl_rep_inv(ring, word), self.x(ring, a, ring.one),
-                                         self.weyl_rep(ring, word)])
-        for eta in (ring.one, ring.neg(ring.one)):
-            if (conj == self.x(ring, b, eta)).all():
-                return b, eta
-        raise AssertionError("Weyl conjugation did not land on x_b(+-1)")
+        cache = self._reduced(ring)["transport"]
+        if (a, b) not in cache:
+            word = next((w for perm, w in weyl_elements(self.sys).items() if perm[b] == a), None)
+            if word is None:
+                raise ValueError("roots lie in different Weyl orbits")
+            image = a
+            for g in word:
+                image = self.sys.reflect(g, image)
+            assert image == b
+            nw_inv, nw = self.weyl_rep_inv(ring, word), self.weyl_rep(ring, word)
+            conj = gfmat.mat_mul_many(ring, [nw_inv, self.x(ring, a, ring.one), nw])
+            eta = next((e for e in (ring.one, ring.neg(ring.one))
+                        if (conj == self.x(ring, b, e)).all()), None)
+            if eta is None:
+                raise AssertionError("Weyl conjugation did not land on x_b(+-1)")
+            cache[(a, b)] = (nw_inv, nw, eta)
+        return cache[(a, b)]
 
     # -- membership ---------------------------------------------------------
 

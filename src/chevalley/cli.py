@@ -26,7 +26,7 @@ from .definability import (
     ThetaMap, RingInGroup, check_ring_axioms, define_set, evaluate_sentence,
     free_vars, map_c, map_m, parse_formula, verify_dc_formula, width_probe,
 )
-from .rings import GF, ProductRing, decompose_square_diff, hypothesis_profile, parse_ring, Zmod
+from .rings import GF, ProductRing, decompose_square_diff, hypothesis_profile, Zmod
 from .rootsys import build_root_system, dump_roots, structure_constants
 from .witnesses import (
     classical_witness_set, expected_descriptor, f4_witness_set, matrix_witness_check,
@@ -129,9 +129,9 @@ def _jsonable(o):
 # suites
 
 
-def _commutator_sweep(rep, ring) -> tuple[int, int]:
+def _commutator_check(s: Suite, rep, ring) -> None:
     """Compare commutator_word with the matrix commutator on every ordered
-    pair of non-proportional roots and every (r, s)."""
+    pair of non-proportional roots and every (r, t)."""
     sc = structure_constants(rep.sys.type_label, rep.sys.rank)
     sys_ = rep.sys
     checked = mismatches = 0
@@ -143,17 +143,19 @@ def _commutator_sweep(rep, ring) -> tuple[int, int]:
             for r in codes:
                 xa = rep.x(ring, a, r)
                 xa_inv = rep.x(ring, a, ring.neg(r))
-                for s in codes:
-                    xb = rep.x(ring, b, s)
-                    xb_inv = rep.x(ring, b, ring.neg(s))
+                for t in codes:
+                    xb = rep.x(ring, b, t)
+                    xb_inv = rep.x(ring, b, ring.neg(t))
                     direct = gfmat.mat_mul_many(ring, [xa_inv, xb_inv, xa, xb])
                     word = gfmat.identity(ring, rep.dim)
-                    for g, val in commutator_word(sc, ring, a, b, r, s):
+                    for g, val in commutator_word(sc, ring, a, b, r, t):
                         word = gfmat.mat_mul(ring, word, rep.x(ring, g, val))
                     checked += 1
                     if not (direct == word).all():
                         mismatches += 1
-    return checked, mismatches
+    s.add(f"{rep.form}-{sys_.type_label}{sys_.rank} over {ring.name}",
+          "rank2-commutator-coefficients", mismatches == 0,
+          checked=checked, mismatches=mismatches)
 
 
 def suite_roots(config: dict, seed: int) -> dict:
@@ -175,47 +177,44 @@ def suite_commutators(config: dict, seed: int) -> dict:
     fields = config.get("fields", (2, 3, 4, 5, 7))
     for rep in reps:
         for q in fields:
-            ring = GF(q)
-            checked, mism = _commutator_sweep(rep, ring)
-            s.add(f"{rep.form}-{rep.sys.type_label}{rep.sys.rank} over F{q}",
-                  "rank2-commutator-coefficients", mism == 0,
-                  checked=checked, mismatches=mism)
+            _commutator_check(s, rep, GF(q))
     return s.done()
+
+
+def _dc_check(s: Suite, name: str, E, alpha: int, **expect) -> None:
+    """C(C(u)) = Z(C(u)) = UZ for u = x_alpha(1) (dc2 in the exceptional
+    symplectic short-root case, with dc1 recorded as failing); `expect`
+    pins data values such as UZ or order."""
+    rpt = verify_dc(E, alpha)
+    data = {**rpt.sizes, "order": E.order, "case": rpt.case()}
+    ok = rpt.verdict and all(data[k] == v for k, v in expect.items())
+    if rpt.exceptional:
+        s.add(name, "exceptional-symplectic-short-root", ok, **data)
+        s.add(f"{name} is not dc1", "negative-control",
+              not rpt.dc1_holds, dc1=rpt.dc1_holds)
+    else:
+        s.add(name, "double-centralizer", ok, **data)
+
+
+def _root_of_length(sys_, long: bool) -> int:
+    return next(a for a in range(len(sys_.roots)) if sys_.is_long(a) == long)
 
 
 def suite_dc(config: dict, seed: int) -> dict:
     s = Suite("dc", config, seed)
-    jobs = [
-        ("SL3", GF(2), None, 2), ("SL3", GF(3), None, 3),
-        ("SL3", GF(4), None, 12), ("SL3", GF(5), None, 5),
-        ("G2adj", GF(2), None, None),
-    ]
-    for spec, ring, root, uz in jobs:
-        rep = parse_group(spec)
-        E = enumerate_group(rep, ring)
-        alpha = root if root is not None else 0
-        rpt = verify_dc(E, alpha)
-        ok = rpt.verdict and (uz is None or rpt.sizes["UZ"] == uz)
-        s.add(f"{spec}({ring.name}) root {alpha}", "double-centralizer", ok, **rpt.sizes,
-              case=rpt.case())
+    for spec, q, expect in (("SL3", 2, {"UZ": 2}), ("SL3", 3, {"UZ": 3}),
+                            ("SL3", 4, {"UZ": 12}), ("SL3", 5, {"UZ": 5}),
+                            ("G2adj", 2, {"order": 12096})):
+        E = enumerate_group(parse_group(spec), GF(q))
+        _dc_check(s, f"{spec}(F{q}) root 0", E, 0, **expect)
     # symplectic: long root is dc1 everywhere, the short root is the
     # exceptional case when the units are just {1,-1}
     for q in config.get("sp4_fields", (3, 4)):
         ring = GF(q)
-        rep = parse_group("Sp4")
-        E = enumerate_group(rep, ring)
-        long_root = next(a for a in range(len(rep.sys.roots)) if rep.sys.is_long(a))
-        short_root = next(a for a in range(len(rep.sys.roots)) if not rep.sys.is_long(a))
-        r_long = verify_dc(E, long_root)
-        s.add(f"Sp4(F{q}) long root", "double-centralizer", r_long.verdict,
-              **r_long.sizes, case=r_long.case())
-        r_short = verify_dc(E, short_root)
-        s.add(f"Sp4(F{q}) short root", "double-centralizer"
-              if not r_short.exceptional else "exceptional-symplectic-short-root",
-              r_short.verdict, **r_short.sizes, case=r_short.case())
-        if r_short.exceptional:
-            s.add(f"Sp4(F{q}) short root is not dc1", "negative-control",
-                  not r_short.dc1_holds, dc1=r_short.dc1_holds)
+        E = enumerate_group(parse_group("Sp4"), ring)
+        for length in ("long", "short"):
+            _dc_check(s, f"Sp4(F{q}) {length} root", E,
+                      _root_of_length(E.rep.sys, length == "long"))
         exc = verify_dc_exceptional_sp4(ring, group=E if q <= 3 else None)
         s.add(f"Sp4(F{q}) Z(C(v))", "exceptional-symplectic-short-root",
               exc["ok"], size=exc["ZC_size"], expected=exc["expected"])
@@ -237,6 +236,18 @@ def suite_dc(config: dict, seed: int) -> dict:
     return s.done()
 
 
+def _witness_check(s: Suite, t: str, r: int, which: str, ring) -> None:
+    ws = classical_witness_set(t, r, which, ring)
+    res = verify_containment(classical_rep(t, r), ring, ws, expected=expected_descriptor(ws))
+    # the X2 bound is the three-subgroup product, a 5-dimensional
+    # commutant; every other witness set pins the commutant to <= 4
+    max_dim = 5 if which == "X2" else 4
+    s.add(f"{which} on {t}{r}({ring.name})", "classical-witness-sets",
+          res["ok"] and res["commutant_dim"] <= max_dim,
+          commutant_dim=res["commutant_dim"], points=res["group_points"],
+          max_commutant_dim=max_dim)
+
+
 def suite_witnesses(config: dict, seed: int) -> dict:
     s = Suite("witnesses", config, seed)
     rng = np.random.default_rng(seed)
@@ -244,6 +255,13 @@ def suite_witnesses(config: dict, seed: int) -> dict:
     # orthogonal long-long pairs of F4 over F3
     systems = [("F", 4), ("E", 6), ("E", 7), ("E", 8)]
     fields = config.get("torus_fields", (3, 5, 7))
+    sys_f4 = build_root_system("F", 4)
+    n_f4 = len(sys_f4.roots)
+    expected = set()
+    if 3 in fields:
+        expected = {("F", 4, 3, a, b) for a in range(n_f4) for b in range(n_f4)
+                    if sys_f4.is_long(a) and sys_f4.is_long(b)
+                    and sys_f4.cartan_integer(a, b) == 0}
     absent = []
     total = 0
     for t, r in systems:
@@ -258,24 +276,14 @@ def suite_witnesses(config: dict, seed: int) -> dict:
                     total += 1
                     if torus_witness(sys_, a, b, ring) is None:
                         absent.append((t, r, q, a, b))
-    def _is_f4_exception(item):
-        t, r, q, a, b = item
-        if (t, r, q) != ("F", 4, 3):
-            return False
-        sys_ = build_root_system("F", 4)
-        return (sys_.is_long(a) and sys_.is_long(b)
-                and sys_.cartan_all[a, b] == 0)
-    ok = all(_is_f4_exception(it) for it in absent)
-    s.add("torus witness sweep", "torus-witnesses", ok,
-          pairs=total, absent=len(absent))
+    s.add("torus witness sweep", "torus-witnesses", set(absent) == expected,
+          pairs=total, absent=len(absent), expected_absent=len(expected))
     # matrix cross-oracle on the 52-dim rep
-    sys_f4 = build_root_system("F", 4)
     rep_f4 = adjoint_rep("F", 4)
     ring = GF(5)
-    n = len(sys_f4.roots)
     checked = bad = 0
     for _ in range(config.get("matrix_oracle_samples", 40)):
-        a, b = int(rng.integers(n)), int(rng.integers(n))
+        a, b = int(rng.integers(n_f4)), int(rng.integers(n_f4))
         if b == a or b == sys_f4.neg(a):
             continue
         word = torus_witness(sys_f4, a, b, ring)
@@ -295,12 +303,7 @@ def suite_witnesses(config: dict, seed: int) -> dict:
             ("C", 2, "X1", 3), ("C", 3, "X1", 3), ("C", 2, "X2", 3), ("C", 3, "X2", 3),
             ("D", 4, "X3", 3), ("B", 3, "X4", 3), ("B", 3, "X5", 3)]
     for t, r, which, q in jobs:
-        ring = GF(q)
-        ws = classical_witness_set(t, r, which, ring)
-        rep = classical_rep(t, r)
-        res = verify_containment(rep, ring, ws, expected=expected_descriptor(ws))
-        s.add(f"{which} on {t}{r}(F{q})", "classical-witness-sets", res["ok"],
-              commutant_dim=res["commutant_dim"], points=res["group_points"])
+        _witness_check(s, t, r, which, GF(q))
     # the centralizer shape behind the witness construction
     rep = classical_rep("A", 2)
     res = verify_witness_centralizer(rep, GF(5), 0)
@@ -316,9 +319,10 @@ def suite_definability(config: dict, seed: int) -> dict:
         rep = parse_group(spec)
         ring = GF(q)
         E = enumerate_group(rep, ring)
-        for alpha in {0, next(a for a in range(len(rep.sys.roots))
-                              if rep.sys.is_long(a) != rep.sys.is_long(0))} \
-                if rep.sys.type_label == "C" else {0}:
+        roots = [0]
+        if rep.sys.type_label == "C":
+            roots.append(_root_of_length(rep.sys, not rep.sys.is_long(0)))
+        for alpha in roots:
             res = verify_dc_formula(E, alpha)
             s.add(f"definable UZ in {spec}(F{q}) root {alpha}",
                   "definable-root-subgroups", res["ok"],
@@ -427,10 +431,10 @@ _SUITE_FNS = {
 def run_suite(name: str, config: dict | None = None, seed: int = 0) -> dict:
     config = dict(config or {})
     if name == "all":
-        parts = [run_suite(n, config, seed) for n in _SUITE_FNS]
-        return {"suite": "all", "config": config, "seed": seed,
-                "checks": [c for p in parts for c in p["checks"]],
-                "failures": sum(p["failures"] for p in parts)}
+        s = Suite("all", config, seed)
+        for n in _SUITE_FNS:
+            s.report["checks"] += run_suite(n, config, seed)["checks"]
+        return s.done()
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     return _SUITE_FNS[name](config, seed)
@@ -504,84 +508,47 @@ def main(argv=None) -> int:
     if args.cmd == "roots":
         print(dump_roots(build_root_system(args.type, args.rank)))
         return 0
-
-    if args.cmd == "check-commutators":
-        rep = (adjoint_rep if args.type == "G" else classical_rep)(args.type, args.rank)
-        checked, mism = _commutator_sweep(rep, GF(args.field))
-        report = {"suite": "check-commutators", "checks": [
-            {"name": f"{args.type}{args.rank} over F{args.field}",
-             "anchor": "rank2-commutator-coefficients",
-             "status": "pass" if mism == 0 else "fail",
-             "data": {"checked": checked, "mismatches": mism}}],
-            "failures": 0 if mism == 0 else 1}
-        return _emit(report, args)
-
-    if args.cmd == "enumerate":
-        rep = parse_group(args.group)
-        E = enumerate_group(rep, GF(args.field), cap=args.cap)
-        print(json.dumps({"group": args.group, "ring": f"F{args.field}",
-                          "order": E.order, "max_word_length": int(E.dist.max())}))
-        return 0
-
-    if args.cmd == "check-dc":
-        rep = parse_group(args.group)
-        ring = GF(args.field)
-        E = enumerate_group(rep, ring, cap=args.cap)
-        want_long = args.root == "long"
-        alpha = next(a for a in range(len(rep.sys.roots))
-                     if rep.sys.is_long(a) == want_long)
-        rpt = verify_dc(E, alpha)
-        body = {"group": rpt.group, "order": E.order, "case": rpt.case(),
-                "sizes": rpt.sizes, "verdict": rpt.verdict}
-        print(json.dumps(body, indent=2) if args.format == "json" else
-              "\n".join(f"{k}: {v}" for k, v in body.items()))
-        return 0 if rpt.verdict else 1
-
-    if args.cmd == "check-witness":
-        ring = GF(args.field)
-        which = args.which
-        if which == "auto":
-            which = {"A": "sl", "C": "X1", "D": "X3", "B": "X4"}[args.type]
-        ws = classical_witness_set(args.type, args.rank, which, ring)
-        rep = classical_rep(args.type, args.rank)
-        res = verify_containment(rep, ring, ws, expected=expected_descriptor(ws))
-        report = {"suite": "check-witness", "checks": [
-            {"name": f"{which} on {args.type}{args.rank}(F{args.field})",
-             "anchor": "classical-witness-sets",
-             "status": "pass" if res["ok"] else "fail",
-             "data": {k: v for k, v in res.items() if k != "points"}}],
-            "failures": 0 if res["ok"] else 1}
-        return _emit(report, args)
-
+    if args.cmd == "run":
+        return _emit(run_suite(args.suite, {}, args.seed), args)
     if args.cmd == "check-definability":
-        cfg = {"theta_samples": 200}
-        report = suite_definability(cfg, args.seed)
-        return _emit(report, args)
-
-    if args.cmd == "eval-formula":
-        rep = parse_group(args.group)
-        ring = GF(args.field)
-        E = enumerate_group(rep, ring, cap=args.cap)
-        F = parse_formula(args.formula)
-        params = [parse_element(rep, ring, p) for p in args.params.split(";") if p]
-        if free_vars(F):
-            idxs = define_set(F, E, params)
-            print(json.dumps({"free": sorted(free_vars(F)),
-                              "extension_size": int(len(idxs))}))
-        else:
-            print(json.dumps({"value": evaluate_sentence(F, E, params)}))
-        return 0
-
+        return _emit(suite_definability({"theta_samples": 200}, args.seed), args)
     if args.cmd == "check-adelic":
         cfg = {"primes": [int(p) for p in args.primes.split(",") if p],
                "modes": list(adelic.SL2Group.MODES) if args.mode == "all" else [args.mode]}
         return _emit(suite_adelic(cfg, args.seed), args)
 
-    if args.cmd == "run":
-        report = run_suite(args.suite, {}, args.seed)
-        return _emit(report, args)
-
-    raise AssertionError("unreachable")
+    # one-off checks: a suite of one, configured by the subcommand's arguments
+    s = Suite(args.cmd, {k: v for k, v in vars(args).items()
+                         if k not in ("cmd", "format", "out", "seed")}, args.seed)
+    if args.cmd == "check-commutators":
+        rep = (adjoint_rep if args.type == "G" else classical_rep)(args.type, args.rank)
+        _commutator_check(s, rep, GF(args.field))
+    elif args.cmd == "check-witness":
+        which = args.which
+        if which == "auto":
+            which = {"A": "sl", "C": "X1", "D": "X3", "B": "X4"}[args.type]
+        _witness_check(s, args.type, args.rank, which, GF(args.field))
+    else:
+        rep = parse_group(args.group)
+        ring = GF(args.field)
+        E = enumerate_group(rep, ring, cap=args.cap)
+        name = f"{args.group}({ring.name})"
+        if args.cmd == "enumerate":
+            s.add(name, "group-enumeration", None,
+                  order=E.order, max_word_length=int(E.dist.max()))
+        elif args.cmd == "check-dc":
+            _dc_check(s, f"{name} {args.root} root", E,
+                      _root_of_length(rep.sys, args.root == "long"))
+        else:
+            F = parse_formula(args.formula)
+            params = [parse_element(rep, ring, p) for p in args.params.split(";") if p]
+            if free_vars(F):
+                data = {"free": sorted(free_vars(F)),
+                        "extension_size": int(len(define_set(F, E, params)))}
+            else:
+                data = {"value": evaluate_sentence(F, E, params)}
+            s.add(f"{args.formula} in {name}", "first-order-formulas", None, **data)
+    return _emit(s.done(), args)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from .chevgroup import (
     MatrixRep,
     SubgroupDescriptor,
     materialize,
-    weyl_elements,
 )
 from .rings import FiniteRing, hypothesis_profile
 from .rootsys import commutator_template
@@ -569,29 +568,12 @@ def proj_pi1(rep: MatrixRep, ring: FiniteRing, roots, g: np.ndarray) -> np.ndarr
     return hits[0]
 
 
-def _weyl_word_sending(sys, a: int, b: int):
-    for perm, word in weyl_elements(sys).items():
-        if perm[a] == b:
-            return word
-    return None
-
-
 def _same_length_transport(rep: MatrixRep, ring: FiniteRing, a: int, b: int, g: np.ndarray) -> np.ndarray:
-    # conjugation by n_w maps U_a to U_{w^-1(a)}, so pick w with w(b) = a
-    word = _weyl_word_sending(rep.sys, b, a)
-    if word is None:
-        raise ValueError("roots lie in different Weyl orbits")
-    bb, eta = rep.weyl_eta(ring, word, a)
-    assert bb == b
-    out = gfmat.mat_mul_many(ring, [rep.weyl_rep_inv(ring, word), np.asarray(g, dtype=ring.dtype),
-                                    rep.weyl_rep(ring, word)])
+    nw_inv, nw, eta = rep.weyl_transport(ring, a, b)
+    out = gfmat.mat_mul_many(ring, [nw_inv, np.asarray(g, dtype=ring.dtype), nw])
     if eta == ring.neg(ring.one) and eta != ring.one:
-        out = _group_inverse(rep, ring, out)
+        out = gfmat.mat_inv(ring, out)
     return out
-
-
-def _group_inverse(rep: MatrixRep, ring: FiniteRing, m: np.ndarray) -> np.ndarray:
-    return gfmat.mat_inv(ring, m)
 
 
 def _cross_length_triple(sys):
@@ -619,8 +601,8 @@ def _comm_leading(rep: MatrixRep, ring: FiniteRing, mu: int, nu: int,
         if groot not in roots:
             roots.append(groot)
     assert roots[0] == sys.sum_root(mu, nu)
-    inv_mu = _group_inverse(rep, ring, gmu)
-    inv_nu = _group_inverse(rep, ring, gnu)
+    inv_mu = gfmat.mat_inv(ring, gmu)
+    inv_nu = gfmat.mat_inv(ring, gnu)
     comm = gfmat.mat_mul_many(ring, [inv_mu, inv_nu, np.asarray(gmu, dtype=ring.dtype), gnu])
     return proj_pi1(rep, ring, roots, comm)
 
@@ -670,7 +652,7 @@ def map_m(rep: MatrixRep, ring: FiniteRing, a: int, b: int, c: int,
     gmu = map_c(rep, ring, a, mu, ga)
     gnu = map_c(rep, ring, b, nu, gb)
     if sign == -1:
-        gmu = _group_inverse(rep, ring, gmu)
+        gmu = gfmat.mat_inv(ring, gmu)
     ggam = _comm_leading(rep, ring, mu, nu, gmu, gnu)
     return map_c(rep, ring, gamma, c, ggam)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chevalley.cli import main, parse_element, parse_group, run_suite
+from chevalley.cli import _render, main, parse_element, parse_group, run_suite
 from chevalley.rings import GF
 
 
@@ -33,9 +33,9 @@ def test_roots_command(capsys):
 
 
 def test_enumerate_command(capsys):
-    assert main(["enumerate", "--group", "SL3", "--field", "2"]) == 0
-    body = json.loads(capsys.readouterr().out)
-    assert body["order"] == 168
+    assert main(["--format", "json", "enumerate", "--group", "SL3", "--field", "2"]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["status"] == "exploratory" and check["data"]["order"] == 168
 
 
 def test_check_commutators_command(capsys):
@@ -48,8 +48,8 @@ def test_check_commutators_command(capsys):
 def test_check_dc_command(capsys):
     assert main(["--format", "json", "check-dc",
                  "--group", "SL3", "--field", "2"]) == 0
-    body = json.loads(capsys.readouterr().out)
-    assert body["verdict"] and body["order"] == 168
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["status"] == "pass" and check["data"]["order"] == 168
 
 
 def test_check_witness_command(capsys):
@@ -58,16 +58,22 @@ def test_check_witness_command(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def _formula_data(capsys):
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["status"] == "exploratory"
+    return check["data"]
+
+
 def test_eval_formula_sentence(capsys):
-    assert main(["eval-formula", "--group", "SL3", "--field", "2",
+    assert main(["--format", "json", "eval-formula", "--group", "SL3", "--field", "2",
                  "--formula", "A g. g*g^-1=1"]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] is True
+    assert _formula_data(capsys)["value"] is True
 
 
 def test_eval_formula_with_free_variable_and_params(capsys):
-    assert main(["eval-formula", "--group", "SL3", "--field", "2",
+    assert main(["--format", "json", "eval-formula", "--group", "SL3", "--field", "2",
                  "--formula", "E h. (x=h*@1*h^-1 & !x=1)", "--params", "x(0,1)"]) == 0
-    body = json.loads(capsys.readouterr().out)
+    body = _formula_data(capsys)
     assert body["free"] == ["x"] and body["extension_size"] > 0
 
 
@@ -96,6 +102,27 @@ def test_run_suite_rejects_unknown():
 
 
 def test_false_sentence_reports_false(capsys):
-    assert main(["eval-formula", "--group", "SL3", "--field", "2",
+    assert main(["--format", "json", "eval-formula", "--group", "SL3", "--field", "2",
                  "--formula", "A g. A h. g*h=h*g"]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] is False
+    assert _formula_data(capsys)["value"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-commutators", "--type", "A", "--rank", "2", "--field", "2"],
+    ["check-dc", "--group", "SL3", "--field", "2"],
+    ["check-witness", "--type", "C", "--rank", "2", "--field", "3", "--set", "X1"],
+    ["enumerate", "--group", "SL3", "--field", "2"],
+    ["eval-formula", "--group", "SL3", "--field", "2", "--formula", "A g. g*g^-1=1"],
+    ["run", "--suite", "roots"],
+], ids=lambda argv: argv[0])
+def test_every_report_honours_format_and_out(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["--format", "json", "--out", str(out)] + argv) == 0
+    assert capsys.readouterr().out == ""
+    body = json.loads(out.read_text())
+    assert {"suite", "checks", "failures"} <= set(body) and body["checks"]
+
+
+def test_run_prints_the_rendered_suite_report(capsys):
+    assert main(["--format", "json", "run", "--suite", "roots"]) == 0
+    assert capsys.readouterr().out == _render(run_suite("roots", {}, 0), "json") + "\n"
