@@ -15,13 +15,13 @@ representatives are the honest group operation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import gfmat
 from .rings import FiniteRing, ProductRing, decompose_square_diff
 from .definability import And, Eq, Exists, Inv, Mul, One, Or, Param, Var, define_set
-
-ADELIC_CAP = 2_000_000
 
 
 def _field_factors(ring: FiniteRing):
@@ -55,6 +55,7 @@ def make_tau(ring: FiniteRing):
 def _sl2_field(f: FiniteRing) -> np.ndarray:
     """All 2x2 determinant-1 matrices over the field f, by grid scan."""
     n = f.size
+    gfmat.check_budget(f"SL2({f.name}) grid", (4, n, n, n, n), np.int64)
     a, b, c, d = np.indices((n, n, n, n), dtype=np.int64)
     det = f.add_t[f.mul_t[a, d], f.neg_t[f.mul_t[b, c]]]
     a, b, c, d = (x[det == f.one] for x in (a, b, c, d))
@@ -70,18 +71,14 @@ class SL2Group:
 
     MODES = ("SL2", "SL2modZ", "PSL2")
 
-    def __init__(self, ring: FiniteRing, mode: str = "SL2", cap: int = ADELIC_CAP):
+    def __init__(self, ring: FiniteRing, mode: str = "SL2"):
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
         self.ring = ring
         self.mode = mode
         factors = _field_factors(ring)
         comps = [_sl2_field(f) for f in factors]
-        full = 1
-        for c in comps:
-            full *= len(c)
-        if full > cap:
-            raise ValueError(f"|SL2({ring.name})| = {full} exceeds cap {cap}")
+        gfmat.check_budget(f"SL2({ring.name})", (math.prod(len(c) for c in comps), 2, 2), np.int64)
 
         strides = ring.strides if isinstance(ring, ProductRing) else [1]
         mats = comps[0] * strides[0]
@@ -187,12 +184,6 @@ def _components(ring: FiniteRing):
     if isinstance(ring, ProductRing):
         return ring.factors, ring.decode, ring.encode
     return [ring], (lambda c: (c,)), (lambda comps: comps[0])
-
-
-def _unit_table(ring: FiniteRing) -> np.ndarray:
-    tab = np.zeros(ring.size, dtype=bool)
-    tab[np.array(list(ring.units()), dtype=np.int64)] = True
-    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +365,7 @@ def gamma1_factor(G: SL2Group, g: np.ndarray):
     if det != ring.one:
         raise ValueError("matrix has determinant != 1")
     a = g[0, 0]
-    if not _unit_table(ring)[a]:
+    if not ring.unit_mask[a]:
         raise ValueError(f"g11 = {ring.elem_str(a)} is not a unit: g outside Gamma_1")
     ainv = ring.dtype(ring.inv(a))
     vt = G.v(ring.neg(ring.mul(ainv, g[1, 0])))
@@ -403,14 +394,14 @@ def w_correction(G: SL2Group, g: np.ndarray) -> np.ndarray:
         out += st * xf
     x = G.canon(out.astype(ring.dtype))
     gx = G.mul(g, x)
-    assert _unit_table(ring)[gx[0, 0]], "correction failed"
+    assert ring.unit_mask[gx[0, 0]], "correction failed"
     return x
 
 
 def gamma1_report(G: SL2Group) -> dict:
     """Gamma_1 = VHU by double inclusion, vectorized over the whole group."""
     ring = G.ring
-    units = _unit_table(ring)
+    units = ring.unit_mask
     mask = units[G.elements[:, 0, 0]]
     g1 = G.elements[mask]
     a = g1[:, 0, 0]
@@ -538,9 +529,10 @@ def theta_report(G: SL2Group, sample: int = 500, pairs: int = 200, seed: int = 0
 # bounded generation: K_alpha in 8 factors, elementary width for higher rank
 
 
-def k_alpha_product(G: SL2Group, chunk: int = 1 << 18) -> dict:
+def k_alpha_product(G: SL2Group) -> dict:
     """The alternating 8-factor product V U V U V U V U, grown stagewise;
     covers the whole group."""
+    chunk = 1 << 18
     factors = [v_set(G), u_set(G)] * 4
     reached = None
     sizes = []
@@ -561,7 +553,7 @@ def k_alpha_product(G: SL2Group, chunk: int = 1 << 18) -> dict:
             "w_reached": w_in, "h_reached": h_in}
 
 
-def higher_rank_width(rep, ring: FiniteRing, cap: int = 10_000_000) -> dict:
+def higher_rank_width(rep, ring: FiniteRing) -> dict:
     """A concrete sequence of root subgroups whose product set is all of
     G(ring), with the measured number of factors."""
     codes = np.arange(ring.size, dtype=ring.dtype)
@@ -574,9 +566,9 @@ def higher_rank_width(rep, ring: FiniteRing, cap: int = 10_000_000) -> dict:
     stable_run = 0
     while stable_run < len(subgroups):
         for a, sub in subgroups:
+            # mat_mul works in int64
+            gfmat.check_budget("width product", (len(cur) * len(sub), rep.dim, rep.dim), np.int64)
             grown = gfmat.mat_mul(ring, cur[:, None], sub[None]).reshape(-1, rep.dim, rep.dim)
-            if len(grown) > cap:
-                raise ValueError(f"width product exceeded cap {cap}")
             new = gfmat.MatSet.unique(grown)
             sequence.append(a)
             sizes.append(len(new))
@@ -740,7 +732,7 @@ def sl2_formula_report(ring: FiniteRing, sets=("H", "U", "AT", "W", "G1"),
     if S is None:
         S = [ring.zero]
     out = {}
-    units = _unit_table(ring)
+    units = ring.unit_mask
     expected = {  # element indices; define_set returns them ascending
         "H": lambda: G.idx(h_set(G)),
         "U": lambda: G.idx(u_set(G)),

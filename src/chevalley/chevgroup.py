@@ -31,8 +31,6 @@ from . import gfmat
 from .rings import FiniteRing
 from .rootsys import RootSystem, StructureConstants, build_root_system, commutator_template, structure_constants
 
-ENUM_CAP = 2_000_000
-
 
 # ---------------------------------------------------------------------------
 # representations
@@ -435,7 +433,7 @@ def root_element_generators(rep: MatrixRep, ring: FiniteRing, roots=None):
     return labels, np.stack(mats), np.stack(invs)
 
 
-def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None, cap: int = ENUM_CAP) -> EnumeratedGroup:
+def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None) -> EnumeratedGroup:
     """Deterministic BFS closure. `generators` is None (all root elements)
     or a list of fundamental-root indices restriction, or an explicit
     (labels, mats, invs) triple."""
@@ -459,9 +457,8 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None, cap: int 
         # elements come in order of their first (frontier position, generator)
         for c0 in range(0, len(frontier), chunk):
             cand = gfmat.mat_mul(ring, frontier[c0:c0 + chunk, None], gmats[None]).reshape(-1, d, d)
+            gfmat.check_budget("group elements", (len(index) + len(cand), d, d), ring.dtype)
             fresh = index.add(cand)
-            if len(index) > cap:
-                raise RuntimeError(f"enumeration cap {cap} exceeded at {cap} elements")
             new.append(cand[fresh])
             par.append(start + c0 + fresh // G)
             gen.append(fresh % G)
@@ -529,10 +526,10 @@ def linear_commutant(rep: MatrixRep, ring: FiniteRing, Y) -> np.ndarray:
     return gfmat.nullspace(ring, M)
 
 
-def commutant_group_points(rep: MatrixRep, ring: FiniteRing, basis, budget: int = ENUM_CAP) -> np.ndarray:
+def commutant_group_points(rep: MatrixRep, ring: FiniteRing, basis) -> np.ndarray:
     """Enumerate the span of a commutant basis and keep the matrices that
     satisfy the representation's membership conditions."""
-    vecs = gfmat.span_elements(ring, basis, budget=budget)
+    vecs = gfmat.span_elements(ring, basis)
     mats = vecs.reshape(-1, rep.dim, rep.dim)
     return mats[rep.membership_mask(ring, mats)]
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import adelic
 from .chevgroup import (
-    ENUM_CAP, adjoint_rep, classical_rep, commutator_word, enumerate_group,
-    verify_bruhat,
+    adjoint_rep, classical_rep, commutator_word, enumerate_group, verify_bruhat,
 )
 from .definability import (
     ThetaMap, RingInGroup, check_ring_axioms, define_set, evaluate_sentence,
@@ -459,7 +458,6 @@ def main(argv=None) -> int:
     ap.add_argument("--format", choices=("json", "text"), default="text")
     ap.add_argument("--out", default=None)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cap", type=int, default=ENUM_CAP)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("roots", help="dump a root system")
@@ -531,7 +529,7 @@ def main(argv=None) -> int:
     else:
         rep = parse_group(args.group)
         ring = GF(args.field)
-        E = enumerate_group(rep, ring, cap=args.cap)
+        E = enumerate_group(rep, ring)
         name = f"{args.group}({ring.name})"
         if args.cmd == "enumerate":
             s.add(name, "group-enumeration", None,

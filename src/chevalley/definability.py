@@ -344,6 +344,7 @@ class _EvalCtx:
         self.params = [np.asarray(p, dtype=E.ring.dtype) for p in params]
         self.env = {}  # var -> (axis, mats (n, d, d))
         self.naxes = 0
+        self.guards = {}  # quantifier -> mask over E of its guard (see _eval_quant)
 
     def shaped(self, axis, mats):
         n = len(mats)
@@ -414,14 +415,10 @@ def _eval_quant(f, ctx: _EvalCtx) -> np.ndarray:
     elif not forall and isinstance(body, And):
         guard, rest = body.left, body.right
     if guard is not None and free_vars(guard) <= {f.var}:
-        sub = _EvalCtx(ctx.E, ctx.params)
-        sub.naxes = 1
-        mask = np.zeros(len(domain), dtype=bool)
-        step = max(1, 2**22 // (ctx.d * ctx.d))
-        for lo in range(0, len(domain), step):
-            sub.env = {f.var: (0, domain[lo:lo + step])}
-            mask[lo:lo + step] = _eval(guard, sub).reshape(-1)
-        domain = domain[mask]
+        # the mask depends on nothing that varies within one context
+        if f not in ctx.guards:
+            ctx.guards[f] = _guard_mask(f.var, guard, ctx)
+        domain = domain[ctx.guards[f]]
         body = rest
     # reduce over the new axis in chunks
     batch = 1
@@ -448,17 +445,33 @@ def _eval_quant(f, ctx: _EvalCtx) -> np.ndarray:
     return out
 
 
-def define_set(F, E: EnumeratedGroup, params, chunk: int = 4096) -> np.ndarray:
+def _guard_mask(var: str, guard, ctx: _EvalCtx) -> np.ndarray:
+    """Which elements of the group satisfy a guard whose only free variable
+    is `var`; one scan of the whole group."""
+    domain = ctx.E.elements
+    sub = _EvalCtx(ctx.E, ctx.params)
+    sub.guards = ctx.guards
+    sub.naxes = 1
+    mask = np.zeros(len(domain), dtype=bool)
+    step = max(1, 2**22 // (ctx.d * ctx.d))
+    for lo in range(0, len(domain), step):
+        sub.env = {var: (0, domain[lo:lo + step])}
+        mask[lo:lo + step] = _eval(guard, sub).reshape(-1)
+    return mask
+
+
+def define_set(F, E: EnumeratedGroup, params) -> np.ndarray:
     """Indices of the elements g of E with F(g, params) true; F must have
     exactly one free variable."""
     fv = sorted(free_vars(F))
     if len(fv) != 1:
         raise ValueError(f"define_set needs one free variable, got {fv}")
     var = fv[0]
+    chunk = 4096
     hits = []
+    ctx = _EvalCtx(E, params)
+    ctx.naxes = 1
     for lo in range(0, E.order, chunk):
-        ctx = _EvalCtx(E, params)
-        ctx.naxes = 1
         ctx.env = {var: (0, E.elements[lo:lo + chunk])}
         val = _eval(F, ctx).reshape(-1)
         hits.append(np.nonzero(val)[0] + lo)

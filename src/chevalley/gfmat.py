@@ -3,16 +3,32 @@
 Matrices are numpy arrays of ring codes with shape (..., d, d); all leading
 axes broadcast.  Prime-residue rings (GF(p), Z/n) get an integer fast path,
 everything else goes through the ring's lookup tables.  `MatSet` is the one
-way to key, deduplicate and look up matrices.
+way to key, deduplicate and look up matrices.  `check_budget` is the one size
+policy: every step that builds a large array asks it first.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .rings import GF, FiniteRing, Zmod
+
+BUDGET_BYTES = 1 << 28  # the largest array one step may build: 256 MiB
+
+
+class BudgetExceeded(ValueError):
+    """A step would build an array larger than BUDGET_BYTES."""
+
+
+def check_budget(step: str, shape, dtype) -> None:
+    """Raise BudgetExceeded, before anything is allocated, when an array of
+    this shape and dtype would exceed BUDGET_BYTES."""
+    nbytes = math.prod(int(n) for n in shape) * np.dtype(dtype).itemsize
+    if nbytes > BUDGET_BYTES:
+        raise BudgetExceeded(f"{step}: {nbytes:,} bytes exceeds the budget of {BUDGET_BYTES:,} bytes")
 
 
 def _residue_modulus(ring) -> int | None:
@@ -148,12 +164,9 @@ def nullspace(ring: FiniteRing, A: np.ndarray) -> np.ndarray:
     return basis
 
 
-def span_elements(ring: FiniteRing, basis: np.ndarray, budget: int = 2_000_000) -> np.ndarray:
+def span_elements(ring: FiniteRing, basis: np.ndarray) -> np.ndarray:
     """All ring-linear combinations of the basis vectors, shape (q^k, cols)."""
-    k = basis.shape[0]
-    total = ring.size**k
-    if total > budget:
-        raise ValueError(f"subspace of size {total} exceeds budget {budget}")
+    check_budget("span elements", (ring.size ** basis.shape[0], basis.shape[1]), ring.dtype)
     combos = np.full((1, basis.shape[1]), ring.zero, dtype=ring.dtype)
     for b in basis:
         terms = ring.mul_t[np.arange(ring.size, dtype=ring.dtype)[:, None], b[None, :]]

@@ -118,6 +118,11 @@ class FiniteRing(Ring):
         return a
 
 
+def _check_tables(name: str, size: int) -> None:
+    from .gfmat import check_budget  # deferred: gfmat imports this module
+    check_budget(f"ring tables of {name}", (size, size), np.int64)
+
+
 def _poly_mul_mod(u, v, mod, p):
     """Multiply coefficient tuples u, v over GF(p) and reduce mod `mod` (monic)."""
     out = [0] * (len(u) + len(v) - 1)
@@ -197,6 +202,7 @@ class GF(FiniteRing):
         self.p, self.deg, self.size = p, f, q
         self.char = p
         self.name = f"F{q}"
+        _check_tables(self.name, q)
         self.zero, self.one = 0, 1
         if f == 1:
             self.modulus = None
@@ -262,6 +268,7 @@ class Zmod(FiniteRing):
         self.size = n
         self.char = n
         self.name = f"Z/{n}"
+        _check_tables(self.name, n)
         self.is_domain = all(n % d for d in range(2, n)) if n > 1 else False
         self.zero, self.one = 0, 1
         idx = np.arange(n)
@@ -297,6 +304,7 @@ class ProductRing(FiniteRing):
         self.char = lcm(*[f.char for f in factors])
         self.is_domain = len(factors) == 1 and factors[0].is_domain
         self.name = "x".join(f.name for f in factors)
+        _check_tables(self.name, self.size)
         strides = []
         s = 1
         for f in factors:

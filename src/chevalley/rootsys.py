@@ -15,8 +15,6 @@ from functools import lru_cache, cached_property
 
 import numpy as np
 
-RANK2_TYPES = {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}
-
 
 def _cartan_data(type_label: str, rank: int):
     """Cartan matrix A[i][j] = 2(a_i,a_j)/(a_i,a_i) and the half-lengths
@@ -169,26 +167,6 @@ class RootSystem:
                 return k
             k += 1
 
-    def weyl_orbit(self, i: int) -> set:
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            new = []
-            for j in frontier:
-                for k in self.fundamental:
-                    m = self.reflect(k, j)
-                    if m not in orbit:
-                        orbit.add(m)
-                        new.append(m)
-            frontier = new
-        return orbit
-
-    def rank2_span_type(self, i: int, j: int) -> str:
-        sub = self.span_roots(i, j)
-        if sub is None:
-            raise ValueError("roots are linearly dependent")
-        return RANK2_TYPES[len(sub)]
-
     def span_roots(self, i: int, j: int):
         """All roots in the rational span of root_i, root_j; None if dependent."""
         vi = np.array(self.roots[i], dtype=np.int64)
@@ -200,16 +178,6 @@ class RootSystem:
             if _int_rank(np.vstack([vi, vj, np.array(v, dtype=np.int64)])) == 2:
                 out.append(k)
         return out
-
-    def find_orthogonal_gamma(self, alpha: int, beta: int):
-        """Some root gamma with (gamma,alpha)=0 and (gamma,beta)!=0, or None.
-
-        Searched exhaustively; the absent case is exactly F4 with alpha,
-        beta both long (and orthogonal)."""
-        ga = self.gram6[:, alpha]
-        gb = self.gram6[:, beta]
-        hits = np.nonzero((ga == 0) & (gb != 0))[0]
-        return int(hits[0]) if len(hits) else None
 
 
 def _int_rank(M: np.ndarray) -> int:

@@ -355,8 +355,7 @@ def expected_descriptor(ws: WitnessSet) -> SubgroupDescriptor:
 
 
 def verify_containment(rep: MatrixRep, ring: FiniteRing, Y,
-                       expected: SubgroupDescriptor | None = None,
-                       budget: int = 2_000_000) -> dict:
+                       expected: SubgroupDescriptor | None = None) -> dict:
     """Kernel route: compute the linear commutant of the witness set,
     enumerate its span, filter by group membership and check containment
     in the materialized expected set."""
@@ -375,7 +374,7 @@ def verify_containment(rep: MatrixRep, ring: FiniteRing, Y,
         prod2 = gfmat.mat_mul(ring, y[None], xa)
         commutes &= bool((prod1 == prod2).all())
     basis = linear_commutant(rep, ring, Y)
-    points = commutant_group_points(rep, ring, basis, budget=budget)
+    points = commutant_group_points(rep, ring, basis)
     exp = materialize(expected, rep, ring)
     contained = gfmat.MatSet(exp).contains(points).all()
     return {
@@ -502,11 +501,11 @@ def sp4_xi_matrix(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
     return gfmat.from_int_matrix(ring, M)
 
 
-def centralizer_by_commutant(rep: MatrixRep, ring: FiniteRing, mats, budget: int = 2_000_000) -> np.ndarray:
+def centralizer_by_commutant(rep: MatrixRep, ring: FiniteRing, mats) -> np.ndarray:
     """C_{G(R)}(mats) as an explicit set, without enumerating G(R):
     linear commutant followed by the membership filter."""
     basis = linear_commutant(rep, ring, mats)
-    return commutant_group_points(rep, ring, basis, budget=budget)
+    return commutant_group_points(rep, ring, basis)
 
 
 def verify_dc_exceptional_sp4(ring: FiniteRing, group: EnumeratedGroup | None = None) -> dict:
@@ -570,8 +569,7 @@ def verify_dc_exceptional_sp4(ring: FiniteRing, group: EnumeratedGroup | None = 
 
 
 def verify_witness_centralizer(rep: MatrixRep, ring: FiniteRing, alpha: int,
-                               group: EnumeratedGroup | None = None,
-                               budget: int = 2_000_000) -> dict:
+                               group: EnumeratedGroup | None = None) -> dict:
     """C_G(Y) <= U_alpha Z for Y consisting of the torus witnesses
     s_{alpha,beta} (beta over the other positive roots) together with the
     root elements of every root subgroup contained in C_G(U_alpha).  The
@@ -597,7 +595,7 @@ def verify_witness_centralizer(rep: MatrixRep, ring: FiniteRing, alpha: int,
         CY = group.elements[centralizer_indices(group, Y)]
         route = "enumeration"
     else:
-        CY = centralizer_by_commutant(rep, ring, Y, budget=budget)
+        CY = centralizer_by_commutant(rep, ring, Y)
         route = "linear_commutant"
     UZ = materialize(SubgroupDescriptor("root", (alpha,), with_center=True), rep, ring, group=group)
     contained = gfmat.MatSet(UZ).contains(CY).all()

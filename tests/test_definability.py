@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from chevalley import definability
 from chevalley.chevgroup import centralizer_indices, classical_rep
 from chevalley.definability import (
-    And, Eq, Exists, Forall, Inv, Mul, Not, One, Param, ParseError, RingInGroup,
+    DC_TEXT, And, Eq, Exists, Forall, Inv, Mul, Not, One, Param, ParseError, RingInGroup,
     ThetaMap, Var, check_ring_axioms, define_set, eval_poly_in_group,
     evaluate_sentence, format_formula, free_vars, map_c, map_m, parse_formula,
     psi_matrix, verify_dc_formula, width_probe,
@@ -44,6 +45,18 @@ def test_define_set_matches_centralizer_scan(group_of):
     got = set(define_set(F, E, [u]).tolist())
     want = set(centralizer_indices(E, [u]).tolist())
     assert got == want
+
+
+def test_define_set_scans_each_guard_once(group_of, monkeypatch):
+    E = group_of("classical", "A", 2, 3)  # 5 616 elements: two chunks of define_set
+    u = E.rep.x(E.ring, 0, E.ring.one)
+    scans = []
+    guard_mask = definability._guard_mask
+    monkeypatch.setattr(definability, "_guard_mask", lambda *a: scans.append(a) or guard_mask(*a))
+    got = define_set(parse_formula(DC_TEXT), E, [u])
+    assert len(scans) == 1
+    C = centralizer_indices(E, [u])
+    assert got.tolist() == centralizer_indices(E, E.elements[C]).tolist()
 
 
 def test_dc_formula_double_oracle(group_of):

@@ -1,12 +1,20 @@
+import ast
 import re
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chevalley.gfmat import MatSet
+from chevalley import gfmat
+from chevalley.adelic import SL2Group, higher_rank_width
+from chevalley.chevgroup import classical_rep, enumerate_group
+from chevalley.gfmat import BudgetExceeded, MatSet, span_elements
 from chevalley.rings import GF, ProductRing, Zmod
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chevalley"
 
 RINGS = {
     "F4": GF(4),
@@ -85,9 +93,85 @@ def test_matset_keys_uint16_are_big_endian():
 
 
 def test_no_matrix_keys_outside_gfmat():
-    src = Path(__file__).resolve().parent.parent / "src" / "chevalley"
     pattern = re.compile(r"tobytes|np\.void|\.view\(\s*f?[\"']V|\.view\(\s*\[")
-    offenders = [f"{p.name}:{i}" for p in sorted(src.glob("*.py")) if p.name != "gfmat.py"
+    offenders = [f"{p.name}:{i}" for p in sorted(SRC.glob("*.py")) if p.name != "gfmat.py"
                  for i, line in enumerate(p.read_text().splitlines(), start=1)
                  if pattern.search(line)]
     assert offenders == []
+
+
+def test_one_size_budget_outside_gfmat():
+    """No module but gfmat defines a *_CAP constant, takes a cap, budget or
+    chunk parameter, or raises a size error other than BudgetExceeded."""
+    size_words = re.compile(r"\b(cap|budget|exceed\w*|limit|too (large|big))\b", re.I)
+    offenders = []
+    for p in sorted(SRC.glob("*.py")):
+        if p.name == "gfmat.py":
+            continue
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id.endswith("_CAP"):
+                offenders.append(f"{p.name}:{node.lineno} constant {node.id}")
+            elif isinstance(node, ast.arg) and node.arg in ("cap", "budget", "chunk"):
+                offenders.append(f"{p.name}:{node.lineno} parameter {node.arg}")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.exc)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                text = " ".join(c.value for c in ast.walk(node.exc)
+                                if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                if size_words.search(text) and "BudgetExceeded" not in names:
+                    offenders.append(f"{p.name}:{node.lineno} size error")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ProductRing([GF(7), GF(11), GF(13), GF(17)]),  # two 17017^2 int64 tables
+    lambda: GF(65521),
+    lambda: SL2Group(GF(101)),  # the 101^4 grid
+    lambda: span_elements(GF(5), np.eye(12, dtype=np.uint8)),  # 5^12 vectors
+], ids=["F7xF11xF13xF17", "F65521", "SL2(F101)", "span-F5-12"])
+def test_oversized_input_refused_before_allocating(build):
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="exceeds the budget"):
+            build()
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert elapsed < 1.0
+
+
+def test_enumeration_refused_before_the_elements_outgrow_the_budget(monkeypatch):
+    budget = 20_000  # SL3(F3) takes 5 616 x 9 bytes
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", budget)
+    stored = []
+    add = MatSet.add
+
+    def recording_add(self, mats):
+        out = add(self, mats)
+        stored.append(len(self) * 9)
+        return out
+
+    monkeypatch.setattr(MatSet, "add", recording_add)
+    with pytest.raises(BudgetExceeded, match="group elements"):
+        enumerate_group(classical_rep("A", 2), GF(3))
+    assert stored and max(stored) <= budget
+
+
+def test_width_refused_before_the_product_is_built(monkeypatch):
+    budget = 100_000  # SL3(F3) grows to 16 848 int64 3 x 3 products
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", budget)
+    built = []
+    mat_mul = gfmat.mat_mul
+
+    def recording_mat_mul(ring, A, B):
+        out = mat_mul(ring, A, B)
+        built.append(out.size * 8)  # mat_mul works in int64
+        return out
+
+    monkeypatch.setattr(gfmat, "mat_mul", recording_mat_mul)
+    with pytest.raises(BudgetExceeded, match="width product"):
+        higher_rank_width(classical_rep("A", 2), GF(3))
+    assert built and max(built) <= budget
