@@ -502,7 +502,16 @@ def main(argv=None) -> int:
     p.add_argument("--suite", choices=SUITES, default="all")
 
     args = ap.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ValueError as exc:
+        # a refused input (BudgetExceeded, ParseError, a bad spec), told
+        # apart from a failed check by its exit code
+        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args) -> int:
     if args.cmd == "roots":
         print(dump_roots(build_root_system(args.type, args.rank)))
         return 0

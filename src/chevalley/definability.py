@@ -4,11 +4,14 @@ ring structure on a root subgroup.
 The formula layer is a small AST (group terms with a product, inverse and
 identity; equality atoms; boolean connectives; group quantifiers) with a
 concrete syntax, plus an exhaustive evaluator over enumerated groups.  The
-evaluator batches candidate assignments along numpy axes and, for the
-ubiquitous shapes `A h.(guard -> body)` / `E h.(guard & body)` whose guard
-mentions only the quantified variable, restricts the quantifier range to
-the guard's extension first (for centralizer-style formulas this shrinks
-the range from the whole group to one centralizer).
+evaluator works in rows: each row is one assignment, each variable a stack
+of matrices with one binding per row.  A quantifier pairs the live rows with
+a growing step of its range and drops each row once decided, and `&`, `|`
+and `->` evaluate their right side only on the rows the left leaves open.
+For the ubiquitous shapes `A h.(guard -> body)` / `E h.(guard & body)`
+whose guard mentions only the quantified variable, it restricts the
+quantifier range to the guard's extension first (for centralizer-style
+formulas this shrinks the range from the whole group to one centralizer).
 
 On top of that: the double-centralizer definition of U(R)Z(R) including
 the symplectic short-root patch, the projection pi_1 from a product of
@@ -342,68 +345,57 @@ class _EvalCtx:
         self.ring = E.ring
         self.d = E.rep.dim
         self.params = [np.asarray(p, dtype=E.ring.dtype) for p in params]
-        self.env = {}  # var -> (axis, mats (n, d, d))
-        self.naxes = 0
+        self.rows = max(1, 2**22 // (self.d * self.d))  # bindings one step may hold
         self.guards = {}  # quantifier -> mask over E of its guard (see _eval_quant)
-
-    def shaped(self, axis, mats):
-        n = len(mats)
-        shape = [1] * self.naxes + [self.d, self.d]
-        shape[axis] = n
-        return mats.reshape(shape)
 
     def invert(self, mats: np.ndarray) -> np.ndarray:
         E = self.E
         return E.elements[E.inv_idx[E.idx(mats)]]
 
 
-def _eval_term(t, ctx: _EvalCtx) -> np.ndarray:
+def _eval_term(t, env: dict, ctx: _EvalCtx) -> np.ndarray:
+    """The term on every row, (rows, d, d); (d, d) if it has no variable."""
     if isinstance(t, Var):
-        if t.name not in ctx.env:
+        if t.name not in env:
             raise ValueError(f"unbound variable {t.name}")
-        axis, mats = ctx.env[t.name]
-        return ctx.shaped(axis, mats)
+        return env[t.name]
     if isinstance(t, Param):
         if not 1 <= t.k <= len(ctx.params):
             raise ValueError(f"parameter @{t.k} not supplied")
-        return ctx.params[t.k - 1].reshape([1] * ctx.naxes + [ctx.d, ctx.d])
+        return ctx.params[t.k - 1]
     if isinstance(t, One):
-        return gfmat.identity(ctx.ring, ctx.d).reshape([1] * ctx.naxes + [ctx.d, ctx.d])
+        return gfmat.identity(ctx.ring, ctx.d)
     if isinstance(t, Mul):
-        return gfmat.mat_mul(ctx.ring, _eval_term(t.left, ctx), _eval_term(t.right, ctx))
+        return gfmat.mat_mul(ctx.ring, _eval_term(t.left, env, ctx), _eval_term(t.right, env, ctx))
     if isinstance(t, Inv):
-        return ctx.invert(_eval_term(t.arg, ctx))
+        return ctx.invert(_eval_term(t.arg, env, ctx))
     raise TypeError(f"not a term: {t!r}")
 
 
-def _broadcast_bool(val: np.ndarray, ctx: _EvalCtx) -> np.ndarray:
-    want = []
-    for ax in range(ctx.naxes):
-        sizes = [ctx.env[v][1].shape[0] for v in ctx.env if ctx.env[v][0] == ax]
-        want.append(max(sizes) if sizes else 1)
-    return np.broadcast_to(val, np.broadcast_shapes(val.shape, tuple(want)))
-
-
-def _eval(f, ctx: _EvalCtx) -> np.ndarray:
+def _eval(f, env: dict, n: int, ctx: _EvalCtx) -> np.ndarray:
+    """The truth of f on each of n rows, shape (n,); env binds each variable
+    to an (n, d, d) stack, one matrix per row."""
     if isinstance(f, Eq):
-        l = _eval_term(f.left, ctx)
-        r = _eval_term(f.right, ctx)
-        l, r = np.broadcast_arrays(l, r)
-        return (l == r).all(axis=(-1, -2))
+        same = (_eval_term(f.left, env, ctx) == _eval_term(f.right, env, ctx)).all(axis=(-1, -2))
+        return np.broadcast_to(same, (n,)).copy()
     if isinstance(f, Not):
-        return ~_eval(f.arg, ctx)
-    if isinstance(f, And):
-        return _eval(f.left, ctx) & _eval(f.right, ctx)
-    if isinstance(f, Or):
-        return _eval(f.left, ctx) | _eval(f.right, ctx)
-    if isinstance(f, Implies):
-        return ~_eval(f.left, ctx) | _eval(f.right, ctx)
+        return ~_eval(f.arg, env, n, ctx)
+    if isinstance(f, (And, Or, Implies)):
+        out = _eval(f.left, env, n, ctx)
+        if isinstance(f, Implies):
+            out = ~out
+        # the right side decides only the rows the left side leaves open
+        undecided = np.flatnonzero(out if isinstance(f, And) else ~out)
+        if len(undecided):
+            sub = {v: m[undecided] for v, m in env.items()}
+            out[undecided] = _eval(f.right, sub, len(undecided), ctx)
+        return out
     if isinstance(f, (Forall, Exists)):
-        return _eval_quant(f, ctx)
+        return _eval_quant(f, env, n, ctx)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _eval_quant(f, ctx: _EvalCtx) -> np.ndarray:
+def _eval_quant(f, env: dict, n: int, ctx: _EvalCtx) -> np.ndarray:
     forall = isinstance(f, Forall)
     body = f.body
     domain = ctx.E.elements
@@ -420,28 +412,22 @@ def _eval_quant(f, ctx: _EvalCtx) -> np.ndarray:
             ctx.guards[f] = _guard_mask(f.var, guard, ctx)
         domain = domain[ctx.guards[f]]
         body = rest
-    # reduce over the new axis in chunks
-    batch = 1
-    for ax in range(ctx.naxes):
-        sizes = [ctx.env[v][1].shape[0] for v in ctx.env if ctx.env[v][0] == ax]
-        batch *= max(sizes) if sizes else 1
-    step = max(1, 2**22 // max(1, batch * ctx.d * ctx.d))
-    out = None
-    axis = ctx.naxes
-    for lo in range(0, len(domain), step):
-        ctx.naxes += 1
-        ctx.env[f.var] = (axis, domain[lo:lo + step])
-        val = _broadcast_bool(_eval(body, ctx), ctx)
-        del ctx.env[f.var]
-        ctx.naxes -= 1
-        red = val.all(axis=axis) if forall else val.any(axis=axis)
-        out = red if out is None else (out & red if forall else out | red)
-    if out is None:  # empty domain: vacuous truth / falsity
-        shape = tuple(
-            max([ctx.env[v][1].shape[0] for v in ctx.env if ctx.env[v][0] == ax] or [1])
-            for ax in range(ctx.naxes)
-        )
-        out = np.full(shape, forall)
+    # pair the live rows with a domain step that starts at 1 and doubles; a
+    # row leaves once decided: a false Forall row, a true Exists row
+    out = np.full(n, forall)
+    live = np.arange(n)
+    lo, step = 0, 1
+    while len(live) and lo < len(domain):
+        step = max(1, min(step, ctx.rows // len(live)))
+        dom = domain[lo:lo + step]
+        sub = {v: np.repeat(m[live], len(dom), axis=0) for v, m in env.items()}
+        sub[f.var] = np.tile(dom, (len(live), 1, 1))
+        val = _eval(body, sub, len(live) * len(dom), ctx).reshape(len(live), len(dom))
+        decided = (val != forall).any(axis=1)
+        out[live[decided]] = not forall
+        live = live[~decided]
+        lo += step
+        step *= 2
     return out
 
 
@@ -449,14 +435,10 @@ def _guard_mask(var: str, guard, ctx: _EvalCtx) -> np.ndarray:
     """Which elements of the group satisfy a guard whose only free variable
     is `var`; one scan of the whole group."""
     domain = ctx.E.elements
-    sub = _EvalCtx(ctx.E, ctx.params)
-    sub.guards = ctx.guards
-    sub.naxes = 1
-    mask = np.zeros(len(domain), dtype=bool)
-    step = max(1, 2**22 // (ctx.d * ctx.d))
-    for lo in range(0, len(domain), step):
-        sub.env = {var: (0, domain[lo:lo + step])}
-        mask[lo:lo + step] = _eval(guard, sub).reshape(-1)
+    mask = np.empty(len(domain), dtype=bool)
+    for lo in range(0, len(domain), ctx.rows):
+        block = domain[lo:lo + ctx.rows]
+        mask[lo:lo + ctx.rows] = _eval(guard, {var: block}, len(block), ctx)
     return mask
 
 
@@ -466,23 +448,22 @@ def define_set(F, E: EnumeratedGroup, params) -> np.ndarray:
     fv = sorted(free_vars(F))
     if len(fv) != 1:
         raise ValueError(f"define_set needs one free variable, got {fv}")
-    var = fv[0]
-    chunk = 4096
-    hits = []
+    if max_param(F) > len(params):
+        raise ValueError(f"parameter @{max_param(F)} not supplied")
     ctx = _EvalCtx(E, params)
-    ctx.naxes = 1
-    for lo in range(0, E.order, chunk):
-        ctx.env = {var: (0, E.elements[lo:lo + chunk])}
-        val = _eval(F, ctx).reshape(-1)
-        hits.append(np.nonzero(val)[0] + lo)
+    hits = []
+    for lo in range(0, E.order, ctx.rows):
+        block = E.elements[lo:lo + ctx.rows]
+        hits.append(np.flatnonzero(_eval(F, {fv[0]: block}, len(block), ctx)) + lo)
     return np.concatenate(hits)
 
 
 def evaluate_sentence(F, E: EnumeratedGroup, params) -> bool:
     if free_vars(F):
         raise ValueError("sentence required")
-    ctx = _EvalCtx(E, params)
-    return bool(np.asarray(_eval(F, ctx)).reshape(()))
+    if max_param(F) > len(params):
+        raise ValueError(f"parameter @{max_param(F)} not supplied")
+    return bool(_eval(F, {}, 1, _EvalCtx(E, params))[0])
 
 
 # ---------------------------------------------------------------------------

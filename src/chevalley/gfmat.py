@@ -42,7 +42,9 @@ def _residue_modulus(ring) -> int | None:
 def mat_mul(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     n = _residue_modulus(ring)
     if n is not None:
-        return ((A.astype(np.int64) @ B.astype(np.int64)) % n).astype(ring.dtype)
+        C = A.astype(np.int64) @ B.astype(np.int64)
+        C %= n
+        return C.astype(ring.dtype)
     k = A.shape[-1]
     assert B.shape[-2] == k
     C = None

@@ -126,3 +126,16 @@ def test_every_report_honours_format_and_out(argv, tmp_path, capsys):
 def test_run_prints_the_rendered_suite_report(capsys):
     assert main(["--format", "json", "run", "--suite", "roots"]) == 0
     assert capsys.readouterr().out == _render(run_suite("roots", {}, 0), "json") + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-adelic", "--primes", "7,11,13,17"], "exceeds the budget"),
+    (["eval-formula", "--group", "SL3", "--field", "2", "--formula", "A g. g*=1"], "offset"),
+    (["enumerate", "--group", "XY3", "--field", "2"], "bad group spec"),
+], ids=["over-budget", "malformed-formula", "unknown-group"])
+def test_refused_input_exits_2_with_one_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("chevalley: error: ") and message in line

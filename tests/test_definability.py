@@ -1,11 +1,18 @@
+import contextlib
+import functools
+import itertools
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chevalley import definability
-from chevalley.chevgroup import centralizer_indices, classical_rep
+from chevalley import definability, gfmat
+from chevalley.chevgroup import centralizer_indices, classical_rep, enumerate_group
 from chevalley.definability import (
-    DC_TEXT, And, Eq, Exists, Forall, Inv, Mul, Not, One, Param, ParseError, RingInGroup,
-    ThetaMap, Var, check_ring_axioms, define_set, eval_poly_in_group,
+    DC_TEXT, And, Eq, Exists, Forall, Implies, Inv, Mul, Not, One, Or, Param, ParseError,
+    RingInGroup, ThetaMap, Var, check_ring_axioms, define_set, eval_poly_in_group,
     evaluate_sentence, format_formula, free_vars, map_c, map_m, parse_formula,
     psi_matrix, verify_dc_formula, width_probe,
 )
@@ -38,6 +45,15 @@ def test_sentences(group_of):
     assert not evaluate_sentence(parse_formula("A g. A h. g*h=h*g"), E, [])
 
 
+def test_missing_parameter_refused_even_where_no_row_reaches_it(group_of):
+    E = group_of("classical", "A", 2, 2)
+    u = E.rep.x(E.ring, 0, E.ring.one)
+    with pytest.raises(ValueError, match="@3"):
+        evaluate_sentence(parse_formula("1=1 | @3=1"), E, [u])
+    with pytest.raises(ValueError, match="@2"):
+        define_set(parse_formula("x=x | x=@2"), E, [u])
+
+
 def test_define_set_matches_centralizer_scan(group_of):
     E = group_of("classical", "A", 2, 3)
     u = E.rep.x(E.ring, 0, E.ring.one)
@@ -48,7 +64,7 @@ def test_define_set_matches_centralizer_scan(group_of):
 
 
 def test_define_set_scans_each_guard_once(group_of, monkeypatch):
-    E = group_of("classical", "A", 2, 3)  # 5 616 elements: two chunks of define_set
+    E = group_of("classical", "A", 2, 3)  # 5 616 elements
     u = E.rep.x(E.ring, 0, E.ring.one)
     scans = []
     guard_mask = definability._guard_mask
@@ -57,6 +73,170 @@ def test_define_set_scans_each_guard_once(group_of, monkeypatch):
     assert len(scans) == 1
     C = centralizer_indices(E, [u])
     assert got.tolist() == centralizer_indices(E, E.elements[C]).tolist()
+
+
+def test_define_set_skips_decided_rows(group_of, monkeypatch):
+    # a candidate leaves the scan at the first h that fails to commute with
+    # it, so far fewer than |G| products per candidate are needed
+    E = group_of("classical", "A", 2, 3)
+    u = E.rep.x(E.ring, 0, E.ring.one)
+    made = []
+    mat_mul = gfmat.mat_mul
+
+    def counting(ring, A, B):
+        C = mat_mul(ring, A, B)
+        made.append(C.size // (C.shape[-1] * C.shape[-2]))
+        return C
+
+    monkeypatch.setattr(gfmat, "mat_mul", counting)
+    got = define_set(parse_formula(DC_TEXT), E, [u])
+    assert len(got) == 3
+    assert sum(made) < 10 * E.order
+
+
+# -- an independent oracle for the evaluator: element by element, over
+# tuples of integers, sharing nothing with define_set but the AST
+
+
+class _Naive:
+    def __init__(self, elements: np.ndarray, p: int):
+        self.d, self.p = elements.shape[-1], p
+        self.elems = [tuple(int(c) for c in m.ravel()) for m in elements]
+        self.one = tuple(int(i == j) for i in range(self.d) for j in range(self.d))
+
+    @functools.cache
+    def mul(self, a, b):
+        d = self.d
+        return tuple(sum(a[i * d + k] * b[k * d + j] for k in range(d)) % self.p
+                     for i in range(d) for j in range(d))
+
+    @functools.cache
+    def inv(self, a):
+        return next(b for b in self.elems if self.mul(a, b) == self.one)
+
+    def term(self, t, env):
+        if isinstance(t, Var):
+            return env[t.name]
+        if isinstance(t, Param):
+            return env[f"@{t.k}"]
+        if isinstance(t, One):
+            return self.one
+        if isinstance(t, Mul):
+            return self.mul(self.term(t.left, env), self.term(t.right, env))
+        return self.inv(self.term(t.arg, env))
+
+    def holds(self, f, env) -> bool:
+        if isinstance(f, Eq):
+            return self.term(f.left, env) == self.term(f.right, env)
+        if isinstance(f, Not):
+            return not self.holds(f.arg, env)
+        if isinstance(f, And):
+            return self.holds(f.left, env) and self.holds(f.right, env)
+        if isinstance(f, Or):
+            return self.holds(f.left, env) or self.holds(f.right, env)
+        if isinstance(f, Implies):
+            return not self.holds(f.left, env) or self.holds(f.right, env)
+        every = all if isinstance(f, Forall) else any
+        return every(self.holds(f.body, {**env, f.var: g}) for g in self.elems)
+
+
+@functools.cache
+def _terms(scope):
+    leaves = [st.just(Var(v)) for v in scope] + [st.builds(Param, st.integers(1, 2)), st.just(One())]
+    return st.recursive(st.one_of(leaves),
+                        lambda t: st.one_of(st.builds(Mul, t, t), st.builds(Inv, t)), max_leaves=3)
+
+
+@st.composite
+def _formulas(draw, scope, quants, depth=3):
+    """Formulas over the variables in scope with at most `quants`
+    quantifiers, guarded and unguarded; a bound name may shadow an outer one."""
+    kinds = ["eq"] + (["not", "and", "or", "implies"] if depth else [])
+    kinds += ["forall", "exists"] if depth and quants else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "eq":
+        return Eq(draw(_terms(scope)), draw(_terms(scope)))
+    if kind == "not":
+        return Not(draw(_formulas(scope, quants, depth - 1)))
+    if kind in ("and", "or", "implies"):
+        k = draw(st.integers(0, quants))
+        cls = {"and": And, "or": Or, "implies": Implies}[kind]
+        return cls(draw(_formulas(scope, k, depth - 1)), draw(_formulas(scope, quants - k, depth - 1)))
+    var = draw(st.sampled_from(("y", "z", "w")))
+    guarded = draw(st.booleans())  # a guard on var alone: its range is restricted up front
+    k = draw(st.integers(0, quants - 1)) if guarded else 0
+    body = draw(_formulas(tuple(sorted(set(scope) | {var})), quants - 1 - k, depth - 1))
+    if guarded:
+        guard = draw(_formulas((var,), k, depth - 1))
+        body = Implies(guard, body) if kind == "forall" else And(guard, body)
+    return (Forall if kind == "forall" else Exists)(var, body)
+
+
+class _SL2F3:
+    """SL2(F3), 24 elements, with the slice of EnumeratedGroup the evaluator
+    reads: ring, rep.dim, elements, order, idx(), inv_idx."""
+
+    ring = GF(3)
+    rep = SimpleNamespace(dim=2)
+
+    def __init__(self):
+        mats = [m for m in itertools.product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3 == 1]
+        self.elements = np.array(mats, dtype=self.ring.dtype).reshape(-1, 2, 2)
+        self.order = len(self.elements)
+        self._set = gfmat.MatSet(self.elements)
+        a, b, c, d = (self.elements[:, i, j].astype(int) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        adjugate = np.stack([d, -b % 3, -c % 3, a], axis=-1).reshape(-1, 2, 2)
+        self.inv_idx = self.idx(adjugate)
+
+    def idx(self, mats):
+        return self._set.index(mats)
+
+
+@functools.cache
+def _oracle_group(name: str):
+    E = enumerate_group(classical_rep("A", 2), GF(2)) if name == "SL3(F2)" else _SL2F3()
+    return E, _Naive(E.elements, E.ring.size)
+
+
+def _rows_per_step(rows):
+    """Cut the evaluator's rows per step to `rows` (None keeps it)."""
+    if rows is None:
+        return contextlib.nullcontext()
+    init = definability._EvalCtx.__init__
+
+    def cut(self, *args):
+        init(self, *args)
+        self.rows = rows
+
+    return mock.patch.object(definability._EvalCtx, "__init__", cut)
+
+
+@pytest.mark.parametrize("group, quants, rows", [
+    ("SL3(F2)", 2, None),
+    ("SL2(F3)", 3, None),
+    ("SL2(F3)", 3, 7),  # blocks and quantifier steps cut short
+])
+@settings(deadline=None, max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_evaluator_against_naive_oracle(group, quants, rows, data):
+    """define_set and evaluate_sentence agree with the naive semantics on
+    random formulas.  Over SL3(F2) the extension is compared on 16 sampled
+    candidates, which bounds the naive side by 16 * 168^2 steps."""
+    E, naive = _oracle_group(group)
+    picks = data.draw(st.lists(st.integers(0, E.order - 1), min_size=2, max_size=2))
+    params = [E.elements[i] for i in picks]
+    env = {f"@{k + 1}": naive.elems[i] for k, i in enumerate(picks)}
+    F = data.draw(_formulas(("x",), quants), label="F")
+    if "x" not in free_vars(F):
+        F = And(Eq(Var("x"), Var("x")), F)
+    S = data.draw(_formulas((), quants), label="sentence")
+    xs = range(E.order) if E.order <= 24 else data.draw(
+        st.lists(st.integers(0, E.order - 1), min_size=16, max_size=16, unique=True))
+    with _rows_per_step(rows):
+        got = set(define_set(F, E, params).tolist())
+        value = evaluate_sentence(S, E, params)
+    assert [i in got for i in xs] == [naive.holds(F, {**env, "x": naive.elems[i]}) for i in xs]
+    assert value == naive.holds(S, env)
 
 
 def test_dc_formula_double_oracle(group_of):
