@@ -11,16 +11,25 @@ lexicographically least matrix in the coset), so set comparisons are exact.
 First-order definitions are double-checked against the direct constructions
 with the formula evaluator on the plain SL2 mode, where matrix products of
 representatives are the honest group operation.
+
+The ring A is read off the group as U = u(A): + is the group product and x
+is the group word P.  Each group evaluates both once, on all pairs of U at
+a time as stacks of 2x2 matrices, and keeps them as code tables (code c
+stands for u(c)): `SL2Group.p_table` for P, one per offset set S, and
+`SL2Group.u_ring` for the ring on U that the two tables make.  theta
+sends g to a 2x2 code matrix over that ring, and its products are
+`gfmat.mat_mul` over it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import gfmat
-from .rings import FiniteRing, ProductRing, decompose_square_diff
+from .rings import FiniteRing, ProductRing, TableRing, decompose_square_diff
 from .definability import And, Eq, Exists, Inv, Mul, One, Or, Param, Var, define_set
 
 
@@ -91,7 +100,8 @@ class SL2Group:
         self.elements = gfmat.MatSet(self.canon(mats)).sorted()
         self.order = len(self.elements)
         self._set = gfmat.MatSet(self.elements)
-        self.inv_idx = self.idx(self._adjugate(self.elements))
+        self.inv_idx = self.idx(_adjugate(ring, self.elements))
+        self._p_tables = {}  # offset set S -> P table
 
         class _Rep:
             dim = 2
@@ -117,16 +127,6 @@ class SL2Group:
         pick = gfmat.MatSet.keys(variants).argsort(axis=0, kind="stable")[0]
         flat = variants.reshape(len(self._zs), -1, 2, 2)
         return flat[pick.ravel(), np.arange(flat.shape[1])].reshape(mats.shape)
-
-    def _adjugate(self, mats: np.ndarray) -> np.ndarray:
-        # inverse for det 1: [[d, -b], [-c, a]]
-        neg = self.ring.neg_t
-        out = np.empty_like(mats)
-        out[..., 0, 0] = mats[..., 1, 1]
-        out[..., 0, 1] = neg[mats[..., 0, 1]]
-        out[..., 1, 0] = neg[mats[..., 1, 0]]
-        out[..., 1, 1] = mats[..., 0, 0]
-        return out
 
     def idx(self, mats: np.ndarray):
         """Index of the coset of a matrix, or the indices of a stack; raises
@@ -162,21 +162,54 @@ class SL2Group:
                      dtype=ring.dtype)
         return self.canon(m)
 
-    @property
+    @functools.cached_property
     def w(self) -> np.ndarray:
         one = self.ring.one
         return self.mul(self.mul(self.u(one), self.v(one)), self.u(one))
 
     def u_decode(self, m: np.ndarray):
-        """lam with m = u(lam); representatives of u-cosets keep 1 top left."""
-        if not (m[0, 0] == self.ring.one and m[1, 0] == self.ring.zero
-                and m[1, 1] == self.ring.one):
+        """lam with m = u(lam), or the lams of a stack; representatives of
+        u-cosets keep 1 top left."""
+        ring = self.ring
+        if not ((m[..., 0, 0] == ring.one) & (m[..., 1, 0] == ring.zero)
+                & (m[..., 1, 1] == ring.one)).all():
             raise ValueError("not a canonical unipotent representative")
-        return m[0, 1]
+        return m[..., 0, 1]
+
+    def p_table(self, S=None) -> np.ndarray:
+        """The product P on U as a code table: entry [b, a] is the code of
+        mult_formula_P(u(b), u(a), S).  Built once per S."""
+        S = [self.ring.zero] if S is None else S
+        key = tuple(int(s) for s in S)
+        if key not in self._p_tables:
+            self._p_tables[key] = _p_word(self, S)
+        return self._p_tables[key]
+
+    @functools.cached_property
+    def u_ring(self) -> TableRing:
+        """The ring on U: + is the group product u(a) u(b), x the P word
+        with S = {0}; code c stands for u(c)."""
+        ring = self.ring
+        U = _u_stack(self)
+        add_t = self.u_decode(self.mul(U[:, None], U[None]))
+        return TableRing(f"U({ring.name}) [{self.mode}]", add_t, self.p_table(),
+                         zero=self.u_decode(self.canon(gfmat.identity(ring, 2))), one=ring.one)
 
 
 # ---------------------------------------------------------------------------
 # component plumbing
+
+
+def _adjugate(ring: FiniteRing, mats: np.ndarray) -> np.ndarray:
+    """The adjugate [[d, -b], [-c, a]] of each matrix: its inverse when the
+    determinant is 1."""
+    neg = ring.neg_t
+    out = np.empty_like(mats)
+    out[..., 0, 0] = mats[..., 1, 1]
+    out[..., 0, 1] = neg[mats[..., 0, 1]]
+    out[..., 1, 0] = neg[mats[..., 1, 0]]
+    out[..., 1, 1] = mats[..., 0, 0]
+    return out
 
 
 def _components(ring: FiniteRing):
@@ -190,12 +223,17 @@ def _components(ring: FiniteRing):
 # the subsets of section interest, built directly
 
 
-def u_set(G: SL2Group) -> np.ndarray:
+def _u_stack(G: SL2Group) -> np.ndarray:
+    """u(c) for every code c, shape (size, 2, 2)."""
     ring = G.ring
     mats = np.zeros((ring.size, 2, 2), dtype=ring.dtype)
     mats[:, 0, 0] = mats[:, 1, 1] = ring.one
     mats[:, 0, 1] = np.arange(ring.size)
-    return G.elements[np.unique(G.idx(mats))]
+    return G.canon(mats)
+
+
+def u_set(G: SL2Group) -> np.ndarray:
+    return G.elements[np.unique(G.idx(_u_stack(G)))]
 
 
 def v_set(G: SL2Group) -> np.ndarray:
@@ -236,7 +274,7 @@ def define_U(G: SL2Group, S=(0,)) -> dict:
     H = h_set(G)
     got = []
     u1 = G.u(ring.one)
-    Hinv = G._adjugate(H)
+    Hinv = _adjugate(ring, H)
     ux = gfmat.mat_mul_many(ring, [Hinv, u1[None], H])          # u^x per x
     uy = gfmat.mat_mul_many(ring, [Hinv, G.inv(u1)[None], H])   # u^-y per y
     for s in S:
@@ -251,36 +289,37 @@ def define_U(G: SL2Group, S=(0,)) -> dict:
             "complete": not missing, "missing": missing}
 
 
-_SQD_CACHE: dict = {}
-
-
-def _decompose(ring: FiniteRing, a, S) -> tuple:
-    key = (ring.name, tuple(int(s) for s in S))
-    table = _SQD_CACHE.setdefault(key, {})
-    got = table.get(int(a))
-    if got is None:
-        got = decompose_square_diff(ring, a, S)
-        table[int(a)] = got
-    return got
+def _p_word(G: SL2Group, S) -> np.ndarray:
+    """The defining word of P on all pairs (u(b), u(a)) at once, as the
+    (size, size) table of the codes of its values."""
+    ring = G.ring
+    # a = xi^2 - eta^2 + s per code, so that u(a) = u^x u^{-y} u(s) with
+    # x = h(xi), y = h(eta)
+    dec = np.array([decompose_square_diff(ring, a, S) for a in range(ring.size)],
+                   dtype=ring.dtype)
+    U = _u_stack(G)
+    H = np.zeros((ring.size, 2, 2), dtype=ring.dtype)  # h(c); garbage at non-units, never read
+    H[:, 0, 0] = ring.inv_t[np.arange(ring.size)]
+    H[:, 1, 1] = np.arange(ring.size)
+    H = G.canon(H)
+    b, a = (i.ravel() for i in np.indices((ring.size, ring.size)))
+    xi, eta, s = dec[a].T
+    zeta, rho, t = dec[b].T
+    y1, us = U[b], U[s]
+    out = G.mul(G.conj(y1, H[xi]), G.conj(G.inv(y1), H[eta]))
+    out = G.mul(out, G.conj(us, H[zeta]))
+    out = G.mul(out, G.conj(G.inv(us), H[rho]))
+    out = G.mul(out, U[ring.mul_t[s, t]])
+    return G.u_decode(out).reshape(ring.size, ring.size)
 
 
 def mult_formula_P(G: SL2Group, y1: np.ndarray, y2: np.ndarray, S=None) -> np.ndarray:
-    """y1 * y2 in the ring structure on U, computed by the defining group
-    word: y3 = y1^x y1^{-y} u(s)^z u(s)^{-r} u(st)."""
-    ring = G.ring
-    if S is None:
-        S = [ring.zero]
+    """y1 * y2 in the ring structure on U, given by the defining group
+    word y3 = y1^x y1^{-y} u(s)^z u(s)^{-r} u(st); read off G.p_table(S),
+    which evaluates the word once on all pairs."""
     beta = G.u_decode(G.canon(y1))
     alpha = G.u_decode(G.canon(y2))
-    xi, eta, s = _decompose(ring, alpha, S)
-    zeta, rho, t = _decompose(ring, beta, S)
-    x, y = G.h(xi), G.h(eta)
-    z, r = G.h(zeta), G.h(rho)
-    us = G.u(s)
-    out = G.mul(G.conj(y1, x), G.conj(G.inv(y1), y))
-    out = G.mul(out, G.conj(us, z))
-    out = G.mul(out, G.conj(G.inv(us), r))
-    return G.mul(out, G.u(ring.mul(s, t)))
+    return G.u(G.p_table(S)[beta, alpha])
 
 
 def at_codes(ring: FiniteRing, T) -> np.ndarray:
@@ -372,7 +411,8 @@ def gamma1_factor(G: SL2Group, g: np.ndarray):
     ht = G.h(ainv)
     ut = G.u(ring.mul(ainv, g[0, 1]))
     back = G.mul(G.mul(vt, ht), ut)
-    assert (back == g).all(), "VHU factorization failed to reconstruct g"
+    if not (back == g).all():
+        raise RuntimeError("VHU factorization failed to reconstruct g")
     return vt, ht, ut
 
 
@@ -394,7 +434,8 @@ def w_correction(G: SL2Group, g: np.ndarray) -> np.ndarray:
         out += st * xf
     x = G.canon(out.astype(ring.dtype))
     gx = G.mul(g, x)
-    assert ring.unit_mask[gx[0, 0]], "correction failed"
+    if not ring.unit_mask[gx[0, 0]]:
+        raise RuntimeError("W-correction left a non-unit corner")
     return x
 
 
@@ -427,79 +468,58 @@ def gamma1_report(G: SL2Group) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# theta: g = (a,b;c,d) -> (u(a),u(b);u(c),u(d)), entries living in U
-
-
-def _u_mat(G: SL2Group, entries) -> np.ndarray:
-    out = np.empty((2, 2), dtype=object)
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = entries[i][j]
-    return out
-
-
-def _u_mat_mul(G: SL2Group, A, B):
-    out = np.empty((2, 2), dtype=object)
-    for i in range(2):
-        for j in range(2):
-            s = None
-            for k in range(2):
-                p = mult_formula_P(G, A[i, k], B[k, j])
-                s = p if s is None else G.mul(s, p)
-            out[i, j] = s
-    return out
-
-
-def _u_mat_inv(G: SL2Group, A):
-    # adjugate; valid on theta images (entrywise determinant 1)
-    return _u_mat(G, [[A[1, 1], G.inv(A[0, 1])], [G.inv(A[1, 0]), A[0, 0]]])
+# theta: g = (a,b;c,d) -> (u(a),u(b);u(c),u(d)), entries living in U, held
+# as code matrices over G.u_ring
 
 
 def _theta_u(G: SL2Group, g):
-    u1, u0 = G.u(G.ring.one), G.u(G.ring.zero)
-    return _u_mat(G, [[u1, G.canon(g)], [u0, u1]])
+    one, zero = G.ring.one, G.ring.zero
+    return np.array([[one, G.u_decode(G.canon(g))], [zero, one]], dtype=G.ring.dtype)
 
 
 def _theta_v(G: SL2Group, g):
-    u1, u0 = G.u(G.ring.one), G.u(G.ring.zero)
-    gminusw = G.conj(G.inv(g), G.w)
-    return _u_mat(G, [[u1, u0], [gminusw, u1]])
+    one, zero = G.ring.one, G.ring.zero
+    gminusw = G.u_decode(G.conj(G.inv(g), G.w))
+    return np.array([[one, zero], [gminusw, one]], dtype=G.ring.dtype)
 
 
 def _theta_h(G: SL2Group, g):
     ring = G.ring
     xi = g[1, 1]
-    u0 = G.u(ring.zero)
     y4, y1 = G.u(xi), G.u(ring.dtype(ring.inv(xi)))
     # soundness of the defining clauses: y4 * y1 = u and w^-1 y4 w y1 w^-1 y4 = g
-    assert (mult_formula_P(G, y4, y1) == G.u(ring.one)).all()
+    if not (mult_formula_P(G, y4, y1) == G.u(ring.one)).all():
+        raise RuntimeError("theta of h: y4 * y1 != u(1)")
     w, winv = G.w, G.inv(G.w)
     back = G.mul(G.mul(G.mul(G.mul(winv, y4), w), y1), G.mul(winv, y4))
-    assert (back == G.canon(g)).all()
-    return _u_mat(G, [[y1, u0], [u0, y4]])
+    if not (back == G.canon(g)).all():
+        raise RuntimeError("theta of h: the word in y1, y4 and w does not give g")
+    return np.array([[G.u_decode(y1), ring.zero], [ring.zero, xi]], dtype=ring.dtype)
 
 
 def _theta_w_elt(G: SL2Group, x):
     u1 = G.u(G.ring.one)
     ut = gamma1_factor(G, G.conj(u1, x))[2]
-    return _u_mat(G, [[ut, G.mul(G.inv(ut), u1)], [G.mul(G.inv(u1), ut), ut]])
+    c = G.u_decode(np.stack([ut, G.mul(G.inv(ut), u1), G.mul(G.inv(u1), ut)]))
+    return np.array([[c[0], c[1]], [c[2], c[0]]], dtype=G.ring.dtype)
 
 
-def theta_sl2(G: SL2Group, g: np.ndarray):
-    """theta via a W-correction into Gamma_1 and the VHU factorization."""
+def theta_sl2(G: SL2Group, g: np.ndarray) -> np.ndarray:
+    """theta via a W-correction into Gamma_1 and the VHU factorization: a
+    (2, 2) code matrix over G.u_ring."""
+    T = G.u_ring
     g = G.canon(np.asarray(g, dtype=G.ring.dtype))
     x = w_correction(G, g)
     vt, ht, ut = gamma1_factor(G, G.mul(g, x))
-    M = _u_mat_mul(G, _u_mat_mul(G, _theta_v(G, vt), _theta_h(G, ht)), _theta_u(G, ut))
-    return _u_mat_mul(G, M, _u_mat_inv(G, _theta_w_elt(G, x)))
+    M = gfmat.mat_mul_many(T, [_theta_v(G, vt), _theta_h(G, ht), _theta_u(G, ut)])
+    # theta(x) has determinant 1 over the ring on U: its adjugate inverts it
+    return gfmat.mat_mul(T, M, _adjugate(T, _theta_w_elt(G, x)))
 
 
 def theta_decode(G: SL2Group, th) -> np.ndarray:
-    out = np.empty((2, 2), dtype=G.ring.dtype)
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = G.u_decode(th[i, j])
-    return G.canon(out)
+    """The group element read off a theta image: entry code c stands for
+    u(c), so it is the entry c of the matrix over A."""
+    return G.canon(np.asarray(th, dtype=G.ring.dtype))
 
 
 def theta_report(G: SL2Group, sample: int = 500, pairs: int = 200, seed: int = 0) -> dict:
@@ -516,7 +536,7 @@ def theta_report(G: SL2Group, sample: int = 500, pairs: int = 200, seed: int = 0
     for _ in range(pairs):
         i, j = int(rng.integers(G.order)), int(rng.integers(G.order))
         gi, gj = G.elements[i], G.elements[j]
-        lhs = theta_decode(G, _u_mat_mul(G, theta_sl2(G, gi), theta_sl2(G, gj)))
+        lhs = theta_decode(G, gfmat.mat_mul(G.u_ring, theta_sl2(G, gi), theta_sl2(G, gj)))
         rhs = theta_decode(G, theta_sl2(G, G.mul(gi, gj)))
         if not (lhs == rhs).all():
             mult = False
@@ -787,14 +807,8 @@ def adelic_report(ring: FiniteRing, modes=SL2Group.MODES, seed: int = 0,
         }
     G = SL2Group(ring, "SL2")
     du = define_U(G)
-    # P realizes ring multiplication: all pairs
-    p_ok = True
-    for b in range(ring.size):
-        ub = G.u(ring.dtype(b))
-        for a in range(ring.size):
-            ua = G.u(ring.dtype(a))
-            if not (mult_formula_P(G, ub, ua) == G.u(ring.mul(b, a))).all():
-                p_ok = False
+    # P realizes ring multiplication: all pairs, the word's table against A's
+    p_ok = np.array_equal(G.p_table(), ring.mul_t)
     report["define_U"] = {"complete": du["complete"], "missing": du["missing"]}
     report["P_all_pairs"] = p_ok
     report["A_T"] = define_AT(G, (0, 1))["ok"]

@@ -533,7 +533,10 @@ def _dispatch(args) -> int:
     elif args.cmd == "check-witness":
         which = args.which
         if which == "auto":
-            which = {"A": "sl", "C": "X1", "D": "X3", "B": "X4"}[args.type]
+            auto = {"A": "sl", "B": "X4", "C": "X1", "D": "X3"}
+            if args.type not in auto:
+                raise ValueError(f"--set auto supports types {', '.join(auto)}, got {args.type!r}")
+            which = auto[args.type]
         _witness_check(s, args.type, args.rank, which, GF(args.field))
     else:
         rep = parse_group(args.group)

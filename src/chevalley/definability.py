@@ -36,7 +36,7 @@ from .chevgroup import (
     SubgroupDescriptor,
     materialize,
 )
-from .rings import FiniteRing, hypothesis_profile
+from .rings import FiniteRing, TableRing, hypothesis_profile
 from .rootsys import commutator_template
 
 
@@ -670,7 +670,9 @@ def _mult_triple(sys):
 
 class RingInGroup:
     """The ring R carried by the root subgroup U_{a0}(R): addition is the
-    group operation, multiplication is the transported map m."""
+    group operation, multiplication is the transported map m.  Both are
+    evaluated once on all pairs of the carrier and kept as the code tables
+    of `table`, whose code r stands for x_{a0}(r)."""
 
     def __init__(self, rep: MatrixRep, ring: FiniteRing, a0: int | None = None):
         self.rep = rep
@@ -679,8 +681,13 @@ class RingInGroup:
             a0 = rep.sys.fundamental[0]
         self.a0 = a0
         codes = np.arange(ring.size, dtype=ring.dtype)
-        self.carrier = rep.x_batch(ring, a0, codes)
-        self._decode = gfmat.MatSet(self.carrier)  # numbers the carrier by code
+        C = self.carrier = rep.x_batch(ring, a0, codes)
+        self._decode = gfmat.MatSet(C)  # numbers the carrier by code
+        add_t = self.decode(gfmat.mat_mul(ring, C[:, None], C[None]))
+        mul_t = self.decode(np.stack([[map_m(rep, ring, a0, a0, a0, x, y) for y in C] for x in C]))
+        # the unit is the parameter x_{a0}(1), the zero the group identity
+        self.table = TableRing(f"U{a0}({ring.name})", add_t, mul_t,
+                               zero=self.decode(rep.identity(ring)), one=ring.one)
 
     def encode(self, r) -> np.ndarray:
         return self.rep.x(self.ring, self.a0, r)
@@ -689,59 +696,37 @@ class RingInGroup:
         """The code r of x_{a0}(r), or the codes of a stack; KeyError off the carrier."""
         return self._decode.index(m)
 
-    def add(self, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-        return gfmat.mat_mul(self.ring, m1, m2)
-
-    def mul(self, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-        return map_m(self.rep, self.ring, self.a0, self.a0, self.a0, m1, m2)
-
-    def zero(self) -> np.ndarray:
-        return self.rep.identity(self.ring)
-
-    def one_elt(self) -> np.ndarray:
-        return self.encode(self.ring.one)
-
 
 def check_ring_axioms(rig: RingInGroup) -> bool:
-    """Exhaustive commutative-ring axioms on the carrier, and the transport
-    of + and x along r -> x_{a0}(r)."""
-    ring = rig.ring
-    elems = list(ring.elements())
-    enc = {r: rig.carrier[r] for r in elems}
-    for r in elems:
-        for s in elems:
-            add = rig.add(enc[r], enc[s])
-            if rig.decode(add) != ring.add(r, s):
-                return False
-            mul = rig.mul(enc[r], enc[s])
-            if rig.decode(mul) != ring.mul(r, s):
-                return False
-            if rig.decode(rig.mul(enc[s], enc[r])) != ring.mul(r, s):
-                return False
-    one = rig.one_elt()
-    if rig.decode(rig.mul(one, one)) != ring.one:
+    """The ring inside the group against R: + and x transported along
+    r -> x_{a0}(r) on all pairs, the zero and the unit, and associativity
+    of x on all triples, read off the tables."""
+    T, ring = rig.table, rig.ring
+    if not (np.array_equal(T.add_t, ring.add_t) and np.array_equal(T.mul_t, ring.mul_t)):
         return False
-    # distributivity via the decoded images is implied by the transport
-    # equalities above; spot-check one associativity chain directly
-    for r in elems[: min(4, len(elems))]:
-        lhs = rig.mul(enc[r], rig.mul(enc[r], enc[r]))
-        rhs = rig.mul(rig.mul(enc[r], enc[r]), enc[r])
-        if rig.decode(lhs) != rig.decode(rhs):
-            return False
-    return True
+    if T.zero != ring.zero or T.mul(T.one, T.one) != ring.one:
+        return False
+    a, b, c = np.ix_(*[np.arange(T.size)] * 3)
+    return bool((T.mul_t[T.mul_t[a, b], c] == T.mul_t[a, T.mul_t[b, c]]).all())
+
+
+def _horner(rig: RingInGroup, coeffs, r) -> np.ndarray:
+    """Codes of f(r)' in the ring inside the group, by Horner on its tables;
+    coeffs holds integers, its first axis running over X^0, X^1, ..., and
+    the result has the shape of the other axes."""
+    T = rig.table
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    out = np.full(coeffs.shape[1:], T.zero, dtype=T.dtype)
+    for c in coeffs[::-1]:
+        out = T.add_t[T.mul_t[out, r], rig.ring.from_int_array(c)]
+    return out
 
 
 def eval_poly_in_group(rig: RingInGroup, coeffs, relt: np.ndarray) -> np.ndarray:
     """f(r)' built from the group operation and the transported
     multiplication only (Horner); coeffs[i] is the integer coefficient of
     X^i."""
-    ring = rig.ring
-    out = rig.zero()
-    for c in reversed(list(coeffs)):
-        out = rig.mul(out, relt)
-        cm = rig.encode(ring.from_int(int(c)))
-        out = rig.add(out, cm)
-    return out
+    return rig.encode(_horner(rig, [int(c) for c in coeffs], rig.decode(relt)))
 
 
 # ---------------------------------------------------------------------------
@@ -755,10 +740,15 @@ def width_probe(E: EnumeratedGroup) -> dict:
 
 
 class ThetaMap:
-    """g -> (g_ij') entrywise into M_d(R'), assembled from root-element
-    decompositions: per root element the entries come from the integer
-    divided-power polynomials, and products are matrix products over the
-    transported ring."""
+    """g -> (g_ij') entrywise into M_d(R'), R' the ring inside the group.
+
+    theta works on (d, d) code matrices over the word tables of R' (see
+    RingInGroup), so a product is one `gfmat.mat_mul` over that ring.  The
+    image of a root element x_a(r) is transported to r' in U_{a0} by map_c,
+    and its entries are the integer divided-power polynomials of X_a
+    evaluated at r' in R'; the image of g is the product of the images of
+    the generators in its witnessing word.  Since code r' stands for
+    x_{a0}(r'), theta(g) read as a matrix over R is g itself."""
 
     def __init__(self, E: EnumeratedGroup, rig: RingInGroup | None = None):
         self.E = E
@@ -771,49 +761,22 @@ class ThetaMap:
         """theta of x_a(r): entry (i,j) is (delta_ij + m1 r + ... + mq r^q)'
         with m_l the (i,j) entries of the divided powers of X_a."""
         rep, ring, rig = self.rep, self.ring, self.rig
-        d = rep.dim
-        rprime = map_c(rep, ring, a, rig.a0, rep.x(ring, a, relt_code))
-        out = np.empty((d, d), dtype=object)
-        powers = rep.divpow[a]
-        for i in range(d):
-            for j in range(d):
-                coeffs = [int(powers[l][i, j]) for l in range(len(powers))]
-                out[i, j] = eval_poly_in_group(rig, coeffs, rprime)
-        return out
-
-    def _mat_mul_prime(self, A, B):
-        rig = self.rig
-        d = self.rep.dim
-        out = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(d):
-                acc = rig.zero()
-                for k in range(d):
-                    acc = rig.add(acc, rig.mul(A[i, k], B[k, j]))
-                out[i, j] = acc
-        return out
+        rprime = rig.decode(map_c(rep, ring, a, rig.a0, rep.x(ring, a, relt_code)))
+        return _horner(rig, rep.divpow[a], rprime)
 
     def theta(self, idx: int) -> np.ndarray:
         """theta of the element with BFS index idx, via its witnessing word."""
-        E, rig = self.E, self.rig
-        d = self.rep.dim
-        out = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(d):
-                out[i, j] = rig.encode(self.ring.one if i == j else self.ring.zero)
+        E, T = self.E, self.rig.table
+        out = gfmat.identity(T, self.rep.dim)
         for gi in E.word(idx):
             if gi not in self._gen_theta:
                 a, rc = E.gens_meta[gi]
                 self._gen_theta[gi] = self._root_elt_theta(a, rc)
-            out = self._mat_mul_prime(out, self._gen_theta[gi])
+            out = gfmat.mat_mul(T, out, self._gen_theta[gi])
         return out
 
-    def decode(self, arr) -> np.ndarray:
-        d = self.rep.dim
-        return self.rig.decode(np.stack(arr.ravel())).reshape(d, d).astype(self.ring.dtype)
-
     def round_trip(self, idx: int) -> bool:
-        return bool((self.decode(self.theta(idx)) == self.E.elements[idx]).all())
+        return bool((self.theta(idx) == self.E.elements[idx]).all())
 
 
 def psi_matrix(rep: MatrixRep, ring: FiniteRing, a0: int, r) -> np.ndarray:

@@ -7,8 +7,8 @@ work in the group modules fully vectorized.  The integers are the one
 infinite ring and use plain Python ints.
 
 Supported kinds: GF(q) for prime powers q (non-prime q via the smallest
-lexicographic monic irreducible over GF(p)), Z, Z/n, and finite direct
-products of finite rings.
+lexicographic monic irreducible over GF(p)), Z, Z/n, finite direct
+products of finite rings, and rings given only by their tables.
 """
 
 from __future__ import annotations
@@ -356,6 +356,21 @@ class ProductRing(FiniteRing):
 
     def elem_str(self, a):
         return "(" + ",".join(f.elem_str(c) for f, c in zip(self.factors, self.decode(a))) + ")"
+
+
+class TableRing(FiniteRing):
+    """A finite ring given only by its addition and multiplication tables,
+    such as the ring a group word carries on a root subgroup: code r is the
+    r-th element of the carrier."""
+
+    kind = "table"
+
+    def __init__(self, name: str, add_t, mul_t, zero: int, one: int):
+        self.name = name
+        self.size = len(add_t)
+        self.add_t, self.mul_t = np.asarray(add_t), np.asarray(mul_t)
+        self.zero, self.one = int(zero), int(one)
+        self._finish()
 
 
 class IntRing(Ring):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from chevalley import adelic
 from chevalley.adelic import (
-    SL2Group, centralizer_H, define_AT, define_U, define_W, gamma1_factor,
+    SL2Group, adelic_report, centralizer_H, define_AT, define_U, define_W, gamma1_factor,
     gamma1_report, h_set, higher_rank_width, k_alpha_product, make_tau,
     mult_formula_P, sl2_formula_report, theta_report, theta_sl2, theta_decode,
     u_set, v_set, w_correction,
 )
 from chevalley.chevgroup import classical_rep
-from chevalley.rings import GF, ProductRing
+from chevalley.rings import GF, ProductRing, decompose_square_diff
 
 F7 = GF(7)
 
@@ -78,6 +79,65 @@ def test_mult_formula_P_all_pairs(g7):
             assert (g7.canon(y3) == g7.canon(g7.u(F7.mul(F7.dtype(a), F7.dtype(b))))).all()
 
 
+def _p_by_word(G, y1, y2, S):
+    """Scalar oracle for P: the defining word y1^x y1^{-y} u(s)^z u(s)^{-r} u(st)
+    evaluated on one pair with the group's single-matrix operations."""
+    ring = G.ring
+    beta, alpha = G.u_decode(G.canon(y1)), G.u_decode(G.canon(y2))
+    xi, eta, s = decompose_square_diff(ring, alpha, S)
+    zeta, rho, t = decompose_square_diff(ring, beta, S)
+    x, y, z, r = G.h(xi), G.h(eta), G.h(zeta), G.h(rho)
+    us = G.u(s)
+    out = G.mul(G.conj(y1, x), G.conj(G.inv(y1), y))
+    out = G.mul(out, G.conj(us, z))
+    out = G.mul(out, G.conj(G.inv(us), r))
+    return G.mul(out, G.u(ring.mul(s, t)))
+
+
+def _assert_p_table_is_the_word(G, S):
+    ring = G.ring
+    P = G.p_table(S)
+    assert P.shape == (ring.size, ring.size)
+    U = [G.u(ring.dtype(c)) for c in range(ring.size)]
+    for b in range(ring.size):
+        for a in range(ring.size):
+            want = _p_by_word(G, U[b], U[a], S)
+            assert (G.u(P[b, a]) == want).all()
+            assert (mult_formula_P(G, U[b], U[a], S) == want).all()
+    assert np.array_equal(P, ring.mul_t)
+
+
+@pytest.mark.parametrize("mode", SL2Group.MODES)
+@pytest.mark.parametrize("S", [(0,), (0, 1)])
+def test_p_table_is_the_word_over_f7(mode, S):
+    _assert_p_table_is_the_word(SL2Group(F7, mode), S)
+
+
+def test_p_table_is_the_word_over_f7xf11(g7x11):
+    _assert_p_table_is_the_word(g7x11, (0,))
+
+
+def test_corrupted_p_table_fails_the_all_pairs_check(monkeypatch):
+    def corrupted(G, S):
+        P = p_word(G, S)
+        # 2 * 3 != 1, so theta's check of u(xi) * u(1/xi) passes and the report completes
+        P[2, 3] = G.ring.add(P[2, 3], G.ring.one)
+        return P
+
+    p_word = adelic._p_word
+    assert adelic_report(F7, modes=("SL2",), formula_sets=("H",))["P_all_pairs"]
+    monkeypatch.setattr(adelic, "_p_word", corrupted)
+    rpt = adelic_report(F7, modes=("SL2",), formula_sets=("H",))
+    assert not rpt["P_all_pairs"] and not rpt["ok"]
+
+
+def test_u_ring_is_the_ring_on_u(g7x11):
+    T, ring = g7x11.u_ring, g7x11.ring
+    assert T.kind == "table" and (T.zero, T.one) == (ring.zero, ring.one)
+    for t in ("add_t", "mul_t", "neg_t"):
+        assert np.array_equal(getattr(T, t), getattr(ring, t))
+
+
 def test_define_AT(g7):
     res = define_AT(g7, (F7.zero, F7.one))
     assert res["ok"] and res["codes"] == [0, 1]
@@ -112,6 +172,32 @@ def test_w_correction_restores_unit_corner(g7):
     x = w_correction(g7, g7.w)
     gx = g7.mul(g7.w, x)
     assert F7.is_unit(gx[0, 0])
+
+
+def _break_h(G, monkeypatch):
+    monkeypatch.setattr(G, "h", G.u)
+
+
+def _break_mul(G, monkeypatch):
+    monkeypatch.setattr(G, "mul", lambda a, b: a)
+
+
+def _break_p(G, monkeypatch):
+    P = G.p_table()
+    P[5, 3] = F7.zero  # theta of h(5) checks u(5) * u(1/5) = u(1), and 1/5 = 3 in F7
+
+
+@pytest.mark.parametrize("call, breaks", [
+    (lambda G: gamma1_factor(G, np.array([[2, 1], [3, 2]], dtype=F7.dtype)), _break_h),
+    (lambda G: w_correction(G, np.array([[0, 1], [6, 0]], dtype=F7.dtype)), _break_mul),
+    (lambda G: theta_sl2(G, G.h(F7.dtype(5))), _break_p),
+], ids=["gamma1_factor", "w_correction", "theta_h"])
+def test_failed_reconstruction_raises(call, breaks, monkeypatch):
+    G = SL2Group(F7)
+    call(G)
+    breaks(G, monkeypatch)
+    with pytest.raises(RuntimeError):
+        call(G)
 
 
 def test_gamma1_report(g7):

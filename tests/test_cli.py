@@ -132,7 +132,10 @@ def test_run_prints_the_rendered_suite_report(capsys):
     (["check-adelic", "--primes", "7,11,13,17"], "exceeds the budget"),
     (["eval-formula", "--group", "SL3", "--field", "2", "--formula", "A g. g*=1"], "offset"),
     (["enumerate", "--group", "XY3", "--field", "2"], "bad group spec"),
-], ids=["over-budget", "malformed-formula", "unknown-group"])
+    (["check-witness", "--type", "G", "--rank", "2", "--field", "3"], "supports types A, B, C, D"),
+    (["check-witness", "--type", "E", "--rank", "6", "--field", "3"], "got 'E'"),
+    (["check-witness", "--type", "F", "--rank", "4", "--field", "3"], "got 'F'"),
+], ids=["over-budget", "malformed-formula", "unknown-group", "auto-set-G", "auto-set-E", "auto-set-F"])
 def test_refused_input_exits_2_with_one_line(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

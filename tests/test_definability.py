@@ -276,6 +276,22 @@ def test_ring_axioms_inside_group(q):
     assert check_ring_axioms(rig)
 
 
+@pytest.mark.parametrize("spec, q", [("A", 2), ("A", 3), ("A", 5), ("C", 3)],
+                         ids=["SL3(F2)", "SL3(F3)", "SL3(F5)", "Sp4(F3)"])
+def test_ring_in_group_tables_are_the_group_words(spec, q):
+    rep, ring = classical_rep(spec, 2), GF(q)
+    rig = RingInGroup(rep, ring)
+    T, C, a0 = rig.table, rig.carrier, rig.a0
+    for r in range(q):
+        for s in range(q):
+            assert T.add_t[r, s] == rig.decode(gfmat.mat_mul(ring, C[r], C[s])) == ring.add(r, s)
+            assert T.mul_t[r, s] == rig.decode(map_m(rep, ring, a0, a0, a0, C[r], C[s])) \
+                == ring.mul(r, s)
+    assert check_ring_axioms(rig)
+    T.mul_t[1, q - 1] = T.add_t[T.mul_t[1, q - 1], T.one]
+    assert not check_ring_axioms(rig)
+
+
 def test_poly_evaluation_in_group():
     rep = classical_rep("A", 2)
     ring = GF(7)
