@@ -19,6 +19,11 @@ stands for u(c)): `SL2Group.p_table` for P, one per offset set S, and
 `SL2Group.u_ring` for the ring on U that the two tables make.  theta
 sends g to a 2x2 code matrix over that ring, and its products are
 `gfmat.mat_mul` over it.
+
+The generators, the VHU factorization, the W-correction and theta take a
+single 2x2 matrix or a (..., 2, 2) stack of them (codes for the
+generators), and answer in the same shape: each check is applied to the
+whole stack at once, so a sample is one pass.
 """
 
 from __future__ import annotations
@@ -85,15 +90,9 @@ class SL2Group:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
         self.ring = ring
         self.mode = mode
-        factors = _field_factors(ring)
-        comps = [_sl2_field(f) for f in factors]
+        comps = [_sl2_field(f) for f in _field_factors(ring)]
         gfmat.check_budget(f"SL2({ring.name})", (math.prod(len(c) for c in comps), 2, 2), np.int64)
-
-        strides = ring.strides if isinstance(ring, ProductRing) else [1]
-        mats = comps[0] * strides[0]
-        for comp, st in zip(comps[1:], strides[1:]):
-            mats = (mats[:, None] + st * comp[None, :]).reshape(-1, 2, 2)
-        mats = mats.astype(ring.dtype)
+        mats = _componentwise(ring, comps)
 
         self._zs = self._central_scalars()
         # elements in lexicographic order, numbered by position
@@ -146,21 +145,19 @@ class SL2Group:
     # -- generators -----------------------------------------------------
 
     def u(self, lam) -> np.ndarray:
+        """u(lam), or the stack of u over an array of codes; so are v and h."""
         ring = self.ring
-        m = np.array([[ring.one, lam], [ring.zero, ring.one]], dtype=ring.dtype)
-        return self.canon(m)
+        return self.canon(_mats(ring.dtype, ring.one, lam, ring.zero, ring.one))
 
     def v(self, lam) -> np.ndarray:
         ring = self.ring
-        m = np.array([[ring.one, ring.zero], [ring.neg(lam), ring.one]],
-                     dtype=ring.dtype)
-        return self.canon(m)
+        return self.canon(_mats(ring.dtype, ring.one, ring.zero, ring.neg_t[lam], ring.one))
 
     def h(self, lam) -> np.ndarray:
         ring = self.ring
-        m = np.array([[ring.inv(lam), ring.zero], [ring.zero, lam]],
-                     dtype=ring.dtype)
-        return self.canon(m)
+        if not ring.unit_mask[lam].all():
+            raise ZeroDivisionError(f"h needs units of {ring.name}")
+        return self.canon(_mats(ring.dtype, ring.inv_t[lam], ring.zero, ring.zero, lam))
 
     @functools.cached_property
     def w(self) -> np.ndarray:
@@ -200,6 +197,15 @@ class SL2Group:
 # component plumbing
 
 
+def _mats(dtype, a, b, c, d) -> np.ndarray:
+    """The matrices (a, b; c, d) of entry codes broadcast together: one
+    (2, 2) matrix from scalars, a (..., 2, 2) stack from arrays."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in (a, b, c, d)))
+    out = np.empty(shape + (2, 2), dtype=dtype)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
 def _adjugate(ring: FiniteRing, mats: np.ndarray) -> np.ndarray:
     """The adjugate [[d, -b], [-c, a]] of each matrix: its inverse when the
     determinant is 1."""
@@ -212,11 +218,22 @@ def _adjugate(ring: FiniteRing, mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _components(ring: FiniteRing):
-    """(factors, decode, encode) treating a plain field as a 1-factor product."""
+def _split(ring: FiniteRing, codes):
+    """(factor, component codes) for each factor of ring; a plain field is
+    its own single factor."""
     if isinstance(ring, ProductRing):
-        return ring.factors, ring.decode, ring.encode
-    return [ring], (lambda c: (c,)), (lambda comps: comps[0])
+        return zip(ring.factors, ring.decode_array(codes))
+    return [(ring, np.asarray(codes))]
+
+
+def _componentwise(ring: FiniteRing, comps) -> np.ndarray:
+    """Every matrix over ring whose component in factor i is a matrix of the
+    stack comps[i]: the cartesian product, first factor slowest."""
+    strides = ring.strides if isinstance(ring, ProductRing) else [1]
+    mats = np.zeros((1, 2, 2), dtype=np.int64)
+    for comp, st in zip(comps, strides):
+        mats = (mats[:, None] + st * np.asarray(comp, dtype=np.int64)[None]).reshape(-1, 2, 2)
+    return mats.astype(ring.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +242,15 @@ def _components(ring: FiniteRing):
 
 def _u_stack(G: SL2Group) -> np.ndarray:
     """u(c) for every code c, shape (size, 2, 2)."""
-    ring = G.ring
-    mats = np.zeros((ring.size, 2, 2), dtype=ring.dtype)
-    mats[:, 0, 0] = mats[:, 1, 1] = ring.one
-    mats[:, 0, 1] = np.arange(ring.size)
-    return G.canon(mats)
+    return G.u(np.arange(G.ring.size))
+
+
+def _w_stack(G: SL2Group) -> np.ndarray:
+    """W = componentwise {1, w}: entry sum_i b_i 2^(k-1-i) over the k
+    factors has w in factor i where b_i = 1, and 1 where b_i = 0."""
+    return G.canon(_componentwise(G.ring, [
+        np.array([[[f.one, f.zero], [f.zero, f.one]], [[f.zero, f.one], [f.neg(f.one), f.zero]]])
+        for f in _field_factors(G.ring)]))
 
 
 def u_set(G: SL2Group) -> np.ndarray:
@@ -237,20 +258,11 @@ def u_set(G: SL2Group) -> np.ndarray:
 
 
 def v_set(G: SL2Group) -> np.ndarray:
-    ring = G.ring
-    mats = np.zeros((ring.size, 2, 2), dtype=ring.dtype)
-    mats[:, 0, 0] = mats[:, 1, 1] = ring.one
-    mats[:, 1, 0] = ring.neg_t[np.arange(ring.size)]
-    return G.elements[np.unique(G.idx(mats))]
+    return G.elements[np.unique(G.idx(G.v(np.arange(G.ring.size))))]
 
 
 def h_set(G: SL2Group) -> np.ndarray:
-    ring = G.ring
-    units = np.array(list(ring.units()), dtype=ring.dtype)
-    mats = np.zeros((len(units), 2, 2), dtype=ring.dtype)
-    mats[:, 0, 0] = ring.inv_t[units]
-    mats[:, 1, 1] = units
-    return G.elements[np.unique(G.idx(mats))]
+    return G.elements[np.unique(G.idx(G.h(np.nonzero(G.ring.unit_mask)[0])))]
 
 
 def centralizer_H(G: SL2Group, tau=None) -> np.ndarray:
@@ -272,17 +284,14 @@ def define_U(G: SL2Group, S=(0,)) -> dict:
     ring = G.ring
     S = [ring.from_int(s) if isinstance(s, int) else s for s in S]
     H = h_set(G)
-    got = []
     u1 = G.u(ring.one)
     Hinv = _adjugate(ring, H)
     ux = gfmat.mat_mul_many(ring, [Hinv, u1[None], H])          # u^x per x
     uy = gfmat.mat_mul_many(ring, [Hinv, G.inv(u1)[None], H])   # u^-y per y
-    for s in S:
-        prods = gfmat.mat_mul(ring, ux[:, None], uy[None, :])
-        got.append(G.idx(gfmat.mat_mul(ring, prods, G.u(s))).ravel())
-    got = np.unique(np.concatenate(got)) if got else np.zeros(0, dtype=np.int64)
-    U = G.idx(np.stack([G.u(ring.dtype(lam)) for lam in range(ring.size)]))
-    missing = [lam for lam in range(ring.size) if U[lam] not in got]
+    prods = gfmat.mat_mul(ring, ux[:, None, None], uy[None, :, None])
+    got = np.unique(G.idx(gfmat.mat_mul(ring, prods, G.u(np.array(S, dtype=np.int64)))))
+    U = G.idx(_u_stack(G))
+    missing = np.nonzero(~np.isin(U, got))[0].tolist()
     if np.setdiff1d(got, U).size:
         raise RuntimeError("define_U produced elements outside u(A)")
     return {"elements": G.elements[got], "size": len(got), "expected": ring.size,
@@ -297,19 +306,14 @@ def _p_word(G: SL2Group, S) -> np.ndarray:
     # x = h(xi), y = h(eta)
     dec = np.array([decompose_square_diff(ring, a, S) for a in range(ring.size)],
                    dtype=ring.dtype)
-    U = _u_stack(G)
-    H = np.zeros((ring.size, 2, 2), dtype=ring.dtype)  # h(c); garbage at non-units, never read
-    H[:, 0, 0] = ring.inv_t[np.arange(ring.size)]
-    H[:, 1, 1] = np.arange(ring.size)
-    H = G.canon(H)
     b, a = (i.ravel() for i in np.indices((ring.size, ring.size)))
     xi, eta, s = dec[a].T
     zeta, rho, t = dec[b].T
-    y1, us = U[b], U[s]
-    out = G.mul(G.conj(y1, H[xi]), G.conj(G.inv(y1), H[eta]))
-    out = G.mul(out, G.conj(us, H[zeta]))
-    out = G.mul(out, G.conj(G.inv(us), H[rho]))
-    out = G.mul(out, U[ring.mul_t[s, t]])
+    y1, us = G.u(b), G.u(s)
+    out = G.mul(G.conj(y1, G.h(xi)), G.conj(G.inv(y1), G.h(eta)))
+    out = G.mul(out, G.conj(us, G.h(zeta)))
+    out = G.mul(out, G.conj(G.inv(us), G.h(rho)))
+    out = G.mul(out, G.u(ring.mul_t[s, t]))
     return G.u_decode(out).reshape(ring.size, ring.size)
 
 
@@ -324,72 +328,43 @@ def mult_formula_P(G: SL2Group, y1: np.ndarray, y2: np.ndarray, S=None) -> np.nd
 
 def at_codes(ring: FiniteRing, T) -> np.ndarray:
     """Ring codes whose every component is the image of some t in T."""
-    factors, decode, _ = _components(ring)
-    allowed = [set(f.from_int(t) for t in T) for f in factors]
-    codes = []
-    for c in range(ring.size):
-        if all(comp in alw for comp, alw in zip(decode(c), allowed)):
-            codes.append(c)
-    return np.array(codes, dtype=ring.dtype)
+    codes = np.arange(ring.size)
+    keep = np.ones(ring.size, dtype=bool)
+    for f, comp in _split(ring, codes):
+        keep &= np.isin(comp, [f.from_int(t) for t in T])
+    return codes[keep].astype(ring.dtype)
 
 
 def define_AT(G: SL2Group, T) -> dict:
     """A_T three ways: componentwise, as zeros of f(X) = prod (X - t) in the
     ring, and as zeros of f computed inside U by the group-word product."""
     ring = G.ring
-    direct = set(int(c) for c in at_codes(ring, T))
-    tcodes = [ring.from_int(t) for t in T]
-    poly = set()
-    for c in range(ring.size):
-        acc = ring.one
-        for t in tcodes:
-            acc = ring.mul(acc, ring.sub(c, t))
-        if acc == ring.zero:
-            poly.add(c)
-    grp = set()
-    one_u = G.u(ring.zero)
-    for c in range(ring.size):
-        cc = ring.dtype(c)
-        acc = G.u(ring.sub(cc, tcodes[0]))
-        for t in tcodes[1:]:
-            acc = mult_formula_P(G, acc, G.u(ring.sub(cc, t)))
-        if (acc == one_u).all():
-            grp.add(c)
-    ok = direct == poly == grp
-    mats = np.array([G.u(ring.dtype(c)) for c in sorted(direct)], dtype=ring.dtype)
-    return {"codes": sorted(direct), "elements": mats, "ok": ok,
-            "poly_agrees": direct == poly, "group_agrees": direct == grp}
+    direct = at_codes(ring, T)
+    c = np.arange(ring.size)
+    diffs = [ring.add_t[c, ring.neg_t[ring.from_int(t)]] for t in T]  # c - t per code
+    poly = functools.reduce(lambda acc, d: ring.mul_t[acc, d], diffs)
+    grp = functools.reduce(lambda acc, d: G.p_table()[acc, d], diffs)
+    poly_ok = np.array_equal(direct, np.nonzero(poly == ring.zero)[0])
+    grp_ok = np.array_equal(direct, np.nonzero(grp == ring.zero)[0])
+    return {"codes": direct.tolist(), "elements": G.u(direct), "ok": poly_ok and grp_ok,
+            "poly_agrees": poly_ok, "group_agrees": grp_ok}
 
 
 def define_W(G: SL2Group) -> dict:
     """W = componentwise {1, w}; cross-checked against the y z^w y scan."""
     ring = G.ring
-    factors, _, _ = _components(ring)
-    strides = ring.strides if isinstance(ring, ProductRing) else [1]
-    comps = []
-    for f in factors:
-        eye = np.array([[f.one, f.zero], [f.zero, f.one]], dtype=np.int64)
-        wf = np.array([[f.zero, f.one], [f.neg(f.one), f.zero]], dtype=np.int64)
-        comps.append(np.stack([eye, wf]))
-    mats = comps[0] * strides[0]
-    for comp, st in zip(comps[1:], strides[1:]):
-        mats = (mats[:, None] + st * comp[None, :]).reshape(-1, 2, 2)
-    direct_idx = np.unique(G.idx(mats.astype(ring.dtype)))
+    direct_idx = np.unique(G.idx(_w_stack(G)))
     direct = G.elements[direct_idx]
     # scan route: x = y z^w y with y, z in u(A_{0,1}) and x^4 = 1
-    D = [G.u(c) for c in at_codes(ring, (0, 1))]
-    w = G.w
-    eye = G.canon(gfmat.identity(ring, 2))
-    found = []
-    for y in D:
-        for z in D:
-            x = G.mul(G.mul(y, G.conj(z, w)), y)
-            x2 = G.mul(x, x)
-            if (G.mul(x2, x2) == eye).all():
-                found.append(x)
-    ok = np.array_equal(direct_idx, np.unique(G.idx(np.array(found, dtype=ring.dtype))))
+    D = G.u(at_codes(ring, (0, 1)))
+    y = D[:, None]
+    x = G.mul(G.mul(y, G.conj(D[None], G.w)), y)
+    x2 = G.mul(x, x)
+    found = x[(G.mul(x2, x2) == G.canon(gfmat.identity(ring, 2))).all(axis=(-1, -2))]
+    ok = np.array_equal(direct_idx, np.unique(G.idx(found)))
+    expected = 2 ** len(_field_factors(ring))
     return {"elements": direct, "size": len(direct),
-            "expected": 2 ** len(factors), "ok": ok and len(direct) == 2 ** len(factors)}
+            "expected": expected, "ok": ok and len(direct) == expected}
 
 
 # ---------------------------------------------------------------------------
@@ -397,67 +372,53 @@ def define_W(G: SL2Group) -> dict:
 
 
 def gamma1_factor(G: SL2Group, g: np.ndarray):
-    """(v~, h~, u~) with g = v(-a^-1 c) h(a^-1) u(a^-1 b); needs g11 a unit."""
+    """(v~, h~, u~) with g = v(-a^-1 c) h(a^-1) u(a^-1 b); needs g11 a unit.
+    g may be a stack; the factors are stacks of the same shape."""
     ring = G.ring
     g = G.canon(np.asarray(g, dtype=ring.dtype))
-    det = ring.sub(ring.mul(g[0, 0], g[1, 1]), ring.mul(g[0, 1], g[1, 0]))
-    if det != ring.one:
+    a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    if (ring.add_t[ring.mul_t[a, d], ring.neg_t[ring.mul_t[b, c]]] != ring.one).any():
         raise ValueError("matrix has determinant != 1")
-    a = g[0, 0]
-    if not ring.unit_mask[a]:
-        raise ValueError(f"g11 = {ring.elem_str(a)} is not a unit: g outside Gamma_1")
-    ainv = ring.dtype(ring.inv(a))
-    vt = G.v(ring.neg(ring.mul(ainv, g[1, 0])))
+    unit = ring.unit_mask[a]
+    if not unit.all():
+        bad = np.asarray(a)[~unit].flat[0]
+        raise ValueError(f"g11 = {ring.elem_str(bad)} is not a unit: g outside Gamma_1")
+    ainv = ring.inv_t[a]
+    vt = G.v(ring.neg_t[ring.mul_t[ainv, c]])
     ht = G.h(ainv)
-    ut = G.u(ring.mul(ainv, g[0, 1]))
-    back = G.mul(G.mul(vt, ht), ut)
-    if not (back == g).all():
+    ut = G.u(ring.mul_t[ainv, b])
+    if not (G.canon(gfmat.mat_mul_many(ring, [vt, ht, ut])) == g).all():
         raise RuntimeError("VHU factorization failed to reconstruct g")
     return vt, ht, ut
 
 
 def w_correction(G: SL2Group, g: np.ndarray) -> np.ndarray:
-    """x in W with (gx)11 a unit, chosen componentwise."""
+    """x in W with (gx)11 a unit, chosen componentwise: in each factor, 1
+    where g11 is nonzero and w where it is zero.  g may be a stack."""
     ring = G.ring
     g = G.canon(np.asarray(g, dtype=ring.dtype))
-    factors, decode, encode = _components(ring)
-    acomps, bcomps = decode(g[0, 0]), decode(g[0, 1])
-    out = np.zeros((2, 2), dtype=np.int64)
-    strides = ring.strides if isinstance(ring, ProductRing) else [1]
-    for f, st, ac, bc in zip(factors, strides, acomps, bcomps):
-        if ac != f.zero:
-            xf = np.array([[f.one, f.zero], [f.zero, f.one]], dtype=np.int64)
-        elif bc != f.zero:
-            xf = np.array([[f.zero, f.one], [f.neg(f.one), f.zero]], dtype=np.int64)
-        else:
+    pick = 0  # row of _w_stack, one bit per factor
+    for f, row in _split(ring, g[..., 0, :]):
+        a0, b0 = row[..., 0] == f.zero, row[..., 1] == f.zero
+        if (a0 & b0).any():
             raise ValueError("first row vanishes in a component: g not invertible")
-        out += st * xf
-    x = G.canon(out.astype(ring.dtype))
-    gx = G.mul(g, x)
-    if not ring.unit_mask[gx[0, 0]]:
+        pick = 2 * pick + a0
+    x = _w_stack(G)[pick]
+    if not ring.unit_mask[G.mul(g, x)[..., 0, 0]].all():
         raise RuntimeError("W-correction left a non-unit corner")
     return x
 
 
 def gamma1_report(G: SL2Group) -> dict:
-    """Gamma_1 = VHU by double inclusion, vectorized over the whole group."""
+    """Gamma_1 = VHU by double inclusion, over the whole group at once."""
     ring = G.ring
     units = ring.unit_mask
     mask = units[G.elements[:, 0, 0]]
-    g1 = G.elements[mask]
-    a = g1[:, 0, 0]
-    ainv = ring.inv_t[a]
-    vt = np.zeros_like(g1)
-    vt[:, 0, 0] = vt[:, 1, 1] = ring.one
-    vt[:, 1, 0] = ring.mul_t[ainv, g1[:, 1, 0]]
-    ht = np.zeros_like(g1)
-    ht[:, 0, 0] = a
-    ht[:, 1, 1] = ainv
-    ut = np.zeros_like(g1)
-    ut[:, 0, 0] = ut[:, 1, 1] = ring.one
-    ut[:, 0, 1] = ring.mul_t[ainv, g1[:, 0, 1]]
-    back = G.canon(gfmat.mat_mul_many(ring, [vt, ht, ut]))
-    recon = bool((back == g1).all())
+    try:
+        gamma1_factor(G, G.elements[mask])
+        recon = True
+    except RuntimeError:
+        recon = False
     # VHU subset of Gamma_1: every product has unit top-left entry
     prods = gfmat.mat_mul(ring, gfmat.mat_mul(ring, v_set(G)[:, None], h_set(G)[None]),
                           G.canon(u_set(G))[:, None, None])
@@ -469,44 +430,44 @@ def gamma1_report(G: SL2Group) -> dict:
 
 # ---------------------------------------------------------------------------
 # theta: g = (a,b;c,d) -> (u(a),u(b);u(c),u(d)), entries living in U, held
-# as code matrices over G.u_ring
+# as code matrices over G.u_ring; g and the result may be stacks
 
 
 def _theta_u(G: SL2Group, g):
     one, zero = G.ring.one, G.ring.zero
-    return np.array([[one, G.u_decode(G.canon(g))], [zero, one]], dtype=G.ring.dtype)
+    return _mats(G.ring.dtype, one, G.u_decode(G.canon(g)), zero, one)
 
 
 def _theta_v(G: SL2Group, g):
     one, zero = G.ring.one, G.ring.zero
-    gminusw = G.u_decode(G.conj(G.inv(g), G.w))
-    return np.array([[one, zero], [gminusw, one]], dtype=G.ring.dtype)
+    return _mats(G.ring.dtype, one, zero, G.u_decode(G.conj(G.inv(g), G.w)), one)
 
 
 def _theta_h(G: SL2Group, g):
     ring = G.ring
-    xi = g[1, 1]
-    y4, y1 = G.u(xi), G.u(ring.dtype(ring.inv(xi)))
+    xi = g[..., 1, 1]
+    y4, y1 = G.u(xi), G.u(ring.inv_t[xi])
     # soundness of the defining clauses: y4 * y1 = u and w^-1 y4 w y1 w^-1 y4 = g
-    if not (mult_formula_P(G, y4, y1) == G.u(ring.one)).all():
+    if not (G.p_table()[xi, ring.inv_t[xi]] == ring.one).all():
         raise RuntimeError("theta of h: y4 * y1 != u(1)")
     w, winv = G.w, G.inv(G.w)
     back = G.mul(G.mul(G.mul(G.mul(winv, y4), w), y1), G.mul(winv, y4))
     if not (back == G.canon(g)).all():
         raise RuntimeError("theta of h: the word in y1, y4 and w does not give g")
-    return np.array([[G.u_decode(y1), ring.zero], [ring.zero, xi]], dtype=ring.dtype)
+    return _mats(ring.dtype, G.u_decode(y1), ring.zero, ring.zero, xi)
 
 
 def _theta_w_elt(G: SL2Group, x):
     u1 = G.u(G.ring.one)
     ut = gamma1_factor(G, G.conj(u1, x))[2]
-    c = G.u_decode(np.stack([ut, G.mul(G.inv(ut), u1), G.mul(G.inv(u1), ut)]))
-    return np.array([[c[0], c[1]], [c[2], c[0]]], dtype=G.ring.dtype)
+    c0 = G.u_decode(ut)
+    return _mats(G.ring.dtype, c0, G.u_decode(G.mul(G.inv(ut), u1)),
+                 G.u_decode(G.mul(G.inv(u1), ut)), c0)
 
 
 def theta_sl2(G: SL2Group, g: np.ndarray) -> np.ndarray:
     """theta via a W-correction into Gamma_1 and the VHU factorization: a
-    (2, 2) code matrix over G.u_ring."""
+    (2, 2) code matrix over G.u_ring, or a stack of them for a stack g."""
     T = G.u_ring
     g = G.canon(np.asarray(g, dtype=G.ring.dtype))
     x = w_correction(G, g)
@@ -524,25 +485,20 @@ def theta_decode(G: SL2Group, th) -> np.ndarray:
 
 def theta_report(G: SL2Group, sample: int = 500, pairs: int = 200, seed: int = 0) -> dict:
     """Round trips (exhaustive when small) and multiplicativity modulo the
-    quotient's central equivalence."""
+    quotient's central equivalence, each over the whole set at once."""
     rng = np.random.default_rng(seed)
     if G.order <= 2000:
         idxs = np.arange(G.order)
     else:
         idxs = rng.choice(G.order, size=sample, replace=False)
-    rt = all((theta_decode(G, theta_sl2(G, G.elements[i])) == G.elements[i]).all()
-             for i in idxs)
-    mult = True
-    for _ in range(pairs):
-        i, j = int(rng.integers(G.order)), int(rng.integers(G.order))
-        gi, gj = G.elements[i], G.elements[j]
-        lhs = theta_decode(G, gfmat.mat_mul(G.u_ring, theta_sl2(G, gi), theta_sl2(G, gj)))
-        rhs = theta_decode(G, theta_sl2(G, G.mul(gi, gj)))
-        if not (lhs == rhs).all():
-            mult = False
-            break
-    return {"mode": G.mode, "round_trip": bool(rt), "checked": len(idxs),
-            "multiplicative": mult, "pairs": pairs, "ok": bool(rt) and mult}
+    g = G.elements[idxs]
+    rt = bool((theta_decode(G, theta_sl2(G, g)) == g).all())
+    gi, gj = G.elements[rng.integers(G.order, size=(pairs, 2)).T]
+    lhs = theta_decode(G, gfmat.mat_mul(G.u_ring, theta_sl2(G, gi), theta_sl2(G, gj)))
+    rhs = theta_decode(G, theta_sl2(G, G.mul(gi, gj)))
+    mult = bool((lhs == rhs).all())
+    return {"mode": G.mode, "round_trip": rt, "checked": len(idxs),
+            "multiplicative": mult, "pairs": pairs, "ok": rt and mult}
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +507,24 @@ def theta_report(G: SL2Group, sample: int = 500, pairs: int = 200, seed: int = 0
 
 def k_alpha_product(G: SL2Group) -> dict:
     """The alternating 8-factor product V U V U V U V U, grown stagewise;
-    covers the whole group."""
+    covers the whole group.  U and V are subgroups and the factors
+    alternate, so R_{k-1} F_{k+1} = R_{k-1} F_{k-1} = R_{k-1} lies in R_k:
+    R_{k+1} = R_k | (R_k - R_{k-1}) F_{k+1}, and each stage multiplies only
+    the elements that were new at the stage before."""
     chunk = 1 << 18
-    factors = [v_set(G), u_set(G)] * 4
-    reached = None
+    V, U = v_set(G), u_set(G)
+    for name, F in (("V", V), ("U", U)):
+        if not np.array_equal(np.unique(G.idx(G.mul(F[:, None], F[None]))), np.sort(G.idx(F))):
+            raise RuntimeError(f"{name} {name} != {name} over {G.ring.name} [{G.mode}]")
+    mask = np.zeros(G.order, dtype=bool)
+    new = G.canon(gfmat.identity(G.ring, 2))[None]  # R_1 = 1 F_1
     sizes = []
-    for fac in factors:
-        mask = np.zeros(G.order, dtype=bool)
-        if reached is None:
-            mask[G.idx(fac)] = True
-        else:
-            cur = G.elements[reached]
-            for lo in range(0, len(cur), chunk):
-                mask[G.idx(gfmat.mat_mul(G.ring, cur[lo:lo + chunk, None], fac[None]))] = True
-        reached = np.nonzero(mask)[0]
-        sizes.append(len(reached))
+    for fac in [V, U] * 4:
+        before = mask.copy()
+        for lo in range(0, len(new), chunk):
+            mask[G.idx(gfmat.mat_mul(G.ring, new[lo:lo + chunk, None], fac[None]))] = True
+        new = G.elements[mask & ~before]
+        sizes.append(int(mask.sum()))
     covered = sizes[-1] == G.order
     w_in = bool(mask[G.idx(G.w)])
     h_in = bool(mask[G.idx(G.h(make_tau(G.ring)))])
@@ -756,7 +715,7 @@ def sl2_formula_report(ring: FiniteRing, sets=("H", "U", "AT", "W", "G1"),
     expected = {  # element indices; define_set returns them ascending
         "H": lambda: G.idx(h_set(G)),
         "U": lambda: G.idx(u_set(G)),
-        "AT": lambda: np.unique(G.idx(np.array([G.u(c) for c in at_codes(ring, T)]))),
+        "AT": lambda: np.unique(G.idx(G.u(at_codes(ring, T)))),
         "W": lambda: G.idx(define_W(G)["elements"]),
         "G1": lambda: np.nonzero(units[G.elements[:, 0, 0]])[0],
     }

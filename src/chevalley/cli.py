@@ -390,6 +390,8 @@ def _sqd_ok(ring, a) -> bool:
 def suite_adelic(config: dict, seed: int) -> dict:
     s = Suite("adelic", config, seed)
     primes = config.get("primes", (7, 11))
+    if not primes:
+        raise ValueError("the adelic suite needs at least one prime")
     modes = config.get("modes", adelic.SL2Group.MODES)
     rings = [GF(primes[0])]
     if len(primes) > 1:

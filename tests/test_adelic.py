@@ -200,6 +200,31 @@ def test_failed_reconstruction_raises(call, breaks, monkeypatch):
         call(G)
 
 
+def test_gamma1_report_records_a_failed_reconstruction(monkeypatch):
+    G = SL2Group(F7)
+    _break_h(G, monkeypatch)
+    res = gamma1_report(G)
+    assert not res["reconstructs"] and not res["ok"]
+
+
+def test_stacks_equal_rows(g7x11):
+    G = g7x11
+    ring = G.ring
+    zero = [f.zero == c for f, c in zip(ring.factors, ring.decode_array(G.elements[:, 0, 0]))]
+    # corner zero in neither factor, in the first only, in the second only
+    patterns = (~zero[0] & ~zero[1], zero[0] & ~zero[1], ~zero[0] & zero[1])
+    rng = np.random.default_rng(0)
+    g = G.elements[np.concatenate([rng.choice(np.nonzero(m)[0], 4) for m in patterns])]
+    x = w_correction(G, g)
+    assert len(np.unique(G.idx(x))) == 3
+
+    def factor(G, m):
+        return np.stack(gamma1_factor(G, m), axis=-3)
+
+    for fn, stack in ((theta_sl2, g), (w_correction, g), (factor, G.mul(g, x))):
+        assert np.array_equal(fn(G, stack), np.stack([fn(G, m) for m in stack]))
+
+
 def test_gamma1_report(g7):
     res = gamma1_report(g7)
     # unit top-left corner: 6 choices of a, free b and c, d determined
@@ -221,6 +246,23 @@ def test_theta_decode_round_trip_samples(g7):
 def test_k_alpha_covers_sl2_f7(g7):
     res = k_alpha_product(g7)
     assert res["covered"] and res["w_reached"] and res["h_reached"]
+
+
+@pytest.mark.parametrize("mode", SL2Group.MODES)
+def test_k_alpha_stage_sizes_are_the_stagewise_product(mode):
+    G = SL2Group(F7, mode)
+    reached = G.canon(np.eye(2, dtype=F7.dtype))[None]
+    sizes = []
+    for fac in [v_set(G), u_set(G)] * 4:
+        reached = G.elements[np.unique(G.idx(G.mul(reached[:, None], fac[None])))]
+        sizes.append(len(reached))
+    assert k_alpha_product(G)["stage_sizes"] == sizes
+
+
+def test_k_alpha_refuses_a_factor_that_is_not_a_subgroup(monkeypatch):
+    monkeypatch.setattr(adelic, "u_set", lambda G: u_set(G)[1:])
+    with pytest.raises(RuntimeError):
+        k_alpha_product(SL2Group(F7))
 
 
 def test_formula_report_f7():

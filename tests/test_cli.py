@@ -135,7 +135,10 @@ def test_run_prints_the_rendered_suite_report(capsys):
     (["check-witness", "--type", "G", "--rank", "2", "--field", "3"], "supports types A, B, C, D"),
     (["check-witness", "--type", "E", "--rank", "6", "--field", "3"], "got 'E'"),
     (["check-witness", "--type", "F", "--rank", "4", "--field", "3"], "got 'F'"),
-], ids=["over-budget", "malformed-formula", "unknown-group", "auto-set-G", "auto-set-E", "auto-set-F"])
+    (["check-adelic", "--primes="], "at least one prime"),
+    (["check-adelic", "--primes=,"], "at least one prime"),
+], ids=["over-budget", "malformed-formula", "unknown-group", "auto-set-G", "auto-set-E", "auto-set-F",
+        "no-primes", "no-primes-comma"])
 def test_refused_input_exits_2_with_one_line(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
