@@ -14,15 +14,15 @@ characteristic.  Both constructions are calibrated against the same
 structure-constant table and abort if any bracket disagrees.
 
 Also here: group enumeration by BFS (with word data used for width
-measurements), centralizers, torus/unipotent subgroup materialization and
-the Bruhat factorization check.
+measurements), the one centralizer scan over a stack of matrices, the
+bound U_{a_1}...U_{a_k}Z as an explicit set, and the Bruhat factorization
+check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -391,7 +391,8 @@ class EnumeratedGroup:
     then parent index, then generator index); every element carries its
     distance, its BFS word, and the index of its inverse."""
 
-    def __init__(self, rep: MatrixRep, ring: FiniteRing, elements, index, dist, parent, genidx, inv_idx, gens_meta):
+    def __init__(self, rep: MatrixRep, ring: FiniteRing, elements, index, dist, parent, genidx, inv_idx,
+                 gens_meta, gens):
         self.rep = rep
         self.ring = ring
         self.elements = elements  # (order, d, d)
@@ -401,7 +402,14 @@ class EnumeratedGroup:
         self.genidx = genidx
         self.inv_idx = inv_idx
         self.gens_meta = gens_meta  # list of generator labels (root, ring elt)
+        self.gens = gens  # (G, d, d) generator matrices, in the order of gens_meta
         self.order = len(elements)
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        """BFS indices of Z(G): the elements commuting with every generator,
+        scanned once per group."""
+        return centralizer_indices(self.ring, self.elements, self.gens)
 
     def idx(self, mats: np.ndarray):
         """BFS index of a matrix, or the indices of a stack of matrices;
@@ -479,30 +487,19 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None) -> Enumer
         sel = np.nonzero(dist == lv)[0]
         inv_mats[sel] = gfmat.mat_mul(ring, ginvs[genarr[sel]], inv_mats[parent[sel]])
     inv_idx = index.index(inv_mats)
-    return EnumeratedGroup(rep, ring, elements, index, dist, parent, genarr, inv_idx, labels)
+    return EnumeratedGroup(rep, ring, elements, index, dist, parent, genarr, inv_idx, labels, gmats)
 
 
-def centralizer_indices(E: EnumeratedGroup, mats) -> np.ndarray:
-    """Indices of {g in E : gs = sg for all s in mats}, filtering iteratively
-    so later conditions only scan survivors."""
-    ring = E.ring
-    idxs = np.arange(E.order)
+def centralizer_indices(ring: FiniteRing, elements: np.ndarray, mats) -> np.ndarray:
+    """Indices of {g in elements : gs = sg for all s in mats}, filtering
+    iteratively so later conditions only scan survivors."""
+    idxs = np.arange(len(elements))
     for s in mats:
-        sub = E.elements[idxs]
+        sub = elements[idxs]
         left = gfmat.mat_mul(ring, sub, s)
         right = gfmat.mat_mul(ring, s[None], sub)
-        keep = (left == right).reshape(len(idxs), -1).all(axis=1)
-        idxs = idxs[keep]
+        idxs = idxs[(left == right).all(axis=(-2, -1))]
     return idxs
-
-
-def center_indices(E: EnumeratedGroup) -> np.ndarray:
-    return centralizer_indices(E, [m for _, m in zip(E.gens_meta, _gen_mats(E))])
-
-
-def _gen_mats(E: EnumeratedGroup):
-    ring, rep = E.ring, E.rep
-    return [rep.x(ring, a, r) for (a, r) in E.gens_meta]
 
 
 def linear_commutant(rep: MatrixRep, ring: FiniteRing, Y) -> np.ndarray:
@@ -535,34 +532,15 @@ def commutant_group_points(rep: MatrixRep, ring: FiniteRing, basis) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# subgroup materialization
+# subgroup bounds
 
 
-@dataclass(frozen=True)
-class SubgroupDescriptor:
-    kind: str  # root | torus | center | product
-    roots: tuple = ()
-    with_center: bool = False
-
-
-def materialize(desc: SubgroupDescriptor, rep: MatrixRep, ring: FiniteRing,
-                group: EnumeratedGroup | None = None) -> np.ndarray:
-    """Explicit element set of a standard subgroup, shape (N, d, d)."""
-    if desc.kind == "root":
-        (a,) = desc.roots
-        out = rep.x_batch(ring, a, np.arange(ring.size, dtype=ring.dtype))
-    elif desc.kind == "torus":
-        out = torus_set(rep, ring)
-    elif desc.kind == "center":
-        out = center_set(rep, ring, group)
-    elif desc.kind == "product":
-        sets = [rep.x_batch(ring, a, np.arange(ring.size, dtype=ring.dtype)) for a in desc.roots]
-        out = product_set(ring, sets)
-    else:
-        raise ValueError(f"unknown subgroup kind {desc.kind}")
-    if desc.with_center:
-        out = product_set(ring, [out, center_set(rep, ring, group)])
-    return out
+def root_product_center(rep: MatrixRep, ring: FiniteRing, roots,
+                        group: EnumeratedGroup | None = None) -> np.ndarray:
+    """U_{roots[0]} ... U_{roots[-1]} Z(G(R)) as distinct matrices, shape
+    (N, d, d); the center is cross-checked against `group` when supplied."""
+    codes = np.arange(ring.size, dtype=ring.dtype)
+    return product_set(ring, [rep.x_batch(ring, a, codes) for a in roots] + [center_set(rep, ring, group)])
 
 
 def product_set(ring: FiniteRing, sets) -> np.ndarray:
@@ -596,9 +574,9 @@ def center_set(rep: MatrixRep, ring: FiniteRing, group: EnumeratedGroup | None =
         scalars = np.stack([gfmat.scalar_mat(ring, rep.dim, c) for c in ring.units()])
         out = scalars[rep.membership_mask(ring, scalars)]
     if group is not None:
-        zc = group.elements[center_indices(group)]
-        assert len(zc) == len(out) and gfmat.MatSet(out).contains(zc).all(), \
-            "scalar center disagrees with enumerated center"
+        zc = group.elements[group.center]
+        if len(zc) != len(out) or not gfmat.MatSet(out).contains(zc).all():
+            raise RuntimeError("scalar center disagrees with enumerated center")
     return out
 
 

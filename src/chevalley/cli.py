@@ -28,7 +28,7 @@ from .definability import (
 from .rings import GF, ProductRing, decompose_square_diff, hypothesis_profile, Zmod
 from .rootsys import build_root_system, dump_roots, structure_constants
 from .witnesses import (
-    classical_witness_set, expected_descriptor, f4_witness_set, matrix_witness_check,
+    classical_witness_set, f4_witness_set, matrix_witness_check,
     torus_witness, verify_containment, verify_dc, verify_dc_exceptional_sp4,
     verify_witness_centralizer,
 )
@@ -75,10 +75,14 @@ def parse_element(rep, ring, spec: str) -> np.ndarray:
     m = _ELT_RE.match(spec.strip())
     if not m:
         raise ValueError(f"bad element spec {spec!r}")
-    kind, a, val = m.group(1), int(m.group(2)), int(m.group(3))
+    kind, a, val = m.group(1), int(m.group(2)), ring.from_int(int(m.group(3)))
+    if not 0 <= a < len(rep.sys.roots):
+        raise ValueError(f"root index {a} out of range 0..{len(rep.sys.roots) - 1} in {spec!r}")
     if kind == "x":
-        return rep.x(ring, a, ring.from_int(val))
-    return rep.h(ring, a, ring.from_int(val))
+        return rep.x(ring, a, val)
+    if not ring.is_unit(val):
+        raise ValueError(f"h needs a unit of {ring.name}, got {spec!r}")
+    return rep.h(ring, a, val)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +200,10 @@ def _dc_check(s: Suite, name: str, E, alpha: int, **expect) -> None:
 
 
 def _root_of_length(sys_, long: bool) -> int:
-    return next(a for a in range(len(sys_.roots)) if sys_.is_long(a) == long)
+    for a in range(len(sys_.roots)):
+        if sys_.is_long(a) == long:
+            return a
+    raise ValueError(f"{sys_.type_label}{sys_.rank} has no {'long' if long else 'short'} root")
 
 
 def suite_dc(config: dict, seed: int) -> dict:
@@ -214,7 +221,7 @@ def suite_dc(config: dict, seed: int) -> dict:
         for length in ("long", "short"):
             _dc_check(s, f"Sp4(F{q}) {length} root", E,
                       _root_of_length(E.rep.sys, length == "long"))
-        exc = verify_dc_exceptional_sp4(ring, group=E if q <= 3 else None)
+        exc = verify_dc_exceptional_sp4(ring)
         s.add(f"Sp4(F{q}) Z(C(v))", "exceptional-symplectic-short-root",
               exc["ok"], size=exc["ZC_size"], expected=exc["expected"])
     exc5 = verify_dc_exceptional_sp4(GF(5))
@@ -237,7 +244,7 @@ def suite_dc(config: dict, seed: int) -> dict:
 
 def _witness_check(s: Suite, t: str, r: int, which: str, ring) -> None:
     ws = classical_witness_set(t, r, which, ring)
-    res = verify_containment(classical_rep(t, r), ring, ws, expected=expected_descriptor(ws))
+    res = verify_containment(classical_rep(t, r), ring, ws)
     # the X2 bound is the three-subgroup product, a 5-dimensional
     # commutant; every other witness set pins the commutant to <= 4
     max_dim = 5 if which == "X2" else 4
@@ -543,17 +550,20 @@ def _dispatch(args) -> int:
     else:
         rep = parse_group(args.group)
         ring = GF(args.field)
+        # the rest of the input is refused before the group is enumerated
+        if args.cmd == "check-dc":
+            alpha = _root_of_length(rep.sys, args.root == "long")
+        elif args.cmd == "eval-formula":
+            F = parse_formula(args.formula)
+            params = [parse_element(rep, ring, p) for p in args.params.split(";") if p]
         E = enumerate_group(rep, ring)
         name = f"{args.group}({ring.name})"
         if args.cmd == "enumerate":
             s.add(name, "group-enumeration", None,
                   order=E.order, max_word_length=int(E.dist.max()))
         elif args.cmd == "check-dc":
-            _dc_check(s, f"{name} {args.root} root", E,
-                      _root_of_length(rep.sys, args.root == "long"))
+            _dc_check(s, f"{name} {args.root} root", E, alpha)
         else:
-            F = parse_formula(args.formula)
-            params = [parse_element(rep, ring, p) for p in args.params.split(";") if p]
             if free_vars(F):
                 data = {"free": sorted(free_vars(F)),
                         "extension_size": int(len(define_set(F, E, params)))}

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfmat
-from .chevgroup import (
-    EnumeratedGroup,
-    MatrixRep,
-    SubgroupDescriptor,
-    materialize,
-)
+from .chevgroup import EnumeratedGroup, MatrixRep, root_product_center
 from .rings import FiniteRing, TableRing, hypothesis_profile
 from .rootsys import commutator_template
 
@@ -531,12 +526,11 @@ def _b2_long_partner(sys, alpha: int) -> int:
 
 def verify_dc_formula(E: EnumeratedGroup, alpha: int) -> dict:
     """Double oracle: the formula evaluator's extension of the
-    double-centralizer definition against the directly materialized
-    U_alpha(R)Z(R)."""
+    double-centralizer definition against U_alpha(R)Z(R) built directly."""
     rep, ring = E.rep, E.ring
     F, params = dc_definition_formula(rep, ring, alpha)
     got = E.elements[define_set(F, E, params)]
-    want = materialize(SubgroupDescriptor("root", (alpha,), with_center=True), rep, ring, group=E)
+    want = root_product_center(rep, ring, (alpha,), group=E)
     # both hold distinct matrices: equal sizes and containment mean equal sets
     ok = len(got) == len(want) and bool(gfmat.MatSet(want).contains(got).all())
     return {"extension_size": len(got), "UZ_size": len(want), "ok": ok}

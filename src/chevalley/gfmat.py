@@ -101,27 +101,13 @@ def mat_det(ring: FiniteRing, A: np.ndarray) -> np.ndarray:
 
 
 def mat_inv(ring: FiniteRing, A: np.ndarray) -> np.ndarray:
-    """Inverse of one matrix over a field, by Gauss-Jordan."""
-    assert ring.is_field
+    """Inverse of one matrix over a field: the right half of rref([A | 1]),
+    which has a pivot outside the first d columns exactly when A is singular."""
     d = A.shape[0]
-    M = np.concatenate([A.copy(), identity(ring, d)], axis=1)
-    for col in range(d):
-        piv = None
-        for r in range(col, d):
-            if M[r, col] != ring.zero:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-        inv = ring.inv_t[M[col, col]]
-        M[col] = ring.mul_t[inv, M[col]]
-        for r in range(d):
-            if r != col and M[r, col] != ring.zero:
-                factor = M[r, col]
-                M[r] = ring.add_t[M[r], ring.neg_t[ring.mul_t[factor, M[col]]]]
-    return M[:, d:]
+    R, pivots = rref(ring, np.concatenate([A, identity(ring, d)], axis=1))
+    if pivots[-1] >= d:
+        raise ZeroDivisionError("matrix is singular")
+    return R[:, d:]
 
 
 def rref(ring: FiniteRing, A: np.ndarray):

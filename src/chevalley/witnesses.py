@@ -11,9 +11,10 @@ Three families of witnesses:
 * the classical matrix witness sets for SL_n / Sp_2m / O_2m / O_2m+1
   (the sets Y, X1..X5), verified through the linear-commutant route.
 
-verify_dc computes C(u), C(C(u)) and Z(C(u)) on an enumerated group by
-direct scan and compares against U(R)Z(R), with the exceptional symplectic
-short-root branch checked against +-U.phi(R).
+verify_dc computes C(u), C(C(u)) and Z(C(u)) on an enumerated group with
+the centralizer scan and compares against U(R)Z(R), or against U.U1.U2.Z(R)
+in the exceptional symplectic short-root case; verify_dc_exceptional_sp4
+checks Z(C(v)) on the linear-commutant set against +-U.phi(R).
 """
 
 from __future__ import annotations
@@ -26,16 +27,13 @@ from . import gfmat
 from .chevgroup import (
     EnumeratedGroup,
     MatrixRep,
-    SubgroupDescriptor,
     adjoint_rep,
     centralizer_indices,
-    center_set,
     classical_rep,
     commutant_group_points,
-    enumerate_group,
     linear_commutant,
-    materialize,
     product_set,
+    root_product_center,
 )
 from .rings import FiniteRing, hypothesis_profile
 from .rootsys import RootSystem, build_root_system, commutator_template
@@ -345,37 +343,17 @@ def _u_short(d, pos, i):
     return np.eye(d, dtype=np.int64) + 2 * _e(d, pos(i), 0) - _e(d, 0, pos(-i)) - _e(d, pos(i), pos(-i))
 
 
-def expected_descriptor(ws: WitnessSet) -> SubgroupDescriptor:
-    """The containment bound as a subgroup descriptor.  For the classical
-    forms the materialized center is {+-1}, so the sharp +-U bounds and
-    the UZ bounds share the root-with-center shape."""
-    if ws.expected == "UU1U2Z":
-        return SubgroupDescriptor("product", (ws.target_root, *ws.extra_roots), with_center=True)
-    return SubgroupDescriptor("root", (ws.target_root,), with_center=True)
-
-
-def verify_containment(rep: MatrixRep, ring: FiniteRing, Y,
-                       expected: SubgroupDescriptor | None = None) -> dict:
+def verify_containment(rep: MatrixRep, ring: FiniteRing, ws: WitnessSet) -> dict:
     """Kernel route: compute the linear commutant of the witness set,
     enumerate its span, filter by group membership and check containment
-    in the materialized expected set."""
-    if isinstance(Y, WitnessSet):
-        if expected is None:
-            expected = expected_descriptor(Y)
-        target = Y.target_root
-        Y = Y.elements
-    else:
-        target = expected.roots[0]
-    codes = np.arange(ring.size, dtype=ring.dtype)
-    xa = rep.x_batch(ring, target, codes)
-    commutes = True
-    for y in Y:
-        prod1 = gfmat.mat_mul(ring, xa, y[None])
-        prod2 = gfmat.mat_mul(ring, y[None], xa)
-        commutes &= bool((prod1 == prod2).all())
-    basis = linear_commutant(rep, ring, Y)
+    in U_alpha Z, or U U1 U2 Z for the extra roots of the X2 bound.  For
+    the classical forms the center is {+-1}, so the sharp +-U bounds are
+    the UZ bounds."""
+    xa = rep.x_batch(ring, ws.target_root, np.arange(ring.size, dtype=ring.dtype))
+    commutes = len(centralizer_indices(ring, xa, ws.elements)) == len(xa)
+    basis = linear_commutant(rep, ring, ws.elements)
     points = commutant_group_points(rep, ring, basis)
-    exp = materialize(expected, rep, ring)
+    exp = root_product_center(rep, ring, (ws.target_root, *ws.extra_roots))
     contained = gfmat.MatSet(exp).contains(points).all()
     return {
         "witness_commutes_with_U": commutes,
@@ -406,18 +384,18 @@ class DCReport:
 
 
 def verify_dc(E: EnumeratedGroup, alpha: int, r=None) -> DCReport:
-    """Compute C(u), C(C(u)) and Z(C(u)) for u = x_alpha(r) by direct scan
-    and compare with U_alpha(R) Z(R) (or the dc2 bound in the exceptional
-    symplectic short-root case)."""
+    """Compute C(u), C(C(u)) and Z(C(u)) for u = x_alpha(r) by centralizer
+    scans and compare with U_alpha(R) Z(R) (or the dc2 bound U U1 U2 Z(R)
+    in the exceptional symplectic short-root case)."""
     rep, ring = E.rep, E.ring
     sys = rep.sys
     if r is None:
         r = ring.one
     u = rep.x(ring, alpha, r)
-    C = centralizer_indices(E, [u])
-    CC = centralizer_indices(E, E.elements[C])
+    C = centralizer_indices(ring, E.elements, [u])
+    CC = centralizer_indices(ring, E.elements, E.elements[C])
     ZC = np.intersect1d(CC, C)
-    UZ = materialize(SubgroupDescriptor("root", (alpha,), with_center=True), rep, ring, group=E)
+    UZ = root_product_center(rep, ring, (alpha,), group=E)
     exceptional = (
         sys.type_label == "C"
         and not sys.is_long(alpha)
@@ -428,14 +406,7 @@ def verify_dc(E: EnumeratedGroup, alpha: int, r=None) -> DCReport:
     dc2 = None
     if exceptional:
         # U1, U2: long roots adjacent to alpha in a C2 subsystem
-        longs = _adjacent_longs(sys, alpha)
-        codes = np.arange(ring.size, dtype=ring.dtype)
-        bound = product_set(
-            ring,
-            [rep.x_batch(ring, alpha, codes)]
-            + [rep.x_batch(ring, g, codes) for g in longs]
-            + [center_set(rep, ring, group=E)],
-        )
+        bound = root_product_center(rep, ring, (alpha, *_adjacent_longs(sys, alpha)), group=E)
         dc2 = bool(gfmat.MatSet(bound).contains(E.elements[ZC]).all())
     sizes = {
         "C_u": int(len(C)),
@@ -508,30 +479,17 @@ def centralizer_by_commutant(rep: MatrixRep, ring: FiniteRing, mats) -> np.ndarr
     return commutant_group_points(rep, ring, basis)
 
 
-def verify_dc_exceptional_sp4(ring: FiniteRing, group: EnumeratedGroup | None = None) -> dict:
+def verify_dc_exceptional_sp4(ring: FiniteRing) -> dict:
     """Z(C(v)) for the short root element v in Sp4(R): equals
     +-U.phi(R) when R* = {+-1} and char != 2, and +-U when R* != {+-1}.
-    Routed through the enumerated group when available, else through the
-    linear-commutant set."""
+    C(v) is the linear-commutant set, so G(R) is never enumerated."""
     rep = classical_rep("C", 2)
     sys = rep.sys
     alpha = sys.fundamental[0]  # short
     assert not sys.is_long(alpha)
     v = rep.x(ring, alpha, ring.one)
-    if group is not None:
-        Cv = group.elements[centralizer_indices(group, [v])]
-    else:
-        Cv = centralizer_by_commutant(rep, ring, [v])
-    # Z(C(v)): members of C(v) commuting with all of C(v)
-    keep = np.arange(len(Cv))
-    for i in range(len(Cv)):
-        s = Cv[i]
-        sub = Cv[keep]
-        ok = (gfmat.mat_mul(ring, sub, s) == gfmat.mat_mul(ring, s[None], sub)).reshape(len(keep), -1).all(axis=1)
-        keep = keep[ok]
-        if len(keep) <= 1:
-            break
-    ZC = Cv[keep]
+    Cv = centralizer_by_commutant(rep, ring, [v])
+    ZC = Cv[centralizer_indices(ring, Cv, Cv)]
     codes = np.arange(ring.size, dtype=ring.dtype)
     U = rep.x_batch(ring, alpha, codes)
     pm = gfmat.MatSet.unique(
@@ -568,8 +526,7 @@ def verify_dc_exceptional_sp4(ring: FiniteRing, group: EnumeratedGroup | None = 
     return out
 
 
-def verify_witness_centralizer(rep: MatrixRep, ring: FiniteRing, alpha: int,
-                               group: EnumeratedGroup | None = None) -> dict:
+def verify_witness_centralizer(rep: MatrixRep, ring: FiniteRing, alpha: int) -> dict:
     """C_G(Y) <= U_alpha Z for Y consisting of the torus witnesses
     s_{alpha,beta} (beta over the other positive roots) together with the
     root elements of every root subgroup contained in C_G(U_alpha).  The
@@ -591,16 +548,10 @@ def verify_witness_centralizer(rep: MatrixRep, ring: FiniteRing, alpha: int,
             continue
         if sys.sum_root(alpha, delta) is None and not commutator_template(sc, alpha, delta):
             Y.extend(rep.x_batch(ring, delta, codes[codes != ring.zero]))
-    if group is not None:
-        CY = group.elements[centralizer_indices(group, Y)]
-        route = "enumeration"
-    else:
-        CY = centralizer_by_commutant(rep, ring, Y)
-        route = "linear_commutant"
-    UZ = materialize(SubgroupDescriptor("root", (alpha,), with_center=True), rep, ring, group=group)
+    CY = centralizer_by_commutant(rep, ring, Y)
+    UZ = root_product_center(rep, ring, (alpha,))
     contained = gfmat.MatSet(UZ).contains(CY).all()
     return {
-        "route": route,
         "C_Y_size": int(len(CY)),
         "UZ_size": int(len(UZ)),
         "contained": bool(contained),

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from chevalley import gfmat
 from chevalley.chevgroup import (
-    adjoint_rep, center_set, classical_rep, commutator_word, root_element_generators,
-    torus_set, verify_bruhat, weyl_elements,
+    adjoint_rep, center_set, centralizer_indices, classical_rep, commutator_word,
+    root_element_generators, torus_set, verify_bruhat, weyl_elements,
 )
 from chevalley.rings import GF, Zmod
 from chevalley.rootsys import commutator_template, structure_constants
@@ -111,6 +111,29 @@ def test_torus_and_center_sizes(group_of):
     assert len(center_set(E4.rep, E4.ring, group=E4)) == 3  # cube roots of 1
     E2 = group_of("classical", "A", 2, 2)
     assert len(center_set(E2.rep, E2.ring, group=E2)) == 1
+
+
+@pytest.mark.parametrize("t", ["A", "C"], ids=["SL3(F3)", "Sp4(F3)"])
+def test_centralizer_indices_against_pairwise_oracle(group_of, t):
+    # random stacks (short words, which commute with root elements often,
+    # and arbitrary elements) against 0-4 conditions (root elements and
+    # arbitrary elements), compared pair by pair with integer products mod 3
+    E = group_of("classical", t, 2, 3)
+    ring, sys = E.ring, E.rep.sys
+    rng = np.random.default_rng(3)
+    short = np.nonzero(E.dist <= 2)[0]
+    proper = 0
+    for k in range(5):
+        for _ in range(4):
+            stack = E.elements[np.concatenate([rng.choice(short, 60), rng.choice(E.order, 20)])]
+            conds = [E.rep.x(ring, int(rng.integers(len(sys.roots))), ring.dtype(rng.integers(1, 3)))
+                     if rng.random() < 0.75 else E.elements[rng.integers(E.order)] for _ in range(k)]
+            want = [i for i, g in enumerate(stack.astype(np.int64))
+                    if all(((g @ c) % 3 == (c @ g) % 3).all() for c in np.asarray(conds, dtype=np.int64))]
+            got = centralizer_indices(ring, stack, conds)
+            assert got.tolist() == want
+            proper += 0 < len(want) < len(stack)
+    assert proper >= 4
 
 
 def test_bruhat_uniqueness_sl3_f2(group_of):

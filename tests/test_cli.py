@@ -137,8 +137,13 @@ def test_run_prints_the_rendered_suite_report(capsys):
     (["check-witness", "--type", "F", "--rank", "4", "--field", "3"], "got 'F'"),
     (["check-adelic", "--primes="], "at least one prime"),
     (["check-adelic", "--primes=,"], "at least one prime"),
+    (["check-dc", "--group", "SL3", "--field", "2", "--root", "short"], "no short root"),
+    (["eval-formula", "--group", "SL3", "--field", "2", "--formula", "x=@1", "--params", "x(99,1)"],
+     "root index 99 out of range"),
+    (["eval-formula", "--group", "SL3", "--field", "2", "--formula", "x=@1", "--params", "h(0,0)"],
+     "needs a unit"),
 ], ids=["over-budget", "malformed-formula", "unknown-group", "auto-set-G", "auto-set-E", "auto-set-F",
-        "no-primes", "no-primes-comma"])
+        "no-primes", "no-primes-comma", "no-short-root", "root-out-of-range", "h-of-non-unit"])
 def test_refused_input_exits_2_with_one_line(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

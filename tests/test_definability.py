@@ -59,7 +59,7 @@ def test_define_set_matches_centralizer_scan(group_of):
     u = E.rep.x(E.ring, 0, E.ring.one)
     F = Eq(Mul(Var("g"), Param(1)), Mul(Param(1), Var("g")))
     got = set(define_set(F, E, [u]).tolist())
-    want = set(centralizer_indices(E, [u]).tolist())
+    want = set(centralizer_indices(E.ring, E.elements, [u]).tolist())
     assert got == want
 
 
@@ -71,8 +71,8 @@ def test_define_set_scans_each_guard_once(group_of, monkeypatch):
     monkeypatch.setattr(definability, "_guard_mask", lambda *a: scans.append(a) or guard_mask(*a))
     got = define_set(parse_formula(DC_TEXT), E, [u])
     assert len(scans) == 1
-    C = centralizer_indices(E, [u])
-    assert got.tolist() == centralizer_indices(E, E.elements[C]).tolist()
+    C = centralizer_indices(E.ring, E.elements, [u])
+    assert got.tolist() == centralizer_indices(E.ring, E.elements, E.elements[C]).tolist()
 
 
 def test_define_set_skips_decided_rows(group_of, monkeypatch):

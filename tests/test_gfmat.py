@@ -92,6 +92,34 @@ def test_matset_keys_uint16_are_big_endian():
     assert np.array_equal(MatSet(np.stack([b, a])).sorted(), np.stack([a, b]))
 
 
+@pytest.mark.parametrize("q", [4, 5, 9], ids=["F4", "F5", "F9"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_mat_inv_inverts_exactly_the_nonsingular(q, d):
+    # mat_inv succeeds exactly where the Leibniz determinant is nonzero,
+    # and then A A^-1 = A^-1 A = 1
+    ring = GF(q)
+    rng = np.random.default_rng(q * 10 + d)
+    mats = rng.integers(q, size=(40, d, d)).astype(ring.dtype)
+    mats[0] = ring.zero  # singular for every d
+    if d > 1:
+        mats[1, 0] = mats[1, 1]  # two equal rows
+    if d > 2:
+        mats[2, :, -1] = ring.add_t[mats[2, :, 0], mats[2, :, 1]]  # a column sum
+    ident = gfmat.identity(ring, d)
+    det = gfmat.mat_det(ring, mats)
+    invertible = 0
+    for A, dt in zip(mats, det):
+        if dt == ring.zero:
+            with pytest.raises(ZeroDivisionError):
+                gfmat.mat_inv(ring, A)
+            continue
+        B = gfmat.mat_inv(ring, A)
+        assert (gfmat.mat_mul(ring, A, B) == ident).all()
+        assert (gfmat.mat_mul(ring, B, A) == ident).all()
+        invertible += 1
+    assert invertible >= 20
+
+
 def test_no_matrix_keys_outside_gfmat():
     pattern = re.compile(r"tobytes|np\.void|\.view\(\s*f?[\"']V|\.view\(\s*\[")
     offenders = [f"{p.name}:{i}" for p in sorted(SRC.glob("*.py")) if p.name != "gfmat.py"

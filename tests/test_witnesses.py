@@ -1,11 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 
-from chevalley.chevgroup import classical_rep
+from chevalley import chevgroup, gfmat
+from chevalley.chevgroup import center_set, centralizer_indices, classical_rep
+from chevalley.definability import verify_dc_formula
 from chevalley.rings import GF
 from chevalley.rootsys import build_root_system
 from chevalley.witnesses import (
-    classical_witness_set, expected_descriptor, f4_b_roots, f4_witness_set,
+    centralizer_by_commutant, classical_witness_set, f4_b_roots, f4_witness_set,
     matrix_witness_check, torus_witness, verify_containment, verify_dc,
     verify_dc_exceptional_sp4, verify_witness_centralizer, witness_word_matrix,
 )
@@ -82,8 +86,7 @@ CLASSICAL = [
 def test_classical_witness_sets(t, r, which, q, dim):
     ring = GF(q)
     ws = classical_witness_set(t, r, which, ring)
-    res = verify_containment(classical_rep(t, r), ring, ws,
-                             expected=expected_descriptor(ws))
+    res = verify_containment(classical_rep(t, r), ring, ws)
     assert res["ok"], res
     if dim is not None:
         assert res["commutant_dim"] == dim
@@ -109,11 +112,55 @@ def test_dc_sp4_f3_short_root_is_exceptional(group_of):
     assert verify_dc(E, long_root).case() == "dc1"
 
 
-def test_exceptional_sp4_zc_sizes(group_of):
-    res = verify_dc_exceptional_sp4(GF(3), group=group_of("classical", "C", 2, 3))
+def test_exceptional_sp4_zc_sizes():
+    res = verify_dc_exceptional_sp4(GF(3))
     assert res["ok"] and res["ZC_size"] == 18
     res5 = verify_dc_exceptional_sp4(GF(5))
     assert res5["ok"] and res5["ZC_size"] == 10
+
+
+@pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
+def test_commutant_centralizer_is_the_enumerated_one(group_of, long):
+    # C(v) from the linear commutant, without the group, against the scan
+    # over the enumerated Sp4(F3)
+    E = group_of("classical", "C", 2, 3)
+    sys = E.rep.sys
+    alpha = next(a for a in range(len(sys.roots)) if sys.is_long(a) == long)
+    v = E.rep.x(E.ring, alpha, E.ring.one)
+    got = centralizer_by_commutant(E.rep, E.ring, [v])
+    want = E.elements[centralizer_indices(E.ring, E.elements, [v])]
+    assert len(got) == len(want) and gfmat.MatSet(want).contains(got).all()
+
+
+def test_center_is_scanned_once_per_group(group_of, monkeypatch):
+    E = copy.copy(group_of("classical", "C", 2, 3))
+    E.__dict__.pop("center", None)  # a copy whose center is not yet scanned
+    scans = []
+    scan = chevgroup.centralizer_indices
+
+    def counting(ring, elements, mats):
+        if mats is E.gens:
+            scans.append(len(elements))
+        return scan(ring, elements, mats)
+
+    monkeypatch.setattr(chevgroup, "centralizer_indices", counting)
+    sys = E.rep.sys
+    short, long_root = (next(a for a in range(len(sys.roots)) if sys.is_long(a) == long)
+                        for long in (False, True))
+    rpt = verify_dc(E, short)
+    assert rpt.exceptional and rpt.dc2_holds  # builds the UZ and dc2 bounds
+    assert verify_dc(E, long_root).verdict
+    assert verify_dc_formula(E, short)["ok"]
+    assert scans == [E.order]
+
+
+def test_corrupted_center_raises(group_of):
+    E = copy.copy(group_of("classical", "A", 2, 4))
+    E.center = E.center[:1]  # the identity only; Z(SL3(F4)) has 3 elements
+    with pytest.raises(RuntimeError, match="center"):
+        center_set(E.rep, E.ring, group=E)
+    with pytest.raises(RuntimeError, match="center"):
+        verify_dc(E, 0)
 
 
 def test_exceptional_sp4_f2_is_open():
