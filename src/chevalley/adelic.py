@@ -96,9 +96,9 @@ class SL2Group:
 
         self._zs = self._central_scalars()
         # elements in lexicographic order, numbered by position
-        self.elements = gfmat.MatSet(self.canon(mats)).sorted()
+        self.elements = gfmat.MatSet(ring, self.canon(mats)).sorted()
         self.order = len(self.elements)
-        self._set = gfmat.MatSet(self.elements)
+        self._set = gfmat.MatSet(ring, self.elements)
         self.inv_idx = self.idx(_adjugate(ring, self.elements))
         self._p_tables = {}  # offset set S -> P table
 
@@ -122,8 +122,8 @@ class SL2Group:
         if len(self._zs) == 1:
             return mats
         variants = np.stack([self.ring.mul_t[mats, z] for z in self._zs])
-        # row 0 of a stable argsort is the first least key, as argmin would give
-        pick = gfmat.MatSet.keys(variants).argsort(axis=0, kind="stable")[0]
+        # 2 x 2 keys are packed integers for every ring within the table budget
+        pick = gfmat.MatSet.keys(self.ring, variants).argmin(axis=0)
         flat = variants.reshape(len(self._zs), -1, 2, 2)
         return flat[pick.ravel(), np.arange(flat.shape[1])].reshape(mats.shape)
 
@@ -545,10 +545,10 @@ def higher_rank_width(rep, ring: FiniteRing) -> dict:
     stable_run = 0
     while stable_run < len(subgroups):
         for a, sub in subgroups:
-            # mat_mul works in int64
+            # mat_mul works in at most int64
             gfmat.check_budget("width product", (len(cur) * len(sub), rep.dim, rep.dim), np.int64)
             grown = gfmat.mat_mul(ring, cur[:, None], sub[None]).reshape(-1, rep.dim, rep.dim)
-            new = gfmat.MatSet.unique(grown)
+            new = gfmat.MatSet.unique(ring, grown)
             sequence.append(a)
             sizes.append(len(new))
             stable_run = stable_run + 1 if len(new) == len(cur) else 0

@@ -454,7 +454,7 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None) -> Enumer
     d = rep.dim
     G = len(gmats)
     ident = rep.identity(ring)[None]
-    index = gfmat.MatSet(ident)
+    index = gfmat.MatSet(ring, ident)
     elems, dist, parent, genidx = [ident], [[0]], [[-1]], [[-1]]
     frontier, start = ident, 0  # the last level and the index of its first element
     chunk = max(1, (1 << 22) // (G * d * d))
@@ -507,20 +507,17 @@ def linear_commutant(rep: MatrixRep, ring: FiniteRing, Y) -> np.ndarray:
     field, by exact kernel computation; rows are flattened d x d matrices."""
     d = rep.dim
     if not len(Y):
-        return np.array([e.flatten() for e in np.eye(d * d, dtype=np.int64)], dtype=ring.dtype)
+        return gfmat.identity(ring, d * d)
+    eye = np.eye(d, dtype=bool)
     rows = []
     for y in Y:
-        y = np.asarray(y, dtype=np.int64)
-        # (my - ym)_{ij} as linear forms in m_{kl}
-        A = np.zeros((d, d, d, d), dtype=np.int64)
-        for i in range(d):
-            for j in range(d):
-                for l in range(d):
-                    A[i, j, i, l] += y[l, j]
-                    A[i, j, l, j] -= y[i, l]
-        rows.append(A.reshape(d * d, d * d))
-    M = gfmat.from_int_matrix(ring, np.concatenate(rows, axis=0))
-    return gfmat.nullspace(ring, M)
+        y = np.asarray(y, dtype=ring.dtype)
+        # (my - ym)_{ij} as linear forms in m_{kl}: y_{lj} at k = i, and
+        # -y_{ik} at l = j, added in the ring where both land on m_{ij}
+        my = np.where(eye[:, None, :, None], y.T[None, :, None, :], ring.zero)
+        ym = np.where(eye[None, :, None, :], y[:, None, :, None], ring.zero)
+        rows.append(ring.add_t[my, ring.neg_t[ym]].reshape(d * d, d * d))
+    return gfmat.nullspace(ring, np.concatenate(rows, axis=0))
 
 
 def commutant_group_points(rep: MatrixRep, ring: FiniteRing, basis) -> np.ndarray:
@@ -548,7 +545,7 @@ def product_set(ring: FiniteRing, sets) -> np.ndarray:
     out = sets[0]
     for s in sets[1:]:
         prods = gfmat.mat_mul(ring, out[:, None], s[None, :, :, :])
-        out = gfmat.MatSet.unique(prods.reshape(-1, *out.shape[1:]))
+        out = gfmat.MatSet.unique(ring, prods.reshape(-1, *out.shape[1:]))
     return out
 
 
@@ -558,7 +555,7 @@ def torus_set(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
     out = rep.identity(ring)[None]
     while True:
         prods = gfmat.mat_mul(ring, out[:, None], np.stack(gens)[None])
-        nxt = gfmat.MatSet.unique(np.concatenate([out, prods.reshape(-1, rep.dim, rep.dim)]))
+        nxt = gfmat.MatSet.unique(ring, np.concatenate([out, prods.reshape(-1, rep.dim, rep.dim)]))
         if len(nxt) == len(out):
             return out
         out = nxt
@@ -575,7 +572,7 @@ def center_set(rep: MatrixRep, ring: FiniteRing, group: EnumeratedGroup | None =
         out = scalars[rep.membership_mask(ring, scalars)]
     if group is not None:
         zc = group.elements[group.center]
-        if len(zc) != len(out) or not gfmat.MatSet(out).contains(zc).all():
+        if len(zc) != len(out) or not gfmat.MatSet(ring, out).contains(zc).all():
             raise RuntimeError("scalar center disagrees with enumerated center")
     return out
 
@@ -628,7 +625,7 @@ def verify_bruhat(E: EnumeratedGroup) -> dict:
             mid = gfmat.mat_mul(ring, gfmat.mat_mul(ring, U_full, t[None]), nw[None])
             prods.append(gfmat.mat_mul(ring, mid[:, None], V[None]).reshape(-1, rep.dim, rep.dim))
     total = sum(len(p) for p in prods)
-    distinct = len(gfmat.MatSet(np.concatenate(prods)))
+    distinct = len(gfmat.MatSet(ring, np.concatenate(prods)))
     return {
         "order": E.order,
         "tuple_count": total,

@@ -532,7 +532,7 @@ def verify_dc_formula(E: EnumeratedGroup, alpha: int) -> dict:
     got = E.elements[define_set(F, E, params)]
     want = root_product_center(rep, ring, (alpha,), group=E)
     # both hold distinct matrices: equal sizes and containment mean equal sets
-    ok = len(got) == len(want) and bool(gfmat.MatSet(want).contains(got).all())
+    ok = len(got) == len(want) and bool(gfmat.MatSet(ring, want).contains(got).all())
     return {"extension_size": len(got), "UZ_size": len(want), "ok": ok}
 
 
@@ -549,8 +549,8 @@ def proj_pi1(rep: MatrixRep, ring: FiniteRing, roots, g: np.ndarray) -> np.ndarr
         U = rep.x_batch(ring, a, codes)
         prods = gfmat.mat_mul(ring, cur[:, None], U[None])
         cur = prods.reshape(-1, rep.dim, rep.dim)
-    U1 = gfmat.MatSet(rep.x_batch(ring, roots[0], codes))
-    hits = gfmat.MatSet.unique(cur[U1.contains(cur)])
+    U1 = gfmat.MatSet(ring, rep.x_batch(ring, roots[0], codes))
+    hits = gfmat.MatSet.unique(ring, cur[U1.contains(cur)])
     if len(hits) != 1:
         raise ValueError(f"pi_1 intersection has {len(hits)} points; input not in the product set")
     return hits[0]
@@ -621,7 +621,8 @@ def map_c(rep: MatrixRep, ring: FiniteRing, a: int, b: int, g: np.ndarray) -> np
         ggam = _comm_leading(rep, ring, mu, nu, base, gnu)
         return _same_length_transport(rep, ring, gamma, b, ggam)
     # short to long: invert map_c(b -> a)
-    images = gfmat.MatSet(np.stack([map_c(rep, ring, b, a, rep.x(ring, b, r)) for r in ring.elements()]))
+    images = gfmat.MatSet(ring, np.stack([map_c(rep, ring, b, a, rep.x(ring, b, r))
+                                          for r in ring.elements()]))
     try:
         r = images.index(g)
     except KeyError:
@@ -676,7 +677,7 @@ class RingInGroup:
         self.a0 = a0
         codes = np.arange(ring.size, dtype=ring.dtype)
         C = self.carrier = rep.x_batch(ring, a0, codes)
-        self._decode = gfmat.MatSet(C)  # numbers the carrier by code
+        self._decode = gfmat.MatSet(ring, C)  # numbers the carrier by code
         add_t = self.decode(gfmat.mat_mul(ring, C[:, None], C[None]))
         mul_t = self.decode(np.stack([[map_m(rep, ring, a0, a0, a0, x, y) for y in C] for x in C]))
         # the unit is the parameter x_{a0}(1), the zero the group identity

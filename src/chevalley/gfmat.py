@@ -1,20 +1,41 @@
 """Batched matrix arithmetic over table-backed finite rings, and matrix sets.
 
 Matrices are numpy arrays of ring codes with shape (..., d, d); all leading
-axes broadcast.  Prime-residue rings (GF(p), Z/n) get an integer fast path,
-everything else goes through the ring's lookup tables.  `MatSet` is the one
-way to key, deduplicate and look up matrices.  `check_budget` is the one size
-policy: every step that builds a large array asks it first.
+axes broadcast.  `mat_mul` multiplies through one integer lift whenever the
+ring's arithmetic is integer arithmetic.  A lift is (enc, modulus, dec,
+work_dtype), built once per ring and inner dimension d and kept on the ring:
+the product is ``enc[A] @ enc[B]`` in work_dtype, reduced ``%= modulus`` and
+gathered through ``dec`` back into codes.  Three cases:
+
+* residues: GF(p) and Z/n need no enc or dec; the modulus is n;
+* Kronecker: GF(p^f) writes the code with base-p digits c_i as sum c_i B^i,
+  with B the least power of 2 above d f (p-1)^2, so no coefficient of the
+  polynomial product carries; dec, of B^(2f-1) entries, reads the digits of
+  the sum back, mod p and mod the defining polynomial;
+* CRT: a product of residue rings with pairwise-coprime orders is Z/prod n,
+  so F7xF11 becomes Z/77; enc and dec map codes to residues and back.
+
+work_dtype is the narrowest of int16, int32 and int64 that holds
+d max(enc)^2, the largest entry of a product.  Other rings (TableRing,
+products such as F3xF4) and rings whose reduce table exceeds the budget go
+through the ring's lookup tables, one gather per inner index; that loop,
+`_mat_mul_tables`, is also the oracle the lifts are tested against.
+
+`MatSet` is the one way to key, deduplicate and look up matrices.
+`check_budget` is the one size policy: every step that builds a large array
+asks it first.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .rings import GF, FiniteRing, Zmod
+from .rings import GF, FiniteRing, ProductRing, Zmod
 
 BUDGET_BYTES = 1 << 28  # the largest array one step may build: 256 MiB
 
@@ -31,6 +52,13 @@ def check_budget(step: str, shape, dtype) -> None:
         raise BudgetExceeded(f"{step}: {nbytes:,} bytes exceeds the budget of {BUDGET_BYTES:,} bytes")
 
 
+class Lift(NamedTuple):
+    enc: np.ndarray | None  # code -> integer, in work_dtype; None: the code itself
+    modulus: int | None  # reduce the integer product mod this; None: no reduction
+    dec: np.ndarray | None  # reduced product -> code; None: the residue is the code
+    work_dtype: type
+
+
 def _residue_modulus(ring) -> int | None:
     if isinstance(ring, GF) and ring.deg == 1:
         return ring.size
@@ -39,14 +67,90 @@ def _residue_modulus(ring) -> int | None:
     return None
 
 
+def _work_dtype(bound: int):
+    """The narrowest signed integer dtype holding `bound`, or None."""
+    return next((dt for dt in (np.int16, np.int32, np.int64) if bound <= np.iinfo(dt).max), None)
+
+
+def _kronecker_lift(ring: GF, d: int) -> Lift | None:
+    p, f = ring.p, ring.deg
+    B = 1 << (d * f * (p - 1) ** 2).bit_length()
+    try:
+        check_budget(f"Kronecker reduce table of {ring.name}", (B ** (2 * f - 1),), ring.dtype)
+    except BudgetExceeded:
+        return None
+    codes = np.arange(ring.size)
+    enc = sum((codes // p**i % p) * B**i for i in range(f))
+    work = _work_dtype(d * int(enc.max()) ** 2)
+    if work is None:
+        return None
+    # dec[v] = sum_k (v_k mod p) X^k for the base-B digits v_k of v, summed in
+    # the field one digit at a time, the most significant digit last
+    digits = np.arange(B) % p
+    dec = digits.astype(ring.dtype)
+    xk = ring.one
+    for _ in range(1, 2 * f - 1):
+        xk = ring.mul(xk, p)  # code p is X
+        dec = ring.add_t[ring.mul_t[digits, xk][:, None], dec[None, :]].ravel()
+    return Lift(enc.astype(work), None, dec, work)
+
+
+def _crt_lift(ring: ProductRing, d: int) -> Lift | None:
+    mods = [_residue_modulus(f) for f in ring.factors]
+    if None in mods or math.lcm(*mods) != math.prod(mods):
+        return None
+    M = math.prod(mods)
+    work = _work_dtype(d * (M - 1) ** 2)
+    if work is None:
+        return None
+    # residue r with r = c_i mod n_i for the factor codes c_i of each code
+    enc = np.zeros(ring.size, dtype=np.int64)
+    for n, c in zip(mods, ring.decode_array(np.arange(ring.size))):
+        e = M // n * pow(M // n, -1, n)  # 1 mod n, 0 mod the other factors
+        enc = (enc + c * e) % M
+    dec = np.empty(M, dtype=ring.dtype)
+    dec[enc] = np.arange(ring.size)
+    return Lift(enc.astype(work), M, dec, work)
+
+
+def _lift(ring: FiniteRing, d: int) -> Lift | None:
+    """The integer lift of `ring` for inner dimension d, or None when its
+    products go through the tables; built once and cached on the ring."""
+    lifts = ring.__dict__.setdefault("_lifts", {})
+    if d not in lifts:
+        n = _residue_modulus(ring)
+        if n is not None:
+            work = _work_dtype(d * (n - 1) ** 2)
+            lifts[d] = None if work is None else Lift(None, n, None, work)
+        elif isinstance(ring, GF):
+            lifts[d] = _kronecker_lift(ring, d)
+        elif isinstance(ring, ProductRing):
+            lifts[d] = _crt_lift(ring, d)
+        else:
+            lifts[d] = None
+    return lifts[d]
+
+
 def mat_mul(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = _residue_modulus(ring)
-    if n is not None:
-        C = A.astype(np.int64) @ B.astype(np.int64)
-        C %= n
-        return C.astype(ring.dtype)
+    lift = _lift(ring, A.shape[-1])
+    if lift is None:
+        return _mat_mul_tables(ring, A, B)
+    enc, modulus, dec, work = lift
+    if enc is None:
+        C = A.astype(work) @ B.astype(work)
+    else:
+        C = enc[A] @ enc[B]
+    if modulus is not None:
+        C %= modulus
+    return C.astype(ring.dtype) if dec is None else dec[C]
+
+
+def _mat_mul_tables(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The product through the ring's add and mul tables, one gather per
+    inner index: the path of rings without a lift, and the lifts' oracle."""
     k = A.shape[-1]
-    assert B.shape[-2] == k
+    if B.shape[-2] != k:
+        raise ValueError(f"inner dimensions differ: {k} and {B.shape[-2]}")
     C = None
     for t in range(k):
         term = ring.mul_t[A[..., :, t, None], B[..., None, t, :]]
@@ -163,20 +267,24 @@ def span_elements(ring: FiniteRing, basis: np.ndarray) -> np.ndarray:
 
 
 class MatSet:
-    """A set of distinct d x d matrices, numbered in order of first insertion.
+    """A set of distinct d x d matrices over a ring, numbered in order of
+    first insertion.
 
-    The key of a matrix is its entries in big-endian byte order, viewed as
-    one fixed-width ``np.void`` (or, when 1, 2, 4 or 8 bytes wide, as one
-    unsigned integer): keys compare as byte strings, so sorted keys follow
-    the lexicographic order of the entries for every code dtype.  This
-    class is the only place that builds such a key.  Lookups are batched:
-    sort and ``searchsorted`` over the sorted keys."""
+    The key of a matrix packs its entries big-endian, each into
+    b = ceil(log2 |R|) bits, first entry most significant: a ``u32`` when
+    b d^2 <= 32 bits, a ``u64`` when it is <= 64.  Past 64 bits the key is
+    the entries' big-endian bytes as one fixed-width ``np.void``, compared as
+    a byte string.  Either way sorted keys follow the lexicographic order of
+    the entries, and the layout depends only on the ring and the shape, so
+    a set started from any matrices keys every later code alike.  This class
+    is the only place that builds such a key.  Lookups are batched: sort and
+    ``searchsorted`` over the sorted keys."""
 
-    def __init__(self, mats: np.ndarray):
+    def __init__(self, ring: FiniteRing, mats: np.ndarray):
         mats = np.asarray(mats)
-        self.dtype = mats.dtype
+        self.ring = ring
         self.shape = mats.shape[-2:]
-        self._keys, first = np.unique(self.keys(mats.reshape(-1, *self.shape)), return_index=True)
+        self._keys, first = np.unique(self.keys(ring, mats.reshape(-1, *self.shape)), return_index=True)
         self._num = np.empty(len(first), dtype=np.int64)  # number of each sorted key
         self._num[np.argsort(first)] = np.arange(len(first))
 
@@ -184,23 +292,25 @@ class MatSet:
         return len(self._keys)
 
     @staticmethod
-    def keys(mats: np.ndarray) -> np.ndarray:
+    def keys(ring: FiniteRing, mats: np.ndarray) -> np.ndarray:
         """One key per matrix, shape mats.shape[:-2]."""
         mats = np.asarray(mats)
-        be = mats.dtype.newbyteorder(">")
         w = mats.shape[-1] * mats.shape[-2]
-        flat = np.ascontiguousarray(mats.reshape(-1, w), dtype=be)
-        width = w * be.itemsize
-        if width in (1, 2, 4, 8):
-            # the same bytes read as one big-endian integer, held natively:
-            # ordered alike, and sorted and searched faster than np.void
-            return flat.view(f">u{width}").astype(f"u{width}").reshape(mats.shape[:-2])
-        return flat.view(f"V{width}").reshape(mats.shape[:-2])
+        flat = mats.reshape(-1, w)
+        weights = _key_weights((ring.size - 1).bit_length(), w)
+        if weights is not None:
+            # einsum casts the codes in buffered blocks; matmul would first
+            # copy the whole stack into the key dtype
+            keys = np.einsum("ij,j->i", flat, weights, dtype=weights.dtype, casting="unsafe")
+            return keys.reshape(mats.shape[:-2])
+        be = np.dtype(ring.dtype).newbyteorder(">")
+        flat = np.ascontiguousarray(flat, dtype=be)
+        return flat.view(f"V{w * be.itemsize}").reshape(mats.shape[:-2])
 
     @staticmethod
-    def unique(mats: np.ndarray) -> np.ndarray:
+    def unique(ring: FiniteRing, mats: np.ndarray) -> np.ndarray:
         """The distinct matrices of a stack, each at its first occurrence, in order."""
-        _, first = np.unique(MatSet.keys(mats), return_index=True)
+        _, first = np.unique(MatSet.keys(ring, mats), return_index=True)
         return mats[np.sort(first)]
 
     def _find(self, keys: np.ndarray):
@@ -212,12 +322,12 @@ class MatSet:
 
     def contains(self, mats) -> np.ndarray:
         """Membership of each matrix of a stack, shape mats.shape[:-2]."""
-        return self._find(self.keys(np.asarray(mats, dtype=self.dtype)))[1]
+        return self._find(self.keys(self.ring, mats))[1]
 
     def index(self, mats):
         """Number of each matrix of a stack, or of a single matrix; raises
         KeyError when any is not in the set."""
-        pos, hit = self._find(self.keys(np.asarray(mats, dtype=self.dtype)))
+        pos, hit = self._find(self.keys(self.ring, mats))
         if not hit.all():
             raise KeyError("matrix is not in the set")
         return self._num[pos]
@@ -226,7 +336,7 @@ class MatSet:
         """Insert the matrices of a stack that are not yet in the set, each
         once, numbered in order of first occurrence.  Returns the positions
         in `mats` of the inserted ones, ascending."""
-        keys = self.keys(np.asarray(mats, dtype=self.dtype).reshape(-1, *self.shape))
+        keys = self.keys(self.ring, np.asarray(mats).reshape(-1, *self.shape))
         uniq, first = np.unique(keys, return_index=True)
         fresh = ~self._find(uniq)[1]
         uniq, first = uniq[fresh], first[fresh]
@@ -239,6 +349,26 @@ class MatSet:
 
     def sorted(self) -> np.ndarray:
         """The matrices of the set in key order, i.e. lexicographic entry order."""
-        be = self.dtype.newbyteorder(">")
-        keys = self._keys.astype(self._keys.dtype.newbyteorder(">"))
-        return keys.view(be).reshape(-1, *self.shape).astype(self.dtype)
+        dtype = self.ring.dtype
+        w = self.shape[0] * self.shape[1]
+        bits = (self.ring.size - 1).bit_length()
+        weights = _key_weights(bits, w)
+        if weights is None:
+            return self._keys.view(np.dtype(dtype).newbyteorder(">")).reshape(-1, *self.shape).astype(dtype)
+        flat = np.empty((len(self), w), dtype=dtype)
+        mask = weights.dtype.type((1 << bits) - 1)
+        for i, weight in enumerate(weights):  # one entry at a time, to build no (n, w) keys
+            flat[:, i] = self._keys // weight & mask
+        return flat.reshape(-1, *self.shape)
+
+
+@lru_cache(maxsize=None)
+def _key_weights(bits: int, w: int) -> np.ndarray | None:
+    """2^(bits (w-1-i)) for entry i of a packed key: u32 weights when
+    bits * w <= 32, u64 when <= 64, None past 64 bits."""
+    if bits * w > 64:
+        return None
+    dtype = np.uint32 if bits * w <= 32 else np.uint64
+    weights = np.left_shift(dtype(1), bits * np.arange(w - 1, -1, -1, dtype=dtype))
+    weights.flags.writeable = False
+    return weights

@@ -1,21 +1,21 @@
 """Exact commutative-ring arithmetic for small rings.
 
-Finite rings are table-backed: an element is an integer code in
+Every ring is finite and table-backed: an element is an integer code in
 ``range(size)`` and all arithmetic goes through numpy lookup tables
 (``add_t``, ``mul_t``, ``neg_t``, ``inv_t``).  That keeps batched matrix
-work in the group modules fully vectorized.  The integers are the one
-infinite ring and use plain Python ints.
+work in the group modules fully vectorized; `gfmat.mat_mul` lifts the rings
+whose arithmetic is integer arithmetic to integer matrix products.
 
 Supported kinds: GF(q) for prime powers q (non-prime q via the smallest
-lexicographic monic irreducible over GF(p)), Z, Z/n, finite direct
-products of finite rings, and rings given only by their tables.
+lexicographic monic irreducible over GF(p)), Z/n, finite direct products
+of finite rings, and rings given only by their tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -28,25 +28,13 @@ def _min_dtype(size: int):
     return np.int64
 
 
-class Ring:
-    """Common interface. Finite subclasses carry arithmetic tables."""
+class FiniteRing:
+    """Common interface: subclasses build the arithmetic tables."""
 
     kind: str
     char: int
-    finite: bool
     is_domain: bool
     is_field: bool
-
-    def units(self):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<Ring {self.name}>"
-
-
-class FiniteRing(Ring):
-    finite = True
-
     size: int
     name: str
     add_t: np.ndarray  # (size, size)
@@ -56,6 +44,9 @@ class FiniteRing(Ring):
     unit_mask: np.ndarray  # (size,) bool
     zero: int
     one: int
+
+    def __repr__(self):
+        return f"<Ring {self.name}>"
 
     def _finish(self):
         """Derive neg/inv/units from add/mul tables."""
@@ -295,7 +286,7 @@ class ProductRing(FiniteRing):
 
     def __init__(self, factors):
         factors = list(factors)
-        if not factors or not all(f.finite for f in factors):
+        if not factors or not all(isinstance(f, FiniteRing) for f in factors):
             raise ValueError("product requires finite factors")
         self.factors = factors
         self.size = 1
@@ -373,26 +364,6 @@ class TableRing(FiniteRing):
         self._finish()
 
 
-class IntRing(Ring):
-    """Z. Elements are plain ints; enumeration requests fail loudly."""
-
-    kind = "integers"
-    finite = False
-    is_domain = True
-    is_field = False
-    char = 0
-    name = "Z"
-
-    def units(self):
-        raise ValueError("cannot enumerate units of an infinite ring")
-
-    def from_int(self, m):
-        return m
-
-
-ZZ = IntRing()
-
-
 @dataclass(frozen=True)
 class HypothesisProfile:
     ring: str
@@ -403,10 +374,7 @@ class HypothesisProfile:
     units_eq_pm1: bool  # R* = {1, -1}
 
 
-def hypothesis_profile(ring: Ring) -> HypothesisProfile:
-    if not ring.finite:
-        # Z*: exactly {1, -1}
-        return HypothesisProfile("Z", True, 0, 2, True, True)
+def hypothesis_profile(ring: FiniteRing) -> HypothesisProfile:
     us = set(ring.units())
     pm1 = {ring.one, ring.neg(ring.one)}
     return HypothesisProfile(
@@ -439,21 +407,3 @@ def decompose_square_diff(ring: FiniteRing, a: int, S) -> tuple[int, int, int]:
     raise ValueError(
         f"no decomposition of {ring.elem_str(a)} as xi^2-eta^2+s over {ring.name} with |S|={len(S)}"
     )
-
-
-def parse_ring(spec: str) -> Ring:
-    """CLI mini-syntax: F5, F9, Z, Z/6, F7xF11xF13."""
-    spec = spec.strip()
-    if spec == "Z":
-        return ZZ
-    if "x" in spec:
-        return ProductRing([parse_ring(part) for part in spec.split("x")])
-    if spec.startswith("F"):
-        try:
-            q = int(spec[1:])
-        except ValueError:
-            raise ValueError(f"bad ring spec {spec!r}")
-        return GF(q)
-    if spec.startswith("Z/"):
-        return Zmod(int(spec[2:]))
-    raise ValueError(f"bad ring spec {spec!r}: expected F<q>, Z, Z/<n>, or products like F7xF11")

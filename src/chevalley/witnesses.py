@@ -223,11 +223,18 @@ def _root_index_for_nilpotent(rep: MatrixRep, X: np.ndarray) -> int:
     raise AssertionError("nilpotent matrix is not a root matrix of this representation")
 
 
+_WITNESS_SET_TYPE = {"sl": "A", "X1": "C", "X2": "C", "X3": "D", "X4": "B", "X5": "B"}
+
+
 def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRing) -> WitnessSet:
     """The explicit witness sets: `which` is one of sl (SL_n, U_12),
     X1 (Sp, long U_1), X2 (Sp, short U_12), X3 (O_2m, U_12),
     X4 (O_2m+1, long U_12), X5 (O_2m+1, short U_1, needs m >= 3)."""
     type_label = type_label.upper()
+    if which not in _WITNESS_SET_TYPE:
+        raise ValueError(f"unknown witness set {which}")
+    if _WITNESS_SET_TYPE[which] != type_label:
+        raise ValueError(f"witness set {which} is for type {_WITNESS_SET_TYPE[which]}, not {type_label}")
     rep = classical_rep(type_label, rank)
     m = rank
     d = rep.dim
@@ -245,7 +252,6 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
     signed = [i for i in range(1, m + 1)] + [-i for i in range(1, m + 1)]
 
     if which == "sl":
-        assert type_label == "A"
         n = m + 1
         for p in range(n):
             for q in range(n):
@@ -256,7 +262,6 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
         expected = "UZ"
         extra = ()
     elif which in ("X1", "X2"):
-        assert type_label == "C"
         # X1 excludes only i = -1 (1+e_{2,-2} commutes with the long target
         # and is needed to cut the alpha_12 direction); X2 also excludes
         # i = 2, which fails to commute with the short target
@@ -288,7 +293,6 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
             expected = "UZ"
             extra = ()
     elif which == "X3":
-        assert type_label == "D"
         for i, j in _slist(m):
             ints.append(ident + _alpha_ij(d, pos, i, j, False))
             prov.append(f"1+alpha[{i},{j}]")
@@ -296,7 +300,6 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
         expected = "pmU"  # the sharp form: C_{O_2m}(X3) inside +-U_12
         extra = ()
     elif which == "X4":
-        assert type_label == "B"
         for i, j in _slist(m):
             ints.append(ident + _alpha_ij(d, pos, i, j, False))
             prov.append(f"1+alpha[{i},{j}]")
@@ -305,8 +308,7 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
         target = _root_index_for_nilpotent(rep, _alpha_ij(d, pos, 1, 2, False))
         expected = "pmU"
         extra = ()
-    elif which == "X5":
-        assert type_label == "B"
+    else:  # X5
         if m < 3:
             raise ValueError("X5 needs rank >= 3; the conclusion is false for m=2")
         for i in signed:
@@ -319,8 +321,6 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
         target = _root_index_for_nilpotent(rep, 2 * _e(d, pos(1), 0) - _e(d, 0, pos(-1)))
         expected = "pmU"
         extra = ()
-    else:
-        raise ValueError(f"unknown witness set {which}")
 
     mats = [gfmat.from_int_matrix(ring, M) for M in ints]
     return WitnessSet(target, f"classical-{which}", mats, prov, expected, extra)
@@ -354,7 +354,7 @@ def verify_containment(rep: MatrixRep, ring: FiniteRing, ws: WitnessSet) -> dict
     basis = linear_commutant(rep, ring, ws.elements)
     points = commutant_group_points(rep, ring, basis)
     exp = root_product_center(rep, ring, (ws.target_root, *ws.extra_roots))
-    contained = gfmat.MatSet(exp).contains(points).all()
+    contained = gfmat.MatSet(ring, exp).contains(points).all()
     return {
         "witness_commutes_with_U": commutes,
         "commutant_dim": int(len(basis)),
@@ -402,12 +402,12 @@ def verify_dc(E: EnumeratedGroup, alpha: int, r=None) -> DCReport:
         and hypothesis_profile(ring).units_eq_pm1
     )
     dc1 = (np.array_equal(CC, ZC) and len(CC) == len(UZ)
-           and bool(gfmat.MatSet(UZ).contains(E.elements[CC]).all()))
+           and bool(gfmat.MatSet(ring, UZ).contains(E.elements[CC]).all()))
     dc2 = None
     if exceptional:
         # U1, U2: long roots adjacent to alpha in a C2 subsystem
         bound = root_product_center(rep, ring, (alpha, *_adjacent_longs(sys, alpha)), group=E)
-        dc2 = bool(gfmat.MatSet(bound).contains(E.elements[ZC]).all())
+        dc2 = bool(gfmat.MatSet(ring, bound).contains(E.elements[ZC]).all())
     sizes = {
         "C_u": int(len(C)),
         "CC_u": int(len(CC)),
@@ -455,7 +455,7 @@ def sp4_phi_set(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
     base = gfmat.from_int_matrix(ring, _e(d, pos(1), pos(-1)) - _e(d, pos(-2), pos(2)))
     ident = rep.identity(ring)
     out = [ring.add_t[ident, ring.mul_t[r, base]] for r in ring.elements()]
-    return gfmat.MatSet.unique(np.stack(out))
+    return gfmat.MatSet.unique(ring, np.stack(out))
 
 
 def sp4_xi_matrix(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
@@ -493,13 +493,12 @@ def verify_dc_exceptional_sp4(ring: FiniteRing) -> dict:
     codes = np.arange(ring.size, dtype=ring.dtype)
     U = rep.x_batch(ring, alpha, codes)
     pm = gfmat.MatSet.unique(
-        np.stack([gfmat.scalar_mat(ring, rep.dim, ring.one), gfmat.scalar_mat(ring, rep.dim, ring.neg(ring.one))])
-    )
+        ring, np.stack([gfmat.scalar_mat(ring, rep.dim, c) for c in (ring.one, ring.neg(ring.one))]))
     pmU = product_set(ring, [pm, U])
     pmUphi = product_set(ring, [pm, U, sp4_phi_set(rep, ring)])
     prof = hypothesis_profile(ring)
-    in_pmU = gfmat.MatSet(pmU).contains(ZC).all()
-    in_pmUphi = gfmat.MatSet(pmUphi).contains(ZC).all()
+    in_pmU = gfmat.MatSet(ring, pmU).contains(ZC).all()
+    in_pmUphi = gfmat.MatSet(ring, pmUphi).contains(ZC).all()
     xi = sp4_xi_matrix(rep, ring)
     xi_centralizes = bool(
         (gfmat.mat_mul(ring, xi, v) == gfmat.mat_mul(ring, v, xi)).all()
@@ -550,7 +549,7 @@ def verify_witness_centralizer(rep: MatrixRep, ring: FiniteRing, alpha: int) -> 
             Y.extend(rep.x_batch(ring, delta, codes[codes != ring.zero]))
     CY = centralizer_by_commutant(rep, ring, Y)
     UZ = root_product_center(rep, ring, (alpha,))
-    contained = gfmat.MatSet(UZ).contains(CY).all()
+    contained = gfmat.MatSet(ring, UZ).contains(CY).all()
     return {
         "C_Y_size": int(len(CY)),
         "UZ_size": int(len(UZ)),

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from chevalley import gfmat
 from chevalley.chevgroup import (
-    adjoint_rep, center_set, centralizer_indices, classical_rep, commutator_word,
-    root_element_generators, torus_set, verify_bruhat, weyl_elements,
+    adjoint_rep, center_set, centralizer_indices, classical_rep, commutant_group_points, commutator_word,
+    linear_commutant, root_element_generators, torus_set, verify_bruhat, weyl_elements,
 )
 from chevalley.rings import GF, Zmod
 from chevalley.rootsys import commutator_template, structure_constants
@@ -111,6 +111,17 @@ def test_torus_and_center_sizes(group_of):
     assert len(center_set(E4.rep, E4.ring, group=E4)) == 3  # cube roots of 1
     E2 = group_of("classical", "A", 2, 2)
     assert len(center_set(E2.rep, E2.ring, group=E2)) == 1
+
+
+def test_linear_commutant_is_exact_over_f4(group_of):
+    # y = x_0(w) with w = code 2, a root of X^2 + X + 1: reading the code as
+    # the integer 2 would make y the identity mod 2, and C(y) all of SL3(F4)
+    E = group_of("classical", "A", 2, 4)
+    y = E.rep.x(E.ring, 0, E.ring.dtype(2))
+    got = commutant_group_points(E.rep, E.ring, linear_commutant(E.rep, E.ring, [y]))
+    want = E.elements[centralizer_indices(E.ring, E.elements, [y])]
+    assert len(want) == 192
+    assert len(got) == len(want) and gfmat.MatSet(E.ring, want).contains(got).all()
 
 
 @pytest.mark.parametrize("t", ["A", "C"], ids=["SL3(F3)", "Sp4(F3)"])

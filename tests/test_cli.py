@@ -135,6 +135,7 @@ def test_run_prints_the_rendered_suite_report(capsys):
     (["check-witness", "--type", "G", "--rank", "2", "--field", "3"], "supports types A, B, C, D"),
     (["check-witness", "--type", "E", "--rank", "6", "--field", "3"], "got 'E'"),
     (["check-witness", "--type", "F", "--rank", "4", "--field", "3"], "got 'F'"),
+    (["check-witness", "--type", "A", "--rank", "2", "--field", "3", "--set", "X1"], "is for type C"),
     (["check-adelic", "--primes="], "at least one prime"),
     (["check-adelic", "--primes=,"], "at least one prime"),
     (["check-dc", "--group", "SL3", "--field", "2", "--root", "short"], "no short root"),
@@ -143,7 +144,7 @@ def test_run_prints_the_rendered_suite_report(capsys):
     (["eval-formula", "--group", "SL3", "--field", "2", "--formula", "x=@1", "--params", "h(0,0)"],
      "needs a unit"),
 ], ids=["over-budget", "malformed-formula", "unknown-group", "auto-set-G", "auto-set-E", "auto-set-F",
-        "no-primes", "no-primes-comma", "no-short-root", "root-out-of-range", "h-of-non-unit"])
+        "set-for-another-type", "no-primes", "no-primes-comma", "no-short-root", "root-out-of-range", "h-of-non-unit"])
 def test_refused_input_exits_2_with_one_line(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

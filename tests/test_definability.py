@@ -183,7 +183,7 @@ class _SL2F3:
         mats = [m for m in itertools.product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3 == 1]
         self.elements = np.array(mats, dtype=self.ring.dtype).reshape(-1, 2, 2)
         self.order = len(self.elements)
-        self._set = gfmat.MatSet(self.elements)
+        self._set = gfmat.MatSet(self.ring, self.elements)
         a, b, c, d = (self.elements[:, i, j].astype(int) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
         adjugate = np.stack([d, -b % 3, -c % 3, a], axis=-1).reshape(-1, 2, 2)
         self.inv_idx = self.idx(adjugate)

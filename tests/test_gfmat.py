@@ -47,10 +47,10 @@ def test_matset_against_bytes_oracle(name, d, n, seed):
             number[_oracle_key(m)] = len(first)
             first.append(i)
 
-    uniq = MatSet.unique(mats)
+    uniq = MatSet.unique(ring, mats)
     assert np.array_equal(uniq, mats[first])
 
-    s = MatSet(mats)
+    s = MatSet(ring, mats)
     assert len(s) == len(first)
     got = s.index(mats)
     assert got.shape == (n,)
@@ -80,7 +80,7 @@ def test_matset_against_bytes_oracle(name, d, n, seed):
     srt = s.sorted()
     assert srt.dtype == ring.dtype
     assert [tuple(int(v) for v in m.ravel()) for m in srt] == entries
-    assert np.array_equal(np.argsort(MatSet.keys(srt), kind="stable"), np.arange(len(srt)))
+    assert np.array_equal(np.argsort(MatSet.keys(ring, srt), kind="stable"), np.arange(len(srt)))
 
 
 def test_matset_keys_uint16_are_big_endian():
@@ -88,8 +88,76 @@ def test_matset_keys_uint16_are_big_endian():
     a = np.array([[1, 0], [0, 0]], dtype=ring.dtype)
     b = np.array([[256, 0], [0, 0]], dtype=ring.dtype)
     # little-endian bytes would put b = (256, ...) before a = (1, ...)
-    assert np.argsort(MatSet.keys(np.stack([b, a]))).tolist() == [1, 0]
-    assert np.array_equal(MatSet(np.stack([b, a])).sorted(), np.stack([a, b]))
+    assert np.argsort(MatSet.keys(ring, np.stack([b, a]))).tolist() == [1, 0]
+    assert np.array_equal(MatSet(ring, np.stack([b, a])).sorted(), np.stack([a, b]))
+
+
+KERNEL_RINGS = {
+    "F4": lambda: GF(4),
+    "F8": lambda: GF(8),
+    "F9": lambda: GF(9),
+    "Z/6": lambda: Zmod(6),
+    "F3xF4": lambda: ProductRing([GF(3), GF(4)]),  # no lift: the table loop
+    "F7xF11": lambda: ProductRing([GF(7), GF(11)]),
+    "F7xF11xF13": lambda: ProductRing([GF(7), GF(11), GF(13)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
+def test_mat_mul_lift_agrees_with_the_table_loop(name):
+    ring = KERNEL_RINGS[name]()  # fresh, so its cached lifts go with it
+    rng = np.random.default_rng(sorted(KERNEL_RINGS).index(name))
+    for d in range(1, 8):
+        A = rng.integers(ring.size, size=(30, d, d)).astype(ring.dtype)
+        B = rng.integers(ring.size, size=(30, d, d)).astype(ring.dtype)
+        # the largest code has the largest lift, so A[0] B[0] reaches the
+        # bound d max(enc)^2 that work_dtype is chosen to hold
+        A[0] = B[0] = ring.size - 1
+        got = gfmat.mat_mul(ring, A, B)
+        assert got.dtype == ring.dtype
+        assert np.array_equal(got, gfmat._mat_mul_tables(ring, A, B)), d
+        # broadcasting leading axes, as the BFS and the scans use them
+        assert np.array_equal(gfmat.mat_mul(ring, A[:5, None], B[None, :4]),
+                              gfmat._mat_mul_tables(ring, A[:5, None], B[None, :4])), d
+        lift = gfmat._lift(ring, d)
+        assert (lift is None) == (name == "F3xF4")
+        assert ring.__dict__["_lifts"][d] is lift  # cached on the ring
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+@pytest.mark.parametrize("total", [32, 33, 64, 65])
+def test_packed_keys_follow_lexicographic_order(bits, total):
+    ring = Zmod(2**bits)  # codes fill all `bits` bits of an entry
+    w = total // bits if total % 32 == 0 else -(-total // bits)  # at or just past the width
+    rng = np.random.default_rng(bits * 100 + total)
+    top = ring.size - 1
+    mats = rng.choice([0, 1, top, top - 1 if top > 1 else 0], size=(300, 1, w)).astype(ring.dtype)
+    mats[:100] = rng.integers(ring.size, size=(100, 1, w))
+    keys = MatSet.keys(ring, mats)
+    assert keys.dtype == (np.uint32 if bits * w <= 32 else np.uint64 if bits * w <= 64 else np.dtype(f"V{w}"))
+    rows = [tuple(int(v) for v in m.ravel()) for m in mats]
+    assert [rows[i] for i in np.argsort(keys, kind="stable")] == sorted(rows)
+    # sorted() unpacks the keys back into the matrices, in that order
+    srt = MatSet(ring, mats).sorted()
+    assert srt.dtype == ring.dtype and srt.shape[1:] == (1, w)
+    assert [tuple(int(v) for v in m.ravel()) for m in srt] == sorted(set(rows))
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_matset_from_the_identity_finds_every_later_code(name):
+    ring, d = RINGS[name], 2
+    s = MatSet(ring, gfmat.identity(ring, d)[None])
+    rng = np.random.default_rng(7)
+    mats = np.concatenate([
+        np.broadcast_to(np.arange(ring.size, dtype=ring.dtype)[:, None, None], (ring.size, d, d)),
+        rng.integers(ring.size, size=(200, d, d)).astype(ring.dtype),
+    ])
+    s.add(mats)
+    number = {}
+    for m in np.concatenate([gfmat.identity(ring, d)[None], mats]):
+        number.setdefault(_oracle_key(m), len(number))
+    assert len(s) == len(number)
+    assert s.index(mats).tolist() == [number[_oracle_key(m)] for m in mats]
 
 
 @pytest.mark.parametrize("q", [4, 5, 9], ids=["F4", "F5", "F9"])
@@ -196,7 +264,7 @@ def test_width_refused_before_the_product_is_built(monkeypatch):
 
     def recording_mat_mul(ring, A, B):
         out = mat_mul(ring, A, B)
-        built.append(out.size * 8)  # mat_mul works in int64
+        built.append(out.size * 8)  # mat_mul works in at most int64
         return out
 
     monkeypatch.setattr(gfmat, "mat_mul", recording_mat_mul)

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chevalley.rings import (
-    GF, ProductRing, Zmod, decompose_square_diff, hypothesis_profile, parse_ring,
-)
+from chevalley.rings import GF, ProductRing, Zmod, decompose_square_diff, hypothesis_profile
 
 RINGS = [GF(4), GF(5), GF(9), Zmod(6), ProductRing([GF(3), GF(4)])]
 
@@ -68,11 +66,6 @@ def test_gf_frobenius():
         for b in [f.dtype(c) for c in range(8)]:
             s = f.add(a, b)
             assert f.mul(s, s) == f.add(f.mul(a, a), f.mul(b, b))
-
-
-@pytest.mark.parametrize("spec,size", [("F5", 5), ("F4", 4), ("Z/6", 6), ("F7xF11", 77)])
-def test_parse_ring(spec, size):
-    assert parse_ring(spec).size == size
 
 
 def test_hypothesis_profile_flags():

@@ -119,17 +119,22 @@ def test_exceptional_sp4_zc_sizes():
     assert res5["ok"] and res5["ZC_size"] == 10
 
 
-@pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
-def test_commutant_centralizer_is_the_enumerated_one(group_of, long):
+@pytest.mark.parametrize("type_label, q, root, code", [
+    ("C", 3, "short", 1), ("C", 3, "long", 1), ("A", 4, "negative", 3),
+], ids=["short", "long", "SL3(F4)-negative"])
+def test_commutant_centralizer_is_the_enumerated_one(group_of, type_label, q, root, code):
     # C(v) from the linear commutant, without the group, against the scan
-    # over the enumerated Sp4(F3)
-    E = group_of("classical", "C", 2, 3)
+    # over the enumerated group; over F4, code 3 is a root of X^2 + X + 1
+    E = group_of("classical", type_label, 2, q)
     sys = E.rep.sys
-    alpha = next(a for a in range(len(sys.roots)) if sys.is_long(a) == long)
-    v = E.rep.x(E.ring, alpha, E.ring.one)
+    if root == "negative":
+        alpha = sys.neg(0)
+    else:
+        alpha = next(a for a in range(len(sys.roots)) if sys.is_long(a) == (root == "long"))
+    v = E.rep.x(E.ring, alpha, E.ring.dtype(code))
     got = centralizer_by_commutant(E.rep, E.ring, [v])
     want = E.elements[centralizer_indices(E.ring, E.elements, [v])]
-    assert len(got) == len(want) and gfmat.MatSet(want).contains(got).all()
+    assert len(got) == len(want) and gfmat.MatSet(E.ring, want).contains(got).all()
 
 
 def test_center_is_scanned_once_per_group(group_of, monkeypatch):
