@@ -96,9 +96,9 @@ class SL2Group:
 
         self._zs = self._central_scalars()
         # elements in lexicographic order, numbered by position
-        self.elements = gfmat.MatSet(ring, self.canon(mats)).sorted()
+        self._set = gfmat.MatSet(ring, self.canon(mats), key_order=True)
+        self.elements = self._set.sorted()
         self.order = len(self.elements)
-        self._set = gfmat.MatSet(ring, self.elements)
         self.inv_idx = self.idx(_adjugate(ring, self.elements))
         self._p_tables = {}  # offset set S -> P table
 

@@ -457,14 +457,19 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None) -> Enumer
     index = gfmat.MatSet(ring, ident)
     elems, dist, parent, genidx = [ident], [[0]], [[-1]], [[-1]]
     frontier, start = ident, 0  # the last level and the index of its first element
-    chunk = max(1, (1 << 22) // (G * d * d))
+    gcat = gmats.transpose(1, 0, 2).reshape(d, G * d)  # the generators side by side
+    rows = gfmat.block_rows(ring, d, G)
     while len(frontier):
         level = len(elems)
         new, par, gen = [], [], []
-        # deduplicate chunk by chunk against everything seen so far, so new
+        # deduplicate block by block against everything seen so far, so new
         # elements come in order of their first (frontier position, generator)
-        for c0 in range(0, len(frontier), chunk):
-            cand = gfmat.mat_mul(ring, frontier[c0:c0 + chunk, None], gmats[None]).reshape(-1, d, d)
+        for c0 in range(0, len(frontier), rows):
+            # one 2-D product; its (i, g) block of d x d is frontier[c0 + i]
+            # gmats[g].  The name is rebound to the copy in candidate order,
+            # so the product is freed before the next block's is built.
+            cand = gfmat.mat_mul(ring, frontier[c0:c0 + rows].reshape(-1, d), gcat)
+            cand = cand.reshape(-1, d, G, d).transpose(0, 2, 1, 3).reshape(-1, d, d)
             gfmat.check_budget("group elements", (len(index) + len(cand), d, d), ring.dtype)
             fresh = index.add(cand)
             new.append(cand[fresh])
@@ -480,25 +485,42 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None) -> Enumer
     dist = np.concatenate(dist)
     parent = np.concatenate(parent)
     genarr = np.concatenate(genidx)
-    # inverses, level by level: inv(e g) = g^-1 inv(e)
+    # inverses, level by level and block by block: inv(e g) = g^-1 inv(e),
+    # with e in an earlier level
     inv_mats = np.empty_like(elements)
     inv_mats[0] = ident[0]
-    for lv in range(1, int(dist.max()) + 1):
-        sel = np.nonzero(dist == lv)[0]
-        inv_mats[sel] = gfmat.mat_mul(ring, ginvs[genarr[sel]], inv_mats[parent[sel]])
+    rows = gfmat.block_rows(ring, d, 1)
+    ends = np.searchsorted(dist, np.arange(1, dist[-1] + 2))  # level lv ends at ends[lv]
+    for lv in range(1, len(ends)):
+        for b0 in range(ends[lv - 1], ends[lv], rows):
+            blk = slice(b0, min(b0 + rows, ends[lv]))
+            inv_mats[blk] = gfmat.mat_mul(ring, ginvs[genarr[blk]], inv_mats[parent[blk]])
     inv_idx = index.index(inv_mats)
     return EnumeratedGroup(rep, ring, elements, index, dist, parent, genarr, inv_idx, labels, gmats)
 
 
 def centralizer_indices(ring: FiniteRing, elements: np.ndarray, mats) -> np.ndarray:
     """Indices of {g in elements : gs = sg for all s in mats}, filtering
-    iteratively so later conditions only scan survivors."""
+    iteratively so later conditions only scan survivors; a condition equal
+    to the identity is skipped.  Each block of survivors g_1, ..., g_m takes
+    two 2-D products: the g_i s stacked as [g_1; ...; g_m] s, and the s g_i
+    side by side as s [g_1 | ... | g_m]."""
+    d = elements.shape[-1]
+    ident = gfmat.identity(ring, d)
+    rows = gfmat.block_rows(ring, d, 1)
     idxs = np.arange(len(elements))
     for s in mats:
-        sub = elements[idxs]
-        left = gfmat.mat_mul(ring, sub, s)
-        right = gfmat.mat_mul(ring, s[None], sub)
-        idxs = idxs[(left == right).all(axis=(-2, -1))]
+        if np.array_equal(s, ident):
+            continue
+        keep = [idxs[:0]]
+        for b0 in range(0, len(idxs), rows):
+            blk = idxs[b0:b0 + rows]
+            sub = elements[blk]
+            gs = gfmat.mat_mul(ring, sub.reshape(-1, d), s).reshape(-1, d, d)
+            sg = gfmat.mat_mul(ring, s, sub.transpose(1, 0, 2).reshape(d, -1)).reshape(d, -1, d)
+            keep.append(blk[(gs == sg.transpose(1, 0, 2)).all(axis=(-2, -1))])
+            del sub, gs, sg  # before the next block's products are built
+        idxs = np.concatenate(keep)
     return idxs
 
 

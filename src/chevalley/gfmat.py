@@ -3,9 +3,9 @@
 Matrices are numpy arrays of ring codes with shape (..., d, d); all leading
 axes broadcast.  `mat_mul` multiplies through one integer lift whenever the
 ring's arithmetic is integer arithmetic.  A lift is (enc, modulus, dec,
-work_dtype), built once per ring and inner dimension d and kept on the ring:
-the product is ``enc[A] @ enc[B]`` in work_dtype, reduced ``%= modulus`` and
-gathered through ``dec`` back into codes.  Three cases:
+work_dtype, float_dtype, float_enc), built once per ring and inner dimension
+d and kept on the ring: the product is ``enc[A] @ enc[B]``, reduced
+``mod modulus`` and gathered through ``dec`` back into codes.  Three cases:
 
 * residues: GF(p) and Z/n need no enc or dec; the modulus is n;
 * Kronecker: GF(p^f) writes the code with base-p digits c_i as sum c_i B^i,
@@ -15,15 +15,24 @@ gathered through ``dec`` back into codes.  Three cases:
 * CRT: a product of residue rings with pairwise-coprime orders is Z/prod n,
   so F7xF11 becomes Z/77; enc and dec map codes to residues and back.
 
-work_dtype is the narrowest of int16, int32 and int64 that holds
-d max(enc)^2, the largest entry of a product.  Other rings (TableRing,
-products such as F3xF4) and rings whose reduce table exceeds the budget go
-through the ring's lookup tables, one gather per inner index; that loop,
-`_mat_mul_tables`, is also the oracle the lifts are tested against.
+Every partial sum of a product lies in [0, d max(enc)^2], the lift's bound.
+A block of products, two 2-D operands whose product holds more than one
+d x d matrix (matrices stacked as rows, or side by side), is one
+floating-point BLAS GEMM, exact because every partial sum is an integer the
+float type represents (Dumas, Giorgi and Pernet, FFLAS and FFPACK, ACM TOMS
+2008): float32 while the bound is below 2^24, float64 while it is below
+2^53, and the integer product past that.  Single products and stacks
+multiply in work_dtype, the narrowest of int16, int32 and int64 that holds
+the bound: a single product gains nothing from BLAS but its call overhead,
+and a float32 stacked matmul measured slower than an int16 one.  Other
+rings (TableRing, products such as F3xF4) and rings whose reduce table
+exceeds the budget go through the ring's lookup tables, one gather per inner
+index; that loop, `_mat_mul_tables`, is also the oracle the lifts are tested
+against.
 
 `MatSet` is the one way to key, deduplicate and look up matrices.
 `check_budget` is the one size policy: every step that builds a large array
-asks it first.
+asks it first, and `block_rows` the one rule that sizes the blocks of a loop.
 """
 
 from __future__ import annotations
@@ -56,7 +65,21 @@ class Lift(NamedTuple):
     enc: np.ndarray | None  # code -> integer, in work_dtype; None: the code itself
     modulus: int | None  # reduce the integer product mod this; None: no reduction
     dec: np.ndarray | None  # reduced product -> code; None: the residue is the code
-    work_dtype: type
+    work_dtype: type  # the integer dtype of single and stacked products
+    float_dtype: type | None  # the BLAS dtype of blocks of products; None: the integer product
+    float_enc: np.ndarray | None  # enc in float_dtype; None: the code itself
+
+
+def _make_lift(enc, modulus, dec, bound: int) -> Lift | None:
+    """The lift whose products have every partial sum in [0, bound], or None
+    when no integer dtype holds the bound."""
+    work = next((dt for dt in (np.int16, np.int32, np.int64) if bound <= np.iinfo(dt).max), None)
+    if work is None:
+        return None
+    # a float type holds every integer up to 2^(nmant + 1) exactly
+    flt = next((dt for dt in (np.float32, np.float64) if bound < 1 << (np.finfo(dt).nmant + 1)), None)
+    return Lift(None if enc is None else enc.astype(work), modulus, dec, work,
+                flt, None if enc is None or flt is None else enc.astype(flt))
 
 
 def _residue_modulus(ring) -> int | None:
@@ -65,11 +88,6 @@ def _residue_modulus(ring) -> int | None:
     if isinstance(ring, Zmod):
         return ring.size
     return None
-
-
-def _work_dtype(bound: int):
-    """The narrowest signed integer dtype holding `bound`, or None."""
-    return next((dt for dt in (np.int16, np.int32, np.int64) if bound <= np.iinfo(dt).max), None)
 
 
 def _kronecker_lift(ring: GF, d: int) -> Lift | None:
@@ -81,9 +99,6 @@ def _kronecker_lift(ring: GF, d: int) -> Lift | None:
         return None
     codes = np.arange(ring.size)
     enc = sum((codes // p**i % p) * B**i for i in range(f))
-    work = _work_dtype(d * int(enc.max()) ** 2)
-    if work is None:
-        return None
     # dec[v] = sum_k (v_k mod p) X^k for the base-B digits v_k of v, summed in
     # the field one digit at a time, the most significant digit last
     digits = np.arange(B) % p
@@ -92,7 +107,7 @@ def _kronecker_lift(ring: GF, d: int) -> Lift | None:
     for _ in range(1, 2 * f - 1):
         xk = ring.mul(xk, p)  # code p is X
         dec = ring.add_t[ring.mul_t[digits, xk][:, None], dec[None, :]].ravel()
-    return Lift(enc.astype(work), None, dec, work)
+    return _make_lift(enc, None, dec, d * int(enc.max()) ** 2)
 
 
 def _crt_lift(ring: ProductRing, d: int) -> Lift | None:
@@ -100,9 +115,6 @@ def _crt_lift(ring: ProductRing, d: int) -> Lift | None:
     if None in mods or math.lcm(*mods) != math.prod(mods):
         return None
     M = math.prod(mods)
-    work = _work_dtype(d * (M - 1) ** 2)
-    if work is None:
-        return None
     # residue r with r = c_i mod n_i for the factor codes c_i of each code
     enc = np.zeros(ring.size, dtype=np.int64)
     for n, c in zip(mods, ring.decode_array(np.arange(ring.size))):
@@ -110,7 +122,7 @@ def _crt_lift(ring: ProductRing, d: int) -> Lift | None:
         enc = (enc + c * e) % M
     dec = np.empty(M, dtype=ring.dtype)
     dec[enc] = np.arange(ring.size)
-    return Lift(enc.astype(work), M, dec, work)
+    return _make_lift(enc, M, dec, d * (M - 1) ** 2)
 
 
 def _lift(ring: FiniteRing, d: int) -> Lift | None:
@@ -120,8 +132,7 @@ def _lift(ring: FiniteRing, d: int) -> Lift | None:
     if d not in lifts:
         n = _residue_modulus(ring)
         if n is not None:
-            work = _work_dtype(d * (n - 1) ** 2)
-            lifts[d] = None if work is None else Lift(None, n, None, work)
+            lifts[d] = _make_lift(None, n, None, d * (n - 1) ** 2)
         elif isinstance(ring, GF):
             lifts[d] = _kronecker_lift(ring, d)
         elif isinstance(ring, ProductRing):
@@ -132,16 +143,22 @@ def _lift(ring: FiniteRing, d: int) -> Lift | None:
 
 
 def mat_mul(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    lift = _lift(ring, A.shape[-1])
+    d = A.shape[-1]
+    lift = _lift(ring, d)
     if lift is None:
         return _mat_mul_tables(ring, A, B)
-    enc, modulus, dec, work = lift
-    if enc is None:
-        C = A.astype(work) @ B.astype(work)
+    enc, modulus, dec, work, flt, fenc = lift
+    if flt is not None and A.ndim == B.ndim == 2 and A.shape[0] * B.shape[1] > d * d:
+        # a block of products, stacked or side by side: one GEMM
+        C = (A.astype(flt) @ B.astype(flt) if fenc is None else fenc[A] @ fenc[B]).astype(work)
+        if modulus is not None:
+            # C >= 0; numpy divides by a scalar with a multiply and shift,
+            # where % divides entry by entry
+            C -= C // modulus * modulus
     else:
-        C = enc[A] @ enc[B]
-    if modulus is not None:
-        C %= modulus
+        C = A.astype(work) @ B.astype(work) if enc is None else enc[A] @ enc[B]
+        if modulus is not None:
+            C %= modulus
     return C.astype(ring.dtype) if dec is None else dec[C]
 
 
@@ -156,6 +173,15 @@ def _mat_mul_tables(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarra
         term = ring.mul_t[A[..., :, t, None], B[..., None, t, :]]
         C = term if C is None else ring.add_t[C, term]
     return C
+
+
+def block_rows(ring: FiniteRing, d: int, per_row: int) -> int:
+    """Rows per block of a loop whose rows each make per_row d x d products:
+    one block's product, in the dtype `mat_mul` computes a block of products
+    in, holds at most BUDGET_BYTES / 32 bytes (2^22 int16 entries)."""
+    lift = _lift(ring, d)
+    dtype = ring.dtype if lift is None else lift.float_dtype or lift.work_dtype
+    return max(1, (BUDGET_BYTES >> 5) // (per_row * d * d * np.dtype(dtype).itemsize))
 
 
 def mat_mul_many(ring, mats) -> np.ndarray:
@@ -216,7 +242,8 @@ def mat_inv(ring: FiniteRing, A: np.ndarray) -> np.ndarray:
 
 def rref(ring: FiniteRing, A: np.ndarray):
     """Reduced row echelon form over a field; returns (R, pivot column list)."""
-    assert ring.is_field
+    if not ring.is_field:
+        raise ValueError(f"row reduction needs a field, not {ring.name}")
     M = A.copy()
     rows, cols = M.shape
     pivots = []
@@ -268,7 +295,7 @@ def span_elements(ring: FiniteRing, basis: np.ndarray) -> np.ndarray:
 
 class MatSet:
     """A set of distinct d x d matrices over a ring, numbered in order of
-    first insertion.
+    first insertion, or with key_order in key order.
 
     The key of a matrix packs its entries big-endian, each into
     b = ceil(log2 |R|) bits, first entry most significant: a ``u32`` when
@@ -277,16 +304,23 @@ class MatSet:
     a byte string.  Either way sorted keys follow the lexicographic order of
     the entries, and the layout depends only on the ring and the shape, so
     a set started from any matrices keys every later code alike.  This class
-    is the only place that builds such a key.  Lookups are batched: sort and
-    ``searchsorted`` over the sorted keys."""
+    is the only place that builds such a key.  Deduplication is one unstable
+    argsort of the keys (`_first_unique`), lookups a ``searchsorted`` over
+    the sorted keys.  The matrices a set is fed come from `mat_mul`, which
+    multiplies blocks of products in float32 or float64 BLAS, exactly by the
+    bound in the module docstring, so a BFS block and a single product of
+    the same matrices give the same codes and the same keys."""
 
-    def __init__(self, ring: FiniteRing, mats: np.ndarray):
+    def __init__(self, ring: FiniteRing, mats: np.ndarray, key_order: bool = False):
         mats = np.asarray(mats)
         self.ring = ring
         self.shape = mats.shape[-2:]
-        self._keys, first = np.unique(self.keys(ring, mats.reshape(-1, *self.shape)), return_index=True)
-        self._num = np.empty(len(first), dtype=np.int64)  # number of each sorted key
-        self._num[np.argsort(first)] = np.arange(len(first))
+        self._keys, first = _first_unique(self.keys(ring, mats.reshape(-1, *self.shape)))
+        if key_order:
+            self._num = np.arange(len(first))  # number of each sorted key
+        else:
+            self._num = np.empty(len(first), dtype=np.int64)
+            self._num[np.argsort(first)] = np.arange(len(first))
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -310,7 +344,7 @@ class MatSet:
     @staticmethod
     def unique(ring: FiniteRing, mats: np.ndarray) -> np.ndarray:
         """The distinct matrices of a stack, each at its first occurrence, in order."""
-        _, first = np.unique(MatSet.keys(ring, mats), return_index=True)
+        _, first = _first_unique(MatSet.keys(ring, mats))
         return mats[np.sort(first)]
 
     def _find(self, keys: np.ndarray):
@@ -337,7 +371,7 @@ class MatSet:
         once, numbered in order of first occurrence.  Returns the positions
         in `mats` of the inserted ones, ascending."""
         keys = self.keys(self.ring, np.asarray(mats).reshape(-1, *self.shape))
-        uniq, first = np.unique(keys, return_index=True)
+        uniq, first = _first_unique(keys)
         fresh = ~self._find(uniq)[1]
         uniq, first = uniq[fresh], first[fresh]
         rank = np.empty(len(first), dtype=np.int64)
@@ -360,6 +394,18 @@ class MatSet:
         for i, weight in enumerate(weights):  # one entry at a time, to build no (n, w) keys
             flat[:, i] = self._keys // weight & mask
         return flat.reshape(-1, *self.shape)
+
+
+def _first_unique(keys: np.ndarray):
+    """np.unique(keys, return_index=True) through one unstable argsort: the
+    sorted distinct keys, and the first position of each, the least of its
+    run of equal keys in whatever order the sort leaves that run."""
+    perm = np.argsort(keys)
+    srt = keys[perm]
+    starts = np.ones(len(srt), dtype=bool)
+    starts[1:] = srt[1:] != srt[:-1]
+    starts = np.flatnonzero(starts)
+    return srt[starts], np.minimum.reduceat(perm, starts)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chevalley import adelic
+from chevalley import adelic, gfmat
 from chevalley.adelic import (
     SL2Group, adelic_report, centralizer_H, define_AT, define_U, define_W, gamma1_factor,
     gamma1_report, h_set, higher_rank_width, k_alpha_product, make_tau,
@@ -293,3 +293,29 @@ def test_idx_raises_key_error_off_group(g7):
     with pytest.raises(KeyError):
         g7.idx(np.stack([g7.elements[3], bad]))
     assert g7.idx(g7.elements[[9, 2]]).tolist() == [9, 2]
+
+
+@pytest.mark.parametrize("mode", SL2Group.MODES)
+@pytest.mark.parametrize("ring", [F7, ProductRing([GF(7), GF(11)])], ids=["F7", "F7xF11"])
+def test_sl2_group_keys_its_elements_once(ring, mode, monkeypatch):
+    # one MatSet, numbered in key order, gives the elements, indices and
+    # inverses of two sets (one to sort, one to number the sorted rows)
+    built = []
+    init = gfmat.MatSet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gfmat.MatSet, "__init__", counting_init)
+    G = SL2Group(ring, mode)
+    assert len(built) == 1
+    monkeypatch.undo()
+
+    mats = adelic._componentwise(ring, [adelic._sl2_field(f) for f in adelic._field_factors(ring)])
+    elements = gfmat.MatSet(ring, G.canon(mats)).sorted()
+    numbered = gfmat.MatSet(ring, elements)
+    assert np.array_equal(G.elements, elements)
+    assert np.array_equal(G.inv_idx, numbered.index(G.canon(adelic._adjugate(ring, elements))))
+    sample = mats[np.random.default_rng(5).integers(len(mats), size=500)]
+    assert np.array_equal(G.idx(sample), numbered.index(G.canon(sample)))

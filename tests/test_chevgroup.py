@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from chevalley import gfmat
 from chevalley.chevgroup import (
     adjoint_rep, center_set, centralizer_indices, classical_rep, commutant_group_points, commutator_word,
-    linear_commutant, root_element_generators, torus_set, verify_bruhat, weyl_elements,
+    enumerate_group, linear_commutant, root_element_generators, torus_set, verify_bruhat, weyl_elements,
 )
 from chevalley.rings import GF, Zmod
 from chevalley.rootsys import commutator_template, structure_constants
@@ -124,12 +124,12 @@ def test_linear_commutant_is_exact_over_f4(group_of):
     assert len(got) == len(want) and gfmat.MatSet(E.ring, want).contains(got).all()
 
 
-@pytest.mark.parametrize("t", ["A", "C"], ids=["SL3(F3)", "Sp4(F3)"])
-def test_centralizer_indices_against_pairwise_oracle(group_of, t):
-    # random stacks (short words, which commute with root elements often,
-    # and arbitrary elements) against 0-4 conditions (root elements and
-    # arbitrary elements), compared pair by pair with integer products mod 3
-    E = group_of("classical", t, 2, 3)
+def _scan_against_pairwise_oracle(E, with_identity=False) -> int:
+    """Scan random stacks (short words, which commute with root elements
+    often, and arbitrary elements) against 0-4 conditions (root elements and
+    arbitrary elements, and the identity at a random place when asked),
+    compared pair by pair with integer products mod 3; returns how many
+    scans kept a proper nonempty part of their stack."""
     ring, sys = E.ring, E.rep.sys
     rng = np.random.default_rng(3)
     short = np.nonzero(E.dist <= 2)[0]
@@ -139,12 +139,47 @@ def test_centralizer_indices_against_pairwise_oracle(group_of, t):
             stack = E.elements[np.concatenate([rng.choice(short, 60), rng.choice(E.order, 20)])]
             conds = [E.rep.x(ring, int(rng.integers(len(sys.roots))), ring.dtype(rng.integers(1, 3)))
                      if rng.random() < 0.75 else E.elements[rng.integers(E.order)] for _ in range(k)]
+            if with_identity:
+                conds.insert(int(rng.integers(k + 1)), E.elements[0])
             want = [i for i, g in enumerate(stack.astype(np.int64))
                     if all(((g @ c) % 3 == (c @ g) % 3).all() for c in np.asarray(conds, dtype=np.int64))]
             got = centralizer_indices(ring, stack, conds)
             assert got.tolist() == want
             proper += 0 < len(want) < len(stack)
-    assert proper >= 4
+    return proper
+
+
+@pytest.mark.parametrize("t", ["A", "C"], ids=["SL3(F3)", "Sp4(F3)"])
+def test_centralizer_indices_against_pairwise_oracle(group_of, t):
+    assert _scan_against_pairwise_oracle(group_of("classical", t, 2, 3)) >= 4
+
+
+@pytest.mark.parametrize("t", ["A", "C"], ids=["SL3(F3)", "Sp4(F3)"])
+def test_centralizer_indices_in_blocks_against_pairwise_oracle(group_of, t, monkeypatch):
+    # a 16 KiB budget cuts each stack of 80 into blocks of a few rows
+    E = group_of("classical", t, 2, 3)
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 1 << 14)
+    assert gfmat.block_rows(E.ring, E.rep.dim, 1) < 20
+    assert _scan_against_pairwise_oracle(E, with_identity=True) >= 4
+    # the identity costs no product
+    calls = []
+    monkeypatch.setattr(gfmat, "mat_mul", lambda *args: calls.append(1))
+    assert centralizer_indices(E.ring, E.elements, [E.elements[0]]).tolist() == list(range(E.order))
+    assert calls == []
+
+
+@pytest.mark.parametrize("t,q", [("A", 3), ("A", 4), ("C", 3)], ids=["SL3(F3)", "SL3(F4)", "Sp4(F3)"])
+def test_enumeration_through_the_table_loop_is_the_same(group_of, t, q, monkeypatch):
+    # the table loop in place of every product, and blocks of a few rows (a
+    # 1 MiB budget), give the BFS of the float products in full blocks
+    E = group_of("classical", t, 2, q)
+    monkeypatch.setattr(gfmat, "mat_mul", gfmat._mat_mul_tables)
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 1 << 20)
+    F = enumerate_group(E.rep, GF(q))
+    widest = np.bincount(F.dist).max()
+    assert gfmat.block_rows(F.ring, F.rep.dim, len(F.gens)) < gfmat.block_rows(F.ring, F.rep.dim, 1) < widest
+    for attr in ("elements", "dist", "parent", "genidx", "inv_idx"):
+        assert np.array_equal(getattr(F, attr), getattr(E, attr)), attr
 
 
 def test_bruhat_uniqueness_sl3_f2(group_of):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +155,19 @@ def test_refused_input_exits_2_with_one_line(argv, message, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("chevalley: error: ") and message in line
+
+
+def test_check_dc_json_is_the_same_under_any_hash_seed():
+    # MatSet deduplicates through an unstable sort; the report may depend on
+    # neither the hash seed nor the order such a sort leaves equal keys in
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "chevalley.cli", "--format", "json", "check-dc",
+                               "--group", "SL3", "--field", "3"], capture_output=True, env=env, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    (check,) = json.loads(outs[0])["checks"]
+    assert check["status"] == "pass" and check["data"]["order"] == 5616

@@ -93,6 +93,7 @@ def test_matset_keys_uint16_are_big_endian():
 
 
 KERNEL_RINGS = {
+    "F2": lambda: GF(2),
     "F4": lambda: GF(4),
     "F8": lambda: GF(8),
     "F9": lambda: GF(9),
@@ -100,6 +101,7 @@ KERNEL_RINGS = {
     "F3xF4": lambda: ProductRing([GF(3), GF(4)]),  # no lift: the table loop
     "F7xF11": lambda: ProductRing([GF(7), GF(11)]),
     "F7xF11xF13": lambda: ProductRing([GF(7), GF(11), GF(13)]),
+    "Z/2048": lambda: Zmod(2048),  # d 2047^2 passes 2^24 from d = 5 on
 }
 
 
@@ -116,12 +118,47 @@ def test_mat_mul_lift_agrees_with_the_table_loop(name):
         got = gfmat.mat_mul(ring, A, B)
         assert got.dtype == ring.dtype
         assert np.array_equal(got, gfmat._mat_mul_tables(ring, A, B)), d
-        # broadcasting leading axes, as the BFS and the scans use them
+        # broadcasting leading axes, as product_set and the width product use them
         assert np.array_equal(gfmat.mat_mul(ring, A[:5, None], B[None, :4]),
                               gfmat._mat_mul_tables(ring, A[:5, None], B[None, :4])), d
         lift = gfmat._lift(ring, d)
         assert (lift is None) == (name == "F3xF4")
         assert ring.__dict__["_lifts"][d] is lift  # cached on the ring
+        if lift is not None:
+            top = ring.size - 1 if lift.enc is None else int(lift.enc.max())
+            assert lift.float_dtype == (np.float32 if d * top**2 < 2**24 else np.float64), d
+        # a block of products as one BLAS product: stacked rows times
+        # matrices side by side, the shapes of the BFS and the scans; and a
+        # single product of 2-D operands, which stays on the integer path
+        A2, B2 = A.reshape(-1, d), B.transpose(1, 0, 2).reshape(d, -1)
+        for X, Y in ((A2, B2), (A[0], B[0])):
+            got = gfmat.mat_mul(ring, X, Y)
+            assert got.dtype == ring.dtype
+            assert np.array_equal(got, gfmat._mat_mul_tables(ring, X, Y)), d
+
+
+@pytest.mark.parametrize("kind", ["u32", "u64", "void"])
+@pytest.mark.parametrize("n", [500, 0, 1, 40], ids=["random", "empty", "single", "all-equal"])
+def test_first_unique_is_np_unique(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "void":
+        keys = rng.integers(3, size=(n, 5)).astype(np.uint8).view("V5").ravel()
+    else:
+        dtype = np.uint32 if kind == "u32" else np.uint64
+        pool = rng.integers(np.iinfo(dtype).max, size=30, dtype=dtype)
+        keys = pool[rng.integers(len(pool), size=n)]
+    if n == 40:
+        keys[:] = keys[0]
+    uniq, first = gfmat._first_unique(keys)
+    want_uniq, want_first = np.unique(keys, return_index=True)
+    assert uniq.dtype == keys.dtype and np.array_equal(uniq, want_uniq)
+    assert np.array_equal(first, want_first)
+
+
+def test_nullspace_over_a_ring_that_is_not_a_field_raises():
+    ring = Zmod(6)
+    with pytest.raises(ValueError, match="needs a field"):
+        gfmat.nullspace(ring, np.array([[2, 3, 0]], dtype=ring.dtype))
 
 
 @pytest.mark.parametrize("bits", range(1, 9))
