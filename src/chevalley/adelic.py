@@ -511,7 +511,6 @@ def k_alpha_product(G: SL2Group) -> dict:
     alternate, so R_{k-1} F_{k+1} = R_{k-1} F_{k-1} = R_{k-1} lies in R_k:
     R_{k+1} = R_k | (R_k - R_{k-1}) F_{k+1}, and each stage multiplies only
     the elements that were new at the stage before."""
-    chunk = 1 << 18
     V, U = v_set(G), u_set(G)
     for name, F in (("V", V), ("U", U)):
         if not np.array_equal(np.unique(G.idx(G.mul(F[:, None], F[None]))), np.sort(G.idx(F))):
@@ -521,8 +520,9 @@ def k_alpha_product(G: SL2Group) -> dict:
     sizes = []
     for fac in [V, U] * 4:
         before = mask.copy()
-        for lo in range(0, len(new), chunk):
-            mask[G.idx(gfmat.mat_mul(G.ring, new[lo:lo + chunk, None], fac[None]))] = True
+        rows = gfmat.block_rows(G.ring, 2, len(fac))
+        for lo in range(0, len(new), rows):
+            mask[G.idx(gfmat.mat_mul(G.ring, new[lo:lo + rows, None], fac[None]))] = True
         new = G.elements[mask & ~before]
         sizes.append(int(mask.sum()))
     covered = sizes[-1] == G.order

@@ -14,9 +14,9 @@ characteristic.  Both constructions are calibrated against the same
 structure-constant table and abort if any bracket disagrees.
 
 Also here: group enumeration by BFS (with word data used for width
-measurements), the one centralizer scan over a stack of matrices, the
-bound U_{a_1}...U_{a_k}Z as an explicit set, and the Bruhat factorization
-check.
+measurements), centralizers as the elements of a stack inside the linear
+commutant of the conditions, the bound U_{a_1}...U_{a_k}Z as an explicit
+set, and the Bruhat factorization check.
 """
 
 from __future__ import annotations
@@ -500,46 +500,41 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None) -> Enumer
 
 
 def centralizer_indices(ring: FiniteRing, elements: np.ndarray, mats) -> np.ndarray:
-    """Indices of {g in elements : gs = sg for all s in mats}, filtering
-    iteratively so later conditions only scan survivors; a condition equal
-    to the identity is skipped.  Each block of survivors g_1, ..., g_m takes
-    two 2-D products: the g_i s stacked as [g_1; ...; g_m] s, and the s g_i
-    side by side as s [g_1 | ... | g_m]."""
+    """Indices of {g in elements : gs = sg for all s in mats} over a field:
+    the elements inside the linear commutant of mats."""
     d = elements.shape[-1]
-    ident = gfmat.identity(ring, d)
+    basis = linear_commutant(ring, np.asarray(mats, dtype=ring.dtype).reshape(-1, d, d))
+    return commutant_indices(ring, elements, basis)
+
+
+def linear_commutant(ring: FiniteRing, mats: np.ndarray) -> np.ndarray:
+    """Row-reduced basis, shape (k, d^2), of the matrix subspace
+    {m : ms = sm for all s in mats} over a field, for a (n, d, d) stack;
+    rows are flattened d x d matrices.  The commutant of mats is that of a
+    basis of their span, so it shrinks from the full space one basis matrix
+    b at a time: c K commutes with b exactly when c (K b - b K) = 0."""
+    d = mats.shape[-1]
+    _, span = gfmat.rref(ring, mats.reshape(-1, d * d).T)  # the pivot columns: a basis of the span
+    K = gfmat.identity(ring, d * d)
+    for b in mats[span]:
+        Km = K.reshape(-1, d, d)
+        D = ring.add_t[gfmat.mat_mul(ring, Km, b), ring.neg_t[gfmat.mat_mul(ring, b, Km)]]
+        K = gfmat.mat_mul(ring, gfmat.nullspace(ring, D.reshape(len(K), -1).T), K)
+    return gfmat.rref(ring, K)[0]
+
+
+def commutant_indices(ring: FiniteRing, elements: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Indices of the elements whose flattened matrix lies in the span of a
+    row-reduced basis.  With P the basis's pivot columns, v lies in the span
+    exactly when v = v[P] basis: one 2-D product per block of elements."""
+    d = elements.shape[-1]
+    pivots = np.argmax(basis != ring.zero, axis=1)
     rows = gfmat.block_rows(ring, d, 1)
-    idxs = np.arange(len(elements))
-    for s in mats:
-        if np.array_equal(s, ident):
-            continue
-        keep = [idxs[:0]]
-        for b0 in range(0, len(idxs), rows):
-            blk = idxs[b0:b0 + rows]
-            sub = elements[blk]
-            gs = gfmat.mat_mul(ring, sub.reshape(-1, d), s).reshape(-1, d, d)
-            sg = gfmat.mat_mul(ring, s, sub.transpose(1, 0, 2).reshape(d, -1)).reshape(d, -1, d)
-            keep.append(blk[(gs == sg.transpose(1, 0, 2)).all(axis=(-2, -1))])
-            del sub, gs, sg  # before the next block's products are built
-        idxs = np.concatenate(keep)
-    return idxs
-
-
-def linear_commutant(rep: MatrixRep, ring: FiniteRing, Y) -> np.ndarray:
-    """Basis of the matrix subspace {m : my = ym for all y in Y} over a
-    field, by exact kernel computation; rows are flattened d x d matrices."""
-    d = rep.dim
-    if not len(Y):
-        return gfmat.identity(ring, d * d)
-    eye = np.eye(d, dtype=bool)
-    rows = []
-    for y in Y:
-        y = np.asarray(y, dtype=ring.dtype)
-        # (my - ym)_{ij} as linear forms in m_{kl}: y_{lj} at k = i, and
-        # -y_{ik} at l = j, added in the ring where both land on m_{ij}
-        my = np.where(eye[:, None, :, None], y.T[None, :, None, :], ring.zero)
-        ym = np.where(eye[None, :, None, :], y[:, None, :, None], ring.zero)
-        rows.append(ring.add_t[my, ring.neg_t[ym]].reshape(d * d, d * d))
-    return gfmat.nullspace(ring, np.concatenate(rows, axis=0))
+    keep = [np.arange(0)]
+    for b0 in range(0, len(elements), rows):
+        v = elements[b0:b0 + rows].reshape(-1, d * d)
+        keep.append(b0 + np.flatnonzero((gfmat.mat_mul(ring, v[:, pivots], basis) == v).all(axis=1)))
+    return np.concatenate(keep)
 
 
 def commutant_group_points(rep: MatrixRep, ring: FiniteRing, basis) -> np.ndarray:

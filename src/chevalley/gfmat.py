@@ -404,6 +404,8 @@ def _first_unique(keys: np.ndarray):
     srt = keys[perm]
     starts = np.ones(len(srt), dtype=bool)
     starts[1:] = srt[1:] != srt[:-1]
+    if starts.all():  # no key repeats
+        return srt, perm
     starts = np.flatnonzero(starts)
     return srt[starts], np.minimum.reduceat(perm, starts)
 

@@ -11,10 +11,10 @@ Three families of witnesses:
 * the classical matrix witness sets for SL_n / Sp_2m / O_2m / O_2m+1
   (the sets Y, X1..X5), verified through the linear-commutant route.
 
-verify_dc computes C(u), C(C(u)) and Z(C(u)) on an enumerated group with
-the centralizer scan and compares against U(R)Z(R), or against U.U1.U2.Z(R)
-in the exceptional symplectic short-root case; verify_dc_exceptional_sp4
-checks Z(C(v)) on the linear-commutant set against +-U.phi(R).
+verify_dc keeps the elements of an enumerated group inside the linear
+commutants of u and of C(u), and compares C(C(u)) and Z(C(u)) with U(R)Z(R),
+or U.U1.U2.Z(R) in the exceptional symplectic short-root case;
+verify_dc_exceptional_sp4 checks Z(C(v)) of the commutant set against +-U.phi(R).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .chevgroup import (
     centralizer_indices,
     classical_rep,
     commutant_group_points,
+    commutant_indices,
     linear_commutant,
     product_set,
     root_product_center,
@@ -344,14 +345,14 @@ def _u_short(d, pos, i):
 
 
 def verify_containment(rep: MatrixRep, ring: FiniteRing, ws: WitnessSet) -> dict:
-    """Kernel route: compute the linear commutant of the witness set,
-    enumerate its span, filter by group membership and check containment
-    in U_alpha Z, or U U1 U2 Z for the extra roots of the X2 bound.  For
-    the classical forms the center is {+-1}, so the sharp +-U bounds are
-    the UZ bounds."""
+    """Kernel route: compute the linear commutant of the witness set, check
+    that U_alpha lies inside it, enumerate its span, filter by group
+    membership and check containment in U_alpha Z, or U U1 U2 Z for the
+    extra roots of the X2 bound.  For the classical forms the center is
+    {+-1}, so the sharp +-U bounds are the UZ bounds."""
     xa = rep.x_batch(ring, ws.target_root, np.arange(ring.size, dtype=ring.dtype))
-    commutes = len(centralizer_indices(ring, xa, ws.elements)) == len(xa)
-    basis = linear_commutant(rep, ring, ws.elements)
+    basis = linear_commutant(ring, np.stack(ws.elements))
+    commutes = len(commutant_indices(ring, xa, basis)) == len(xa)
     points = commutant_group_points(rep, ring, basis)
     exp = root_product_center(rep, ring, (ws.target_root, *ws.extra_roots))
     contained = gfmat.MatSet(ring, exp).contains(points).all()
@@ -475,8 +476,7 @@ def sp4_xi_matrix(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
 def centralizer_by_commutant(rep: MatrixRep, ring: FiniteRing, mats) -> np.ndarray:
     """C_{G(R)}(mats) as an explicit set, without enumerating G(R):
     linear commutant followed by the membership filter."""
-    basis = linear_commutant(rep, ring, mats)
-    return commutant_group_points(rep, ring, basis)
+    return commutant_group_points(rep, ring, linear_commutant(ring, np.stack(mats)))
 
 
 def verify_dc_exceptional_sp4(ring: FiniteRing) -> dict:

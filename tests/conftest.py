@@ -7,28 +7,15 @@ import pytest
 from chevalley.chevgroup import adjoint_rep, classical_rep, enumerate_group
 from chevalley.rings import GF
 
-_REPS = {}
 _GROUPS = {}
-
-
-def get_rep(form, type_label, rank):
-    key = (form, type_label, rank)
-    if key not in _REPS:
-        build = classical_rep if form == "classical" else adjoint_rep
-        _REPS[key] = build(type_label, rank)
-    return _REPS[key]
 
 
 def get_group(form, type_label, rank, q):
     key = (form, type_label, rank, q)
     if key not in _GROUPS:
-        _GROUPS[key] = enumerate_group(get_rep(form, type_label, rank), GF(q))
+        rep = (classical_rep if form == "classical" else adjoint_rep)(type_label, rank)
+        _GROUPS[key] = enumerate_group(rep, GF(q))
     return _GROUPS[key]
-
-
-@pytest.fixture(scope="session")
-def rep_of():
-    return get_rep
 
 
 @pytest.fixture(scope="session")

@@ -259,6 +259,15 @@ def test_k_alpha_stage_sizes_are_the_stagewise_product(mode):
     assert k_alpha_product(G)["stage_sizes"] == sizes
 
 
+@pytest.mark.parametrize("mode", SL2Group.MODES)
+def test_k_alpha_stage_sizes_are_the_same_in_small_blocks(mode, monkeypatch):
+    G = SL2Group(F7, mode)
+    want = k_alpha_product(G)["stage_sizes"]
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 1 << 16)  # blocks of 18 rows
+    assert gfmat.block_rows(G.ring, 2, len(u_set(G))) < np.diff(want).max()
+    assert k_alpha_product(G)["stage_sizes"] == want
+
+
 def test_k_alpha_refuses_a_factor_that_is_not_a_subgroup(monkeypatch):
     monkeypatch.setattr(adelic, "u_set", lambda G: u_set(G)[1:])
     with pytest.raises(RuntimeError):

@@ -24,8 +24,8 @@ def test_group_orders(group_of, t, r, q):
     assert E.order == ORDERS[(t, r, q)]
 
 
-def test_one_parameter_subgroup(rep_of):
-    rep = rep_of("classical", "C", 2)
+def test_one_parameter_subgroup():
+    rep = classical_rep("C", 2)
     ring = GF(5)
     for a in range(len(rep.sys.roots)):
         for r in range(5):
@@ -35,9 +35,9 @@ def test_one_parameter_subgroup(rep_of):
                 assert (lhs == rep.x(ring, a, ring.add(ring.dtype(r), ring.dtype(s)))).all()
 
 
-def test_torus_action_character(rep_of):
+def test_torus_action_character():
     # x_b(r) conjugated by h_g(t) is x_b(t^-A(g,b) r)
-    rep = rep_of("classical", "A", 2)
+    rep = classical_rep("A", 2)
     ring = GF(7)
     sys = rep.sys
     for g in range(len(sys.roots)):
@@ -118,54 +118,127 @@ def test_linear_commutant_is_exact_over_f4(group_of):
     # the integer 2 would make y the identity mod 2, and C(y) all of SL3(F4)
     E = group_of("classical", "A", 2, 4)
     y = E.rep.x(E.ring, 0, E.ring.dtype(2))
-    got = commutant_group_points(E.rep, E.ring, linear_commutant(E.rep, E.ring, [y]))
+    got = commutant_group_points(E.rep, E.ring, linear_commutant(E.ring, y[None]))
     want = E.elements[centralizer_indices(E.ring, E.elements, [y])]
     assert len(want) == 192
     assert len(got) == len(want) and gfmat.MatSet(E.ring, want).contains(got).all()
 
 
-def _scan_against_pairwise_oracle(E, with_identity=False) -> int:
-    """Scan random stacks (short words, which commute with root elements
-    often, and arbitrary elements) against 0-4 conditions (root elements and
-    arbitrary elements, and the identity at a random place when asked),
-    compared pair by pair with integer products mod 3; returns how many
-    scans kept a proper nonempty part of their stack."""
-    ring, sys = E.ring, E.rep.sys
+def _commutant_of_condition_rows(ring, Y):
+    """The commutant as one nullspace of every (my - ym) row: (my - ym)_{ij}
+    as linear forms in m_{kl} is y_{lj} at k = i, and -y_{ik} at l = j."""
+    d = Y.shape[-1]
+    eye = np.eye(d, dtype=bool)
+    rows = [np.zeros((0, d * d), dtype=ring.dtype)]
+    for y in Y:
+        my = np.where(eye[:, None, :, None], y.T[None, :, None, :], ring.zero)
+        ym = np.where(eye[None, :, None, :], y[:, None, :, None], ring.zero)
+        rows.append(ring.add_t[my, ring.neg_t[ym]].reshape(d * d, d * d))
+    return gfmat.nullspace(ring, np.concatenate(rows))
+
+
+@pytest.mark.parametrize("case", ["empty", "identity", "dependent", "one", "two"])
+@pytest.mark.parametrize("q", [3, 4, 9], ids=["F3", "F4", "F9"])
+@pytest.mark.parametrize("d", [3, 4])
+def test_linear_commutant_is_the_nullspace_of_the_condition_rows(d, q, case):
+    ring = GF(q)
+    rng = np.random.default_rng(100 * d + q)
+
+    def sparse(n):  # mostly zero, so the commutants are larger than the scalars
+        return (rng.integers(ring.size, size=(n, d, d)) * (rng.random((n, d, d)) < 0.3)).astype(ring.dtype)
+
+    ident = gfmat.identity(ring, d)[None]
+    if case == "empty":
+        Y = sparse(0)
+    elif case == "identity":
+        Y = np.concatenate([sparse(1), ident, sparse(1)])
+    elif case == "dependent":
+        y1, y2 = sparse(2)
+        c = ring.dtype(q - 1)  # outside the prime field for q = 4, 9
+        Y = np.stack([y1, y2, ring.add_t[y1, ring.mul_t[c, y2]], y1])
+    else:
+        Y = sparse(1 if case == "one" else 2)
+    K = linear_commutant(ring, Y)
+    want = _commutant_of_condition_rows(ring, Y)
+    assert np.array_equal(K, gfmat.rref(ring, K)[0])
+    # equal dimension, and each basis lies in the span of the other
+    assert len(K) == len(want) == len(gfmat.rref(ring, np.concatenate([K, want]))[1])
+
+
+def test_centralizer_over_a_ring_that_is_not_a_field_raises():
+    ring = Zmod(6)
+    stack = gfmat.identity(ring, 2)[None]
+    with pytest.raises(ValueError, match="needs a field"):
+        centralizer_indices(ring, stack, stack)
+
+
+def _scan_against_pairwise_oracle(rep, ring, with_identity=False) -> int:
+    """Scan random stacks (words of one or two root elements, which commute
+    with root elements often, and words of six) against 0-4 conditions (root
+    elements and words of six, and the identity at a random place when
+    asked), compared pair by pair through the ring's tables; the words take
+    every nonzero code, so over GF(p^f) their entries leave the prime field.
+    Returns how many scans kept a proper nonempty part of their stack."""
     rng = np.random.default_rng(3)
-    short = np.nonzero(E.dist <= 2)[0]
+    nroots = len(rep.sys.roots)
+
+    def mul(a, b):
+        return gfmat._mat_mul_tables(ring, a, b)
+
+    def word(n):
+        out = rep.identity(ring)
+        for _ in range(n):
+            out = mul(out, rep.x(ring, int(rng.integers(nroots)), ring.dtype(rng.integers(1, ring.size))))
+        return out
+
     proper = 0
     for k in range(5):
         for _ in range(4):
-            stack = E.elements[np.concatenate([rng.choice(short, 60), rng.choice(E.order, 20)])]
-            conds = [E.rep.x(ring, int(rng.integers(len(sys.roots))), ring.dtype(rng.integers(1, 3)))
-                     if rng.random() < 0.75 else E.elements[rng.integers(E.order)] for _ in range(k)]
+            stack = np.stack([word(int(rng.integers(1, 3))) for _ in range(60)] + [word(6) for _ in range(20)])
+            conds = [word(1) if rng.random() < 0.75 else word(6) for _ in range(k)]
             if with_identity:
-                conds.insert(int(rng.integers(k + 1)), E.elements[0])
-            want = [i for i, g in enumerate(stack.astype(np.int64))
-                    if all(((g @ c) % 3 == (c @ g) % 3).all() for c in np.asarray(conds, dtype=np.int64))]
+                conds.insert(int(rng.integers(k + 1)), rep.identity(ring))
+            want = [i for i, g in enumerate(stack) if all((mul(g, c) == mul(c, g)).all() for c in conds)]
             got = centralizer_indices(ring, stack, conds)
             assert got.tolist() == want
             proper += 0 < len(want) < len(stack)
     return proper
 
 
-@pytest.mark.parametrize("t", ["A", "C"], ids=["SL3(F3)", "Sp4(F3)"])
-def test_centralizer_indices_against_pairwise_oracle(group_of, t):
-    assert _scan_against_pairwise_oracle(group_of("classical", t, 2, 3)) >= 4
+@pytest.mark.parametrize("t,q", [("A", 3), ("C", 3), ("A", 4), ("C", 4), ("A", 9)],
+                         ids=["SL3(F3)", "Sp4(F3)", "SL3(F4)", "Sp4(F4)", "SL3(F9)"])
+def test_centralizer_indices_against_pairwise_oracle(t, q):
+    assert _scan_against_pairwise_oracle(classical_rep(t, 2), GF(q)) >= 4
 
 
 @pytest.mark.parametrize("t", ["A", "C"], ids=["SL3(F3)", "Sp4(F3)"])
 def test_centralizer_indices_in_blocks_against_pairwise_oracle(group_of, t, monkeypatch):
     # a 16 KiB budget cuts each stack of 80 into blocks of a few rows
     E = group_of("classical", t, 2, 3)
+    ring, d = E.ring, E.rep.dim
     monkeypatch.setattr(gfmat, "BUDGET_BYTES", 1 << 14)
-    assert gfmat.block_rows(E.ring, E.rep.dim, 1) < 20
-    assert _scan_against_pairwise_oracle(E, with_identity=True) >= 4
-    # the identity costs no product
-    calls = []
-    monkeypatch.setattr(gfmat, "mat_mul", lambda *args: calls.append(1))
-    assert centralizer_indices(E.ring, E.elements, [E.elements[0]]).tolist() == list(range(E.order))
-    assert calls == []
+    assert gfmat.block_rows(ring, d, 1) < 20
+    assert _scan_against_pairwise_oracle(E.rep, ring, with_identity=True) >= 4
+    # no mat_mul operand holds scanned elements, as a stack, stacked as rows
+    # or side by side: the scan multiplies their pivot coordinates (rows of
+    # the commutant's dimension, here 5 or 10) by the commutant basis
+    stack = E.elements[E.dist >= 3]
+    scanned = gfmat.MatSet(ring, stack)
+    operands = []
+    mat_mul = gfmat.mat_mul
+
+    def recording(ring, A, B):
+        operands.extend((A, B))
+        return mat_mul(ring, A, B)
+
+    monkeypatch.setattr(gfmat, "mat_mul", recording)
+    got = centralizer_indices(ring, stack, [E.elements[0], E.rep.x(ring, 0, ring.one)])
+    assert 0 < len(got) < len(stack) and len(operands) >= 2 * (len(stack) // gfmat.block_rows(ring, d, 1))
+    for X in operands:
+        if X.shape[-1] == d:
+            assert not scanned.contains(X.reshape(-1, d, d)).any()
+        if X.ndim == 2 and X.shape[0] == d:
+            assert not scanned.contains(X.reshape(d, -1, d).transpose(1, 0, 2)).any()
 
 
 @pytest.mark.parametrize("t,q", [("A", 3), ("A", 4), ("C", 3)], ids=["SL3(F3)", "SL3(F4)", "Sp4(F3)"])

@@ -138,7 +138,7 @@ def test_mat_mul_lift_agrees_with_the_table_loop(name):
 
 
 @pytest.mark.parametrize("kind", ["u32", "u64", "void"])
-@pytest.mark.parametrize("n", [500, 0, 1, 40], ids=["random", "empty", "single", "all-equal"])
+@pytest.mark.parametrize("n", [500, 0, 1, 40, 30], ids=["random", "empty", "single", "all-equal", "all-distinct"])
 def test_first_unique_is_np_unique(kind, n):
     rng = np.random.default_rng(n)
     if kind == "void":
@@ -149,6 +149,8 @@ def test_first_unique_is_np_unique(kind, n):
         keys = pool[rng.integers(len(pool), size=n)]
     if n == 40:
         keys[:] = keys[0]
+    if n == 30:
+        keys = rng.permutation(np.unique(keys))
     uniq, first = gfmat._first_unique(keys)
     want_uniq, want_first = np.unique(keys, return_index=True)
     assert uniq.dtype == keys.dtype and np.array_equal(uniq, want_uniq)
