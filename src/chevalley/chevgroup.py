@@ -425,13 +425,11 @@ class EnumeratedGroup:
         return out[::-1]
 
 
-def root_element_generators(rep: MatrixRep, ring: FiniteRing, roots=None):
+def root_element_generators(rep: MatrixRep, ring: FiniteRing):
     """The full elementary generator set {x_alpha(r) : r != 0} as
     (labels, matrices, inverse matrices)."""
-    if roots is None:
-        roots = range(len(rep.sys.roots))
     labels, mats, invs = [], [], []
-    for a in roots:
+    for a in range(len(rep.sys.roots)):
         for r in ring.elements():
             if r == ring.zero:
                 continue
@@ -441,22 +439,22 @@ def root_element_generators(rep: MatrixRep, ring: FiniteRing, roots=None):
     return labels, np.stack(mats), np.stack(invs)
 
 
-def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None) -> EnumeratedGroup:
-    """Deterministic BFS closure. `generators` is None (all root elements)
-    or a list of fundamental-root indices restriction, or an explicit
-    (labels, mats, invs) triple."""
-    if generators is None:
-        labels, gmats, ginvs = root_element_generators(rep, ring)
-    elif isinstance(generators, tuple):
-        labels, gmats, ginvs = generators
-    else:
-        labels, gmats, ginvs = root_element_generators(rep, ring, roots=generators)
+def enumerate_group(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
+    """Deterministic BFS closure of the root elements.  Each level multiplies
+    its frontier by every generator, block by block, and keeps the products
+    not met before, in order of their first (frontier position, generator).
+    Whether a product was met is one bit of a bitmap over the key space
+    when that fits the block rule's 8 MiB, else a binary search in the
+    sorted keys met so far (`gfmat.SeenKeys`); the group's `MatSet` is built
+    once, from all the elements."""
+    labels, gmats, ginvs = root_element_generators(rep, ring)
     d = rep.dim
     G = len(gmats)
     ident = rep.identity(ring)[None]
-    index = gfmat.MatSet(ring, ident)
+    seen = gfmat.SeenKeys(ring, d)
+    seen.fresh(gfmat.MatSet.keys(ring, ident))
     elems, dist, parent, genidx = [ident], [[0]], [[-1]], [[-1]]
-    frontier, start = ident, 0  # the last level and the index of its first element
+    frontier, start, count = ident, 0, 1  # the last level, the index of its first element, all elements
     gcat = gmats.transpose(1, 0, 2).reshape(d, G * d)  # the generators side by side
     rows = gfmat.block_rows(ring, d, G)
     while len(frontier):
@@ -465,16 +463,17 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None) -> Enumer
         # deduplicate block by block against everything seen so far, so new
         # elements come in order of their first (frontier position, generator)
         for c0 in range(0, len(frontier), rows):
-            # one 2-D product; its (i, g) block of d x d is frontier[c0 + i]
-            # gmats[g].  The name is rebound to the copy in candidate order,
-            # so the product is freed before the next block's is built.
-            cand = gfmat.mat_mul(ring, frontier[c0:c0 + rows].reshape(-1, d), gcat)
-            cand = cand.reshape(-1, d, G, d).transpose(0, 2, 1, 3).reshape(-1, d, d)
-            gfmat.check_budget("group elements", (len(index) + len(cand), d, d), ring.dtype)
-            fresh = index.add(cand)
-            new.append(cand[fresh])
+            block = frontier[c0:c0 + rows]
+            gfmat.check_budget("group elements", (count + len(block) * G, d, d), ring.dtype)
+            # one 2-D product; cand[i, :, g] is frontier[c0 + i] gmats[g],
+            # keyed in place through the (i, g, d, d) view, and only the
+            # fresh products are copied out
+            cand = gfmat.mat_mul(ring, block.reshape(-1, d), gcat).reshape(-1, d, G, d)
+            fresh = seen.fresh(gfmat.MatSet.keys(ring, cand.transpose(0, 2, 1, 3)).ravel())
+            new.append(cand[fresh // G, :, fresh % G])
             par.append(start + c0 + fresh // G)
             gen.append(fresh % G)
+            count += len(fresh)
         start += len(frontier)
         frontier = np.concatenate(new)
         elems.append(frontier)
@@ -482,9 +481,11 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None) -> Enumer
         parent += par
         genidx += gen
     elements = np.concatenate(elems)
+    del elems  # free the levels before the index is built
     dist = np.concatenate(dist)
     parent = np.concatenate(parent)
-    genarr = np.concatenate(genidx)
+    genidx = np.concatenate(genidx)
+    index = gfmat.MatSet(ring, elements)
     # inverses, level by level and block by block: inv(e g) = g^-1 inv(e),
     # with e in an earlier level
     inv_mats = np.empty_like(elements)
@@ -494,9 +495,9 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing, generators=None) -> Enumer
     for lv in range(1, len(ends)):
         for b0 in range(ends[lv - 1], ends[lv], rows):
             blk = slice(b0, min(b0 + rows, ends[lv]))
-            inv_mats[blk] = gfmat.mat_mul(ring, ginvs[genarr[blk]], inv_mats[parent[blk]])
+            inv_mats[blk] = gfmat.mat_mul(ring, ginvs[genidx[blk]], inv_mats[parent[blk]])
     inv_idx = index.index(inv_mats)
-    return EnumeratedGroup(rep, ring, elements, index, dist, parent, genarr, inv_idx, labels, gmats)
+    return EnumeratedGroup(rep, ring, elements, index, dist, parent, genidx, inv_idx, labels, gmats)
 
 
 def centralizer_indices(ring: FiniteRing, elements: np.ndarray, mats) -> np.ndarray:

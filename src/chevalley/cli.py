@@ -224,6 +224,7 @@ def suite_dc(config: dict, seed: int) -> dict:
         exc = verify_dc_exceptional_sp4(ring)
         s.add(f"Sp4(F{q}) Z(C(v))", "exceptional-symplectic-short-root",
               exc["ok"], size=exc["ZC_size"], expected=exc["expected"])
+    del E  # the last Sp4 group, freed before the F5 check builds its working set
     exc5 = verify_dc_exceptional_sp4(GF(5))
     s.add("Sp4(F5) Z(C(v))", "exceptional-symplectic-short-root", exc5["ok"],
           size=exc5["ZC_size"], expected=exc5["expected"])

@@ -30,7 +30,12 @@ exceeds the budget go through the ring's lookup tables, one gather per inner
 index; that loop, `_mat_mul_tables`, is also the oracle the lifts are tested
 against.
 
-`MatSet` is the one way to key, deduplicate and look up matrices.
+`MatSet` is the one way to key, deduplicate and look up matrices.  A key
+reads the entries as the base-|R| digits of one integer, first entry most
+significant, computed by Horner's rule in place, so it reads any strided
+(..., d, d) view without copying it.  `SeenKeys` is the BFS's record of
+the keys met so far: a bitmap over the whole key space when that fits the
+block rule, else the sorted keys.
 `check_budget` is the one size policy: every step that builds a large array
 asks it first, and `block_rows` the one rule that sizes the blocks of a loop.
 """
@@ -295,29 +300,37 @@ def span_elements(ring: FiniteRing, basis: np.ndarray) -> np.ndarray:
 
 class MatSet:
     """A set of distinct d x d matrices over a ring, numbered in order of
-    first insertion, or with key_order in key order.
+    first occurrence, or with key_order in key order.
 
-    The key of a matrix packs its entries big-endian, each into
-    b = ceil(log2 |R|) bits, first entry most significant: a ``u32`` when
-    b d^2 <= 32 bits, a ``u64`` when it is <= 64.  Past 64 bits the key is
-    the entries' big-endian bytes as one fixed-width ``np.void``, compared as
-    a byte string.  Either way sorted keys follow the lexicographic order of
-    the entries, and the layout depends only on the ring and the shape, so
-    a set started from any matrices keys every later code alike.  This class
-    is the only place that builds such a key.  Deduplication is one unstable
-    argsort of the keys (`_first_unique`), lookups a ``searchsorted`` over
-    the sorted keys.  The matrices a set is fed come from `mat_mul`, which
-    multiplies blocks of products in float32 or float64 BLAS, exactly by the
-    bound in the module docstring, so a BFS block and a single product of
-    the same matrices give the same codes and the same keys."""
+    The key of a matrix reads its entries c_0, ..., c_{w-1} (w = d^2, row by
+    row) as base-|R| digits, first entry most significant:
+    sum c_i |R|^(w-1-i), a ``u32`` when |R|^w <= 2^32 and a ``u64`` when
+    |R|^w <= 2^64.  Past that the key is the entries' big-endian bytes as one
+    fixed-width ``np.void``, compared as a byte string.  Either way sorted
+    keys follow the lexicographic order of the entries, and the layout
+    depends only on the ring and the shape, so sets built from any
+    matrices key every code alike.  This class is the only place that
+    builds such a key: a C-contiguous stack in one einsum against the
+    weights |R|^(w-1-i), fewest calls for the single matrices of the SL2
+    layer, and any other view by Horner's rule in place, one entry at a
+    time, which copies nothing (the BFS keys each block's product as a
+    transposed view).  Deduplication is one unstable argsort of the keys
+    (`_first_unique`), lookups a ``searchsorted`` over the sorted keys.
+    The matrices a set is fed come from `mat_mul`, which multiplies blocks
+    of products in float32 or float64 BLAS, exactly by the bound in the
+    module docstring, so a BFS block and a single product of the same
+    matrices give the same codes and the same keys."""
 
     def __init__(self, ring: FiniteRing, mats: np.ndarray, key_order: bool = False):
         mats = np.asarray(mats)
         self.ring = ring
         self.shape = mats.shape[-2:]
-        self._keys, first = _first_unique(self.keys(ring, mats.reshape(-1, *self.shape)))
+        keys = self.keys(ring, mats.reshape(-1, *self.shape))
+        self._keys, first = _first_unique(keys)
         if key_order:
             self._num = np.arange(len(first))  # number of each sorted key
+        elif len(first) == len(keys):
+            self._num = first  # no key repeats: each first position is its own rank
         else:
             self._num = np.empty(len(first), dtype=np.int64)
             self._num[np.argsort(first)] = np.arange(len(first))
@@ -329,17 +342,22 @@ class MatSet:
     def keys(ring: FiniteRing, mats: np.ndarray) -> np.ndarray:
         """One key per matrix, shape mats.shape[:-2]."""
         mats = np.asarray(mats)
-        w = mats.shape[-1] * mats.shape[-2]
-        flat = mats.reshape(-1, w)
-        weights = _key_weights((ring.size - 1).bit_length(), w)
-        if weights is not None:
+        h, w = mats.shape[-2:]
+        weights = _key_weights(ring.size, h * w)
+        if weights is None:
+            be = np.dtype(ring.dtype).newbyteorder(">")
+            flat = np.ascontiguousarray(mats.reshape(-1, h * w), dtype=be)
+            return flat.view(f"V{h * w * be.itemsize}").reshape(mats.shape[:-2])
+        if mats.flags.c_contiguous:
             # einsum casts the codes in buffered blocks; matmul would first
             # copy the whole stack into the key dtype
-            keys = np.einsum("ij,j->i", flat, weights, dtype=weights.dtype, casting="unsafe")
+            keys = np.einsum("ij,j->i", mats.reshape(-1, h * w), weights, dtype=weights.dtype, casting="unsafe")
             return keys.reshape(mats.shape[:-2])
-        be = np.dtype(ring.dtype).newbyteorder(">")
-        flat = np.ascontiguousarray(flat, dtype=be)
-        return flat.view(f"V{w * be.itemsize}").reshape(mats.shape[:-2])
+        keys = mats[..., 0, 0].astype(weights.dtype)
+        for k in range(1, h * w):
+            keys *= ring.size
+            np.add(keys, mats[..., k // w, k % w], out=keys, casting="unsafe")
+        return keys
 
     @staticmethod
     def unique(ring: FiniteRing, mats: np.ndarray) -> np.ndarray:
@@ -351,7 +369,8 @@ class MatSet:
         """Sorted positions of the keys, and which of them are present."""
         if not len(self._keys):
             return np.zeros(keys.shape, dtype=np.intp), np.zeros(keys.shape, dtype=bool)
-        pos = np.minimum(self._keys.searchsorted(keys), len(self._keys) - 1)
+        pos = np.asarray(self._keys.searchsorted(keys))
+        np.minimum(pos, len(self._keys) - 1, out=pos)  # in place: a lookup of a whole group builds one intp array
         return pos, self._keys[pos] == keys
 
     def contains(self, mats) -> np.ndarray:
@@ -366,34 +385,54 @@ class MatSet:
             raise KeyError("matrix is not in the set")
         return self._num[pos]
 
-    def add(self, mats: np.ndarray) -> np.ndarray:
-        """Insert the matrices of a stack that are not yet in the set, each
-        once, numbered in order of first occurrence.  Returns the positions
-        in `mats` of the inserted ones, ascending."""
-        keys = self.keys(self.ring, np.asarray(mats).reshape(-1, *self.shape))
-        uniq, first = _first_unique(keys)
-        fresh = ~self._find(uniq)[1]
-        uniq, first = uniq[fresh], first[fresh]
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(self), len(self) + len(first))
-        at = self._keys.searchsorted(uniq)
-        self._keys = np.insert(self._keys, at, uniq)
-        self._num = np.insert(self._num, at, rank)
-        return np.sort(first)
-
     def sorted(self) -> np.ndarray:
         """The matrices of the set in key order, i.e. lexicographic entry order."""
         dtype = self.ring.dtype
         w = self.shape[0] * self.shape[1]
-        bits = (self.ring.size - 1).bit_length()
-        weights = _key_weights(bits, w)
+        weights = _key_weights(self.ring.size, w)
         if weights is None:
             return self._keys.view(np.dtype(dtype).newbyteorder(">")).reshape(-1, *self.shape).astype(dtype)
         flat = np.empty((len(self), w), dtype=dtype)
-        mask = weights.dtype.type((1 << bits) - 1)
         for i, weight in enumerate(weights):  # one entry at a time, to build no (n, w) keys
-            flat[:, i] = self._keys // weight & mask
+            flat[:, i] = self._keys // weight % self.ring.size
         return flat.reshape(-1, *self.shape)
+
+
+class SeenKeys:
+    """The keys (`MatSet.keys`) of the d x d matrices over a ring met so
+    far.  When the key space, |R|^(d^2) keys, fits in BUDGET_BYTES >> 5
+    bytes of bits (the block rule's 8 MiB), it is a bitmap over that space,
+    and a key is tested by reading its bit (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, 4.1); else, and for
+    ``np.void`` keys, it is the sorted array of the keys met, and a key is
+    tested by binary search."""
+
+    def __init__(self, ring: FiniteRing, d: int):
+        nbytes = (ring.size ** (d * d) + 7) >> 3  # within the budget, keys are u32 or u64
+        if nbytes <= BUDGET_BYTES >> 5:
+            check_budget("bitmap of seen keys", (nbytes,), np.uint8)
+            self.bits = np.zeros(nbytes, dtype=np.uint8)
+        else:
+            self.bits = None
+            self._keys = MatSet.keys(ring, np.zeros((0, d, d), dtype=ring.dtype))
+
+    def fresh(self, keys: np.ndarray) -> np.ndarray:
+        """Positions of the keys not met before, each at its first
+        occurrence, ascending; they are met from now on."""
+        if self.bits is None:
+            uniq, first = _first_unique(keys)
+            if len(self._keys):
+                new = self._keys.take(self._keys.searchsorted(uniq), mode="clip") != uniq
+                uniq, first = uniq[new], first[new]
+            self._keys = np.insert(self._keys, self._keys.searchsorted(uniq), uniq)
+            return np.sort(first)
+        # only the misses are sorted; most keys of a BFS block were met at
+        # the level before or earlier in this one
+        miss = np.flatnonzero((self.bits[keys >> 3] >> (keys & 7) & 1) == 0)
+        uniq, first = _first_unique(keys[miss])
+        # bitwise_or.at sets every bit; a fancy |= keeps one write per byte
+        np.bitwise_or.at(self.bits, uniq >> 3, np.left_shift(1, uniq & 7).astype(np.uint8))
+        return miss[np.sort(first)]
 
 
 def _first_unique(keys: np.ndarray):
@@ -411,12 +450,12 @@ def _first_unique(keys: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _key_weights(bits: int, w: int) -> np.ndarray | None:
-    """2^(bits (w-1-i)) for entry i of a packed key: u32 weights when
-    bits * w <= 32, u64 when <= 64, None past 64 bits."""
-    if bits * w > 64:
+def _key_weights(q: int, w: int) -> np.ndarray | None:
+    """q^(w-1-i) for entry i of a key with w base-q digits: u32 weights when
+    q^w <= 2^32, u64 when q^w <= 2^64, None past that."""
+    if q**w > 1 << 64:
         return None
-    dtype = np.uint32 if bits * w <= 32 else np.uint64
-    weights = np.left_shift(dtype(1), bits * np.arange(w - 1, -1, -1, dtype=dtype))
+    dtype = np.uint32 if q**w <= 1 << 32 else np.uint64
+    weights = np.array([q ** (w - 1 - i) for i in range(w)], dtype=dtype)
     weights.flags.writeable = False
     return weights

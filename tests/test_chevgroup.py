@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,6 +256,41 @@ def test_enumeration_through_the_table_loop_is_the_same(group_of, t, q, monkeypa
     assert gfmat.block_rows(F.ring, F.rep.dim, len(F.gens)) < gfmat.block_rows(F.ring, F.rep.dim, 1) < widest
     for attr in ("elements", "dist", "parent", "genidx", "inv_idx"):
         assert np.array_equal(getattr(F, attr), getattr(E, attr)), attr
+
+
+@pytest.mark.parametrize("t,q,order", [("A", 3, 5616), ("A", 4, 60480), ("C", 3, 51840)],
+                         ids=["SL3(F3)", "SL3(F4)", "Sp4(F3)"])
+def test_enumeration_with_sorted_seen_keys_is_the_same(group_of, t, q, order, monkeypatch):
+    # the bitmap of seen keys, which these groups get, and the sorted keys,
+    # which a budget one byte short of the bitmap's 32 times gives them, make
+    # the same BFS of distinct elements and the same numbering
+    E = group_of("classical", t, 2, q)
+    ring, d = E.ring, E.rep.dim
+    assert gfmat.SeenKeys(ring, d).bits is not None
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", (((q ** (d * d) + 7) >> 3) << 5) - 1)
+    assert gfmat.SeenKeys(ring, d).bits is None
+    F = enumerate_group(E.rep, ring)
+    assert E.order == F.order == order == len(gfmat.MatSet(ring, E.elements))
+    for attr in ("elements", "dist", "parent", "genidx", "inv_idx"):
+        assert np.array_equal(getattr(F, attr), getattr(E, attr)), attr
+    assert np.array_equal(F.index._keys, E.index._keys) and np.array_equal(F.index._num, E.index._num)
+
+
+@pytest.mark.parametrize("form,t,q", [("classical", "A", q) for q in (2, 3, 4, 5)]
+                         + [("classical", "C", 3), ("adjoint", "G", 2)],
+                         ids=["SL3(F2)", "SL3(F3)", "SL3(F4)", "SL3(F5)", "Sp4(F3)", "G2adj(F2)"])
+def test_order_from_the_degrees_of_the_root_system(group_of, form, t, q):
+    # |G(F_q)| = q^N prod (q^d_i - 1) for the simply connected SL3 and Sp4
+    # and for the adjoint G2, whose center is trivial (Steinberg 1968,
+    # Carter 1972).  The degrees are d_i = m_i + 1, with the exponents m_i
+    # the dual partition of the numbers of positive roots of each height.
+    E = group_of(form, t, 2, q)
+    sys = E.rep.sys
+    count = Counter(sys.height(a) for a in range(sys.n_pos))
+    per_height = [count[h] for h in range(1, max(count) + 1)]
+    exponents = [sum(n > i for n in per_height) for i in range(per_height[0])]
+    assert len(exponents) == sys.rank and sum(exponents) == sys.n_pos
+    assert E.order == q**sys.n_pos * math.prod(q ** (m + 1) - 1 for m in exponents)
 
 
 def test_bruhat_uniqueness_sl3_f2(group_of):

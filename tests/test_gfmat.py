@@ -3,6 +3,7 @@ import re
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,12 +68,19 @@ def test_matset_against_bytes_oracle(name, d, n, seed):
     with pytest.raises(KeyError):
         s.index(np.concatenate([mats[:1], other[:1]]))
 
-    # add() inserts only new matrices, at their first occurrence
+    # the keys seen so far, as a bitmap (when the key space fits) and as
+    # sorted keys (a budget too small for any bitmap), report each matrix
+    # not met before at its first occurrence, once
     both = np.concatenate([other, mats, other])
-    fresh = s.add(both)
     want = [i for i, m in enumerate(both) if _oracle_key(m) not in number
             and all(_oracle_key(both[j]) != _oracle_key(m) for j in range(i))]
-    assert fresh.tolist() == want
+    for budget in (gfmat.BUDGET_BYTES, 0):
+        with mock.patch.object(gfmat, "BUDGET_BYTES", budget):
+            seen = gfmat.SeenKeys(ring, d)
+        assert seen.fresh(MatSet.keys(ring, mats)).tolist() == first
+        assert seen.fresh(MatSet.keys(ring, both)).tolist() == want
+        assert seen.fresh(MatSet.keys(ring, both)).tolist() == []
+    s = MatSet(ring, np.concatenate([mats, both]))
     assert s.index(both[want]).tolist() == list(range(len(first), len(first) + len(want)))
 
     # sorted keys follow lexicographic entry order
@@ -163,17 +171,30 @@ def test_nullspace_over_a_ring_that_is_not_a_field_raises():
         gfmat.nullspace(ring, np.array([[2, 3, 0]], dtype=ring.dtype))
 
 
-@pytest.mark.parametrize("bits", range(1, 9))
-@pytest.mark.parametrize("total", [32, 33, 64, 65])
-def test_packed_keys_follow_lexicographic_order(bits, total):
-    ring = Zmod(2**bits)  # codes fill all `bits` bits of an entry
-    w = total // bits if total % 32 == 0 else -(-total // bits)  # at or just past the width
-    rng = np.random.default_rng(bits * 100 + total)
-    top = ring.size - 1
+KEY_RINGS = {"F3": lambda: GF(3), "F5": lambda: GF(5), "F7xF11": lambda: ProductRing([GF(7), GF(11)])}
+# (ring, w entries) at and just past the widths of the u32 and u64 keys:
+# Z/2^bits at bits * w of 32, 33, 64 and 65, and rings that are not powers
+# of 2 at the last w of each key dtype and the first w past it
+KEY_WIDTHS = [pytest.param(f"Z/{2**bits}", total // bits if total % 32 == 0 else -(-total // bits),
+                           id=f"{total}-{bits}") for bits in range(1, 9) for total in (32, 33, 64, 65)]
+KEY_WIDTHS += [pytest.param(name, w, id=f"{name}-w{w}")
+               for name, ws in (("F3", (20, 21, 40, 41)), ("F5", (13, 14, 27, 28)), ("F7xF11", (5, 6, 10, 11)))
+               for w in ws]
+
+
+@pytest.mark.parametrize("name,w", KEY_WIDTHS)
+def test_packed_keys_follow_lexicographic_order(name, w):
+    ring = KEY_RINGS[name]() if name in KEY_RINGS else Zmod(int(name[2:]))
+    q = ring.size
+    rng = np.random.default_rng(q * 100 + w)
+    top = q - 1
     mats = rng.choice([0, 1, top, top - 1 if top > 1 else 0], size=(300, 1, w)).astype(ring.dtype)
-    mats[:100] = rng.integers(ring.size, size=(100, 1, w))
+    mats[:100] = rng.integers(q, size=(100, 1, w))
     keys = MatSet.keys(ring, mats)
-    assert keys.dtype == (np.uint32 if bits * w <= 32 else np.uint64 if bits * w <= 64 else np.dtype(f"V{w}"))
+    assert keys.dtype == (np.uint32 if q**w <= 2**32 else np.uint64 if q**w <= 2**64
+                          else np.dtype(f"V{w * np.dtype(ring.dtype).itemsize}"))
+    # a strided view is keyed by Horner's rule, a contiguous stack by einsum
+    assert np.array_equal(MatSet.keys(ring, mats[::-1])[::-1], keys)
     rows = [tuple(int(v) for v in m.ravel()) for m in mats]
     assert [rows[i] for i in np.argsort(keys, kind="stable")] == sorted(rows)
     # sorted() unpacks the keys back into the matrices, in that order
@@ -184,17 +205,24 @@ def test_packed_keys_follow_lexicographic_order(bits, total):
 
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_matset_from_the_identity_finds_every_later_code(name):
+    # keys depend only on the ring and the shape: a set of the identity
+    # alone, and the keys seen from the identity on, key later codes alike
     ring, d = RINGS[name], 2
-    s = MatSet(ring, gfmat.identity(ring, d)[None])
+    ident = gfmat.identity(ring, d)[None]
     rng = np.random.default_rng(7)
     mats = np.concatenate([
         np.broadcast_to(np.arange(ring.size, dtype=ring.dtype)[:, None, None], (ring.size, d, d)),
         rng.integers(ring.size, size=(200, d, d)).astype(ring.dtype),
     ])
-    s.add(mats)
     number = {}
-    for m in np.concatenate([gfmat.identity(ring, d)[None], mats]):
+    for m in np.concatenate([ident, mats]):
         number.setdefault(_oracle_key(m), len(number))
+    assert MatSet(ring, ident).contains(mats).tolist() == [number[_oracle_key(m)] == 0 for m in mats]
+    seen = gfmat.SeenKeys(ring, d)
+    seen.fresh(MatSet.keys(ring, ident))
+    fresh = seen.fresh(MatSet.keys(ring, mats))
+    assert [number[_oracle_key(m)] for m in mats[fresh]] == list(range(1, len(number)))
+    s = MatSet(ring, np.concatenate([ident, mats]))
     assert len(s) == len(number)
     assert s.index(mats).tolist() == [number[_oracle_key(m)] for m in mats]
 
@@ -281,18 +309,18 @@ def test_oversized_input_refused_before_allocating(build):
 def test_enumeration_refused_before_the_elements_outgrow_the_budget(monkeypatch):
     budget = 20_000  # SL3(F3) takes 5 616 x 9 bytes
     monkeypatch.setattr(gfmat, "BUDGET_BYTES", budget)
-    stored = []
-    add = MatSet.add
+    stored = [0]
+    fresh = gfmat.SeenKeys.fresh
 
-    def recording_add(self, mats):
-        out = add(self, mats)
-        stored.append(len(self) * 9)
+    def recording_fresh(self, keys):
+        out = fresh(self, keys)  # the positions of the elements the BFS stores
+        stored.append(stored[-1] + len(out) * 9)
         return out
 
-    monkeypatch.setattr(MatSet, "add", recording_add)
+    monkeypatch.setattr(gfmat.SeenKeys, "fresh", recording_fresh)
     with pytest.raises(BudgetExceeded, match="group elements"):
         enumerate_group(classical_rep("A", 2), GF(3))
-    assert stored and max(stored) <= budget
+    assert len(stored) > 1 and max(stored) <= budget
 
 
 def test_width_refused_before_the_product_is_built(monkeypatch):
