@@ -311,10 +311,10 @@ class MatSet:
     depends only on the ring and the shape, so sets built from any
     matrices key every code alike.  This class is the only place that
     builds such a key: a C-contiguous stack in one einsum against the
-    weights |R|^(w-1-i), fewest calls for the single matrices of the SL2
-    layer, and any other view by Horner's rule in place, one entry at a
-    time, which copies nothing (the BFS keys each block's product as a
-    transposed view).  Deduplication is one unstable argsort of the keys
+    weights |R|^(w-1-i), one call for the single matrices and small stacks
+    of the formula evaluator, and any other view by Horner's rule in place,
+    one entry at a time, which copies nothing (the BFS keys each block's
+    product as a transposed view).  Deduplication is one unstable argsort of the keys
     (`_first_unique`), lookups a ``searchsorted`` over the sorted keys.
     The matrices a set is fed come from `mat_mul`, which multiplies blocks
     of products in float32 or float64 BLAS, exactly by the bound in the

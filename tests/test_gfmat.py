@@ -309,17 +309,19 @@ def test_oversized_input_refused_before_allocating(build):
 def test_enumeration_refused_before_the_elements_outgrow_the_budget(monkeypatch):
     budget = 20_000  # SL3(F3) takes 5 616 x 9 bytes
     monkeypatch.setattr(gfmat, "BUDGET_BYTES", budget)
-    stored = [0]
+    stored = []  # bytes of the elements stored, after the identity and after each block
     fresh = gfmat.SeenKeys.fresh
 
     def recording_fresh(self, keys):
         out = fresh(self, keys)  # the positions of the elements the BFS stores
-        stored.append(stored[-1] + len(out) * 9)
+        stored.append((stored[-1] if stored else 0) + len(out) * 9)
         return out
 
     monkeypatch.setattr(gfmat.SeenKeys, "fresh", recording_fresh)
     with pytest.raises(BudgetExceeded, match="group elements"):
         enumerate_group(classical_rep("A", 2), GF(3))
+    # stored[0] is the identity alone: refused after at least one block was
+    # stored, and while the stored elements still fit
     assert len(stored) > 1 and max(stored) <= budget
 
 
