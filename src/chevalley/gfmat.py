@@ -22,13 +22,16 @@ floating-point BLAS GEMM, exact because every partial sum is an integer the
 float type represents (Dumas, Giorgi and Pernet, FFLAS and FFPACK, ACM TOMS
 2008): float32 while the bound is below 2^24, float64 while it is below
 2^53, and the integer product past that.  Single products and stacks
-multiply in work_dtype, the narrowest of int16, int32 and int64 that holds
-the bound: a single product gains nothing from BLAS but its call overhead,
-and a float32 stacked matmul measured slower than an int16 one.  Other
-rings (TableRing, products such as F3xF4) and rings whose reduce table
-exceeds the budget go through the ring's lookup tables, one gather per inner
-index; that loop, `_mat_mul_tables`, is also the oracle the lifts are tested
-against.
+multiply in work_dtype, the narrowest of uint8, int16, int32 and int64 that
+holds the bound: a single product gains nothing from BLAS but its call
+overhead, and a float32 stacked matmul measured slower than an integer one.
+A block's float product is cast to work_dtype and reduced there.  In uint8
+(a bound of at most 255, as for SL3(F5), Sp4(F3), G2adj(F2) and the F4
+lift at d = 3) nothing is widened to reduce and narrowed again.  Other
+rings (TableRing, products such as F3xF4) and rings whose Kronecker reduce
+table would pass the block rule's BUDGET_BYTES >> 5 bytes go through the
+ring's lookup tables, one gather per inner index; that loop,
+`_mat_mul_tables`, is also the oracle the lifts are tested against.
 
 `MatSet` is the one way to key, deduplicate and look up matrices.  A key
 reads the entries as the base-|R| digits of one integer, first entry most
@@ -70,7 +73,7 @@ class Lift(NamedTuple):
     enc: np.ndarray | None  # code -> integer, in work_dtype; None: the code itself
     modulus: int | None  # reduce the integer product mod this; None: no reduction
     dec: np.ndarray | None  # reduced product -> code; None: the residue is the code
-    work_dtype: type  # the integer dtype of single and stacked products
+    work_dtype: type  # uint8, int16, int32 or int64: the integer dtype of products and their reduction
     float_dtype: type | None  # the BLAS dtype of blocks of products; None: the integer product
     float_enc: np.ndarray | None  # enc in float_dtype; None: the code itself
 
@@ -78,7 +81,7 @@ class Lift(NamedTuple):
 def _make_lift(enc, modulus, dec, bound: int) -> Lift | None:
     """The lift whose products have every partial sum in [0, bound], or None
     when no integer dtype holds the bound."""
-    work = next((dt for dt in (np.int16, np.int32, np.int64) if bound <= np.iinfo(dt).max), None)
+    work = next((dt for dt in (np.uint8, np.int16, np.int32, np.int64) if bound <= np.iinfo(dt).max), None)
     if work is None:
         return None
     # a float type holds every integer up to 2^(nmant + 1) exactly
@@ -98,10 +101,8 @@ def _residue_modulus(ring) -> int | None:
 def _kronecker_lift(ring: GF, d: int) -> Lift | None:
     p, f = ring.p, ring.deg
     B = 1 << (d * f * (p - 1) ** 2).bit_length()
-    try:
-        check_budget(f"Kronecker reduce table of {ring.name}", (B ** (2 * f - 1),), ring.dtype)
-    except BudgetExceeded:
-        return None
+    if B ** (2 * f - 1) * np.dtype(ring.dtype).itemsize > BUDGET_BYTES >> 5:
+        return None  # a reduce table past the block rule: the table loop
     codes = np.arange(ring.size)
     enc = sum((codes // p**i % p) * B**i for i in range(f))
     # dec[v] = sum_k (v_k mod p) X^k for the base-B digits v_k of v, summed in
@@ -161,10 +162,11 @@ def mat_mul(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
             # where % divides entry by entry
             C -= C // modulus * modulus
     else:
-        C = A.astype(work) @ B.astype(work) if enc is None else enc[A] @ enc[B]
+        # exact in work_dtype, uint8 included: no partial sum passes the bound
+        C = A.astype(work, copy=False) @ B.astype(work, copy=False) if enc is None else enc[A] @ enc[B]
         if modulus is not None:
             C %= modulus
-    return C.astype(ring.dtype) if dec is None else dec[C]
+    return C.astype(ring.dtype, copy=False) if dec is None else dec[C]
 
 
 def _mat_mul_tables(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -183,7 +185,8 @@ def _mat_mul_tables(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarra
 def block_rows(ring: FiniteRing, d: int, per_row: int) -> int:
     """Rows per block of a loop whose rows each make per_row d x d products:
     one block's product, in the dtype `mat_mul` computes a block of products
-    in, holds at most BUDGET_BYTES / 32 bytes (2^22 int16 entries)."""
+    in (float32 for every lift a suite uses), holds at most BUDGET_BYTES / 32
+    bytes (2^21 float32 entries)."""
     lift = _lift(ring, d)
     dtype = ring.dtype if lift is None else lift.float_dtype or lift.work_dtype
     return max(1, (BUDGET_BYTES >> 5) // (per_row * d * d * np.dtype(dtype).itemsize))

@@ -106,6 +106,7 @@ KERNEL_RINGS = {
     "F8": lambda: GF(8),
     "F9": lambda: GF(9),
     "Z/6": lambda: Zmod(6),
+    "Z/9": lambda: Zmod(9),  # d 8^2 is 192 at d = 3, the last uint8 bound, and 256 at d = 4
     "F3xF4": lambda: ProductRing([GF(3), GF(4)]),  # no lift: the table loop
     "F7xF11": lambda: ProductRing([GF(7), GF(11)]),
     "F7xF11xF13": lambda: ProductRing([GF(7), GF(11), GF(13)]),
@@ -130,11 +131,15 @@ def test_mat_mul_lift_agrees_with_the_table_loop(name):
         assert np.array_equal(gfmat.mat_mul(ring, A[:5, None], B[None, :4]),
                               gfmat._mat_mul_tables(ring, A[:5, None], B[None, :4])), d
         lift = gfmat._lift(ring, d)
-        assert (lift is None) == (name == "F3xF4")
+        # F8 past d = 5 has a Kronecker reduce table of 32^5 codes, past 8 MiB
+        assert (lift is None) == (name == "F3xF4" or (name == "F8" and d > 5)), d
         assert ring.__dict__["_lifts"][d] is lift  # cached on the ring
         if lift is not None:
             top = ring.size - 1 if lift.enc is None else int(lift.enc.max())
             assert lift.float_dtype == (np.float32 if d * top**2 < 2**24 else np.float64), d
+            bound = d * top**2
+            assert lift.work_dtype == next(dt for dt in (np.uint8, np.int16, np.int32, np.int64)
+                                           if bound <= np.iinfo(dt).max), d
         # a block of products as one BLAS product: stacked rows times
         # matrices side by side, the shapes of the BFS and the scans; and a
         # single product of 2-D operands, which stays on the integer path
@@ -143,6 +148,20 @@ def test_mat_mul_lift_agrees_with_the_table_loop(name):
             got = gfmat.mat_mul(ring, X, Y)
             assert got.dtype == ring.dtype
             assert np.array_equal(got, gfmat._mat_mul_tables(ring, X, Y)), d
+
+
+def test_kronecker_reduce_table_capped_by_the_block_rule():
+    # GF(4) at inner dimension 196 would need a reduce table of 512^3 codes,
+    # 128 MiB; past the block rule's 8 MiB its products take the table loop
+    ring = GF(4)
+    assert gfmat._lift(ring, 196) is None
+    B = 64  # 64^3 codes at d = 16, the largest table a suite builds
+    assert gfmat._lift(ring, 16).dec.size == B**3 <= gfmat.BUDGET_BYTES >> 5
+    rng = np.random.default_rng(196)
+    A = rng.integers(ring.size, size=(3, 196)).astype(ring.dtype)
+    C = rng.integers(ring.size, size=(196, 2)).astype(ring.dtype)
+    A[0] = C[:, 0] = ring.size - 1
+    assert np.array_equal(gfmat.mat_mul(ring, A, C), gfmat._mat_mul_tables(ring, A, C))
 
 
 @pytest.mark.parametrize("kind", ["u32", "u64", "void"])
