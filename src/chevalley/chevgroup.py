@@ -13,10 +13,13 @@ into each target ring, so x_alpha(r) = sum r^i M_i(alpha) is exact in any
 characteristic.  Both constructions are calibrated against the same
 structure-constant table and abort if any bracket disagrees.
 
-Also here: group enumeration by BFS (with word data used for width
-measurements), centralizers as the elements of a stack inside the linear
-commutant of the conditions, the bound U_{a_1}...U_{a_k}Z as an explicit
-set, and the Bruhat factorization check.
+Also here: group enumeration, over a field from the Bruhat cells
+u t n_w v (numbered in key order, with the BFS word data used for theta
+and width computed on first use) and over other rings by BFS closure,
+which is also the oracle the cells are checked against; centralizers as
+the elements of a stack inside the linear commutant of the conditions; the
+bound U_{a_1}...U_{a_k}Z as an explicit set; and the Bruhat factorization
+check.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ class MatrixRep:
             Xa = self.root_X[a]
             Ha = self.coroot_matrix(a)
             # sl2 relation [h_a, X_a] = 2 X_a
-            assert (Ha @ Xa - Xa @ Ha == 2 * Xa).all(), f"sl2 failure at root {a}"
+            if not (Ha @ Xa - Xa @ Ha == 2 * Xa).all():
+                raise RuntimeError(f"sl2 failure at root {a}")
             for b in range(nroots):
                 if b == a or b == sys.neg(a):
                     continue
@@ -92,12 +96,14 @@ class MatrixRep:
                 br = Xa @ Xb - Xb @ Xa
                 g = sys.sum_root(a, b)
                 want = sc.N(a, b) * self.root_X[g] if g is not None else 0
-                assert (br == want).all(), f"bracket failure at roots {a},{b}"
+                if not (br == want).all():
+                    raise RuntimeError(f"bracket failure at roots {a},{b}")
         if self.membership_form is not None and self.form != "special_linear":
             J = self.membership_form
             for a in range(nroots):
                 X = self.root_X[a]
-                assert (X.T @ J + J @ X == 0).all(), f"form not preserved by root {a}"
+                if not (X.T @ J + J @ X == 0).all():
+                    raise RuntimeError(f"form not preserved by root {a}")
 
     # -- elementary elements ------------------------------------------------
 
@@ -178,7 +184,8 @@ class MatrixRep:
             image = a
             for g in word:
                 image = self.sys.reflect(g, image)
-            assert image == b
+            if image != b:
+                raise RuntimeError(f"Weyl word does not carry root {a} to root {b}")
             nw_inv, nw = self.weyl_rep_inv(ring, word), self.weyl_rep(ring, word)
             conj = gfmat.mat_mul_many(ring, [nw_inv, self.x(ring, a, ring.one), nw])
             eta = next((e for e in (ring.one, ring.neg(ring.one))
@@ -242,7 +249,8 @@ def _coroot_coords(sys: RootSystem, a: int):
     out = []
     for i, m in enumerate(sys.roots[a]):
         c = Fraction(m) * sys.d[i] / da
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise RuntimeError(f"coroot of root {a} is not integral over the fundamental coroots")
         out.append(int(c))
     return out
 
@@ -386,42 +394,83 @@ def _calibrate(sys: RootSystem, raw_X: dict) -> dict:
 
 
 class EnumeratedGroup:
-    """BFS closure of a generator set inside a matrix representation over a
-    finite ring.  Element order is the deterministic BFS order (word length,
-    then parent index, then generator index); every element carries its
-    distance, its BFS word, and the index of its inverse."""
+    """The elements of G(R) = <x_alpha(r)> in a matrix representation over a
+    finite ring, each with the index of its inverse.  Over a field they come
+    from the Bruhat cells and are numbered in key order (`enumerate_group`),
+    over other rings from the BFS closure of the root elements, numbered in
+    BFS order (`bfs_closure`).  The word data (each element's BFS distance,
+    parent and generator) come with the BFS closure; otherwise they are
+    computed on first use (`_words`)."""
 
-    def __init__(self, rep: MatrixRep, ring: FiniteRing, elements, index, dist, parent, genidx, inv_idx,
-                 gens_meta, gens):
+    def __init__(self, rep: MatrixRep, ring: FiniteRing, elements, index, inv_idx, gens_meta, gens, words=None):
         self.rep = rep
         self.ring = ring
         self.elements = elements  # (order, d, d)
-        self.index = index  # gfmat.MatSet numbering the elements in BFS order
-        self.dist = dist
-        self.parent = parent
-        self.genidx = genidx
+        self.index = index  # gfmat.MatSet numbering the elements
         self.inv_idx = inv_idx
         self.gens_meta = gens_meta  # list of generator labels (root, ring elt)
         self.gens = gens  # (G, d, d) generator matrices, in the order of gens_meta
         self.order = len(elements)
+        if words is not None:
+            self._words = words  # the closure's own, in place of the cached property
+
+    dist = property(lambda self: self._words[0])
+    parent = property(lambda self: self._words[1])
+    genidx = property(lambda self: self._words[2])
+
+    @cached_property
+    def _words(self):
+        """(dist, parent, genidx): the BFS of `bfs_closure` from the identity,
+        run over indices of the known elements, so "seen?" is a flag per
+        element and each product is looked up rather than deduplicated.  New
+        elements come in order of their first (frontier position, generator),
+        so words and distances are the closure's, element for element."""
+        ring, d, G = self.ring, self.rep.dim, len(self.gens)
+        gcat = self.gens.transpose(1, 0, 2).reshape(d, G * d)  # the generators side by side
+        rows = gfmat.block_rows(ring, d, G)
+        seen = np.zeros(self.order, dtype=bool)
+        dist, parent, genidx = (np.full(self.order, -1) for _ in range(3))
+        frontier = np.atleast_1d(self.idx(self.rep.identity(ring)))
+        seen[frontier] = True
+        dist[frontier] = 0
+        level = 0
+        while len(frontier):
+            level += 1
+            new = []
+            for c0 in range(0, len(frontier), rows):
+                block = frontier[c0:c0 + rows]
+                cand = gfmat.mat_mul(ring, self.elements[block].reshape(-1, d), gcat).reshape(-1, d, G, d)
+                hit = self.idx(cand.transpose(0, 2, 1, 3)).ravel()  # hit[i G + g]: frontier[c0 + i] gens[g]
+                fresh = np.flatnonzero(~seen[hit])
+                _, first = np.unique(hit[fresh], return_index=True)
+                fresh = fresh[np.sort(first)]
+                found = hit[fresh]
+                seen[found] = True
+                dist[found] = level
+                parent[found] = block[fresh // G]
+                genidx[found] = fresh % G
+                new.append(found)
+            frontier = np.concatenate(new)
+        return dist, parent, genidx
 
     @cached_property
     def center(self) -> np.ndarray:
-        """BFS indices of Z(G): the elements commuting with every generator,
+        """Indices of Z(G): the elements commuting with every generator,
         scanned once per group."""
         return centralizer_indices(self.ring, self.elements, self.gens)
 
     def idx(self, mats: np.ndarray):
-        """BFS index of a matrix, or the indices of a stack of matrices;
-        raises KeyError for a matrix outside the group."""
+        """Index of a matrix, or the indices of a stack of matrices; raises
+        KeyError for a matrix outside the group."""
         return self.index.index(mats)
 
     def word(self, i: int):
         """Generator-index word with elements[i] = prod of gens (left to right)."""
+        _, parent, genidx = self._words
         out = []
-        while i != 0:
-            out.append(int(self.genidx[i]))
-            i = int(self.parent[i])
+        while parent[i] >= 0:
+            out.append(int(genidx[i]))
+            i = int(parent[i])
         return out[::-1]
 
 
@@ -440,13 +489,69 @@ def root_element_generators(rep: MatrixRep, ring: FiniteRing):
 
 
 def enumerate_group(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
-    """Deterministic BFS closure of the root elements.  Each level multiplies
-    its frontier by every generator, block by block, and keeps the products
-    not met before, in order of their first (frontier position, generator).
-    Whether a product was met is one bit of a bitmap over the key space
-    when that fits the block rule's 8 MiB, else a binary search in the
-    sorted keys met so far (`gfmat.SeenKeys`); the group's `MatSet` is built
-    once, from all the elements."""
+    """The elements of G(R).  Over a field they are the products u t n_w v
+    of the Bruhat cells (`bruhat_cells`), one 2-D product (u t n_w) x v per
+    block of rows of a cell, and each inverse v^-1 n_w^-1 t^-1 u^-1 is built
+    in the same layout, so it lands at the place of its element.  One sort
+    of the keys numbers the elements in key order.  RuntimeError when a key
+    repeats (fewer elements than the cells' tuples), when the inverses'
+    keys are not the elements' keys, or when the inverses do not pair up
+    (inv(inv(g)) != g).  Over other rings, the BFS closure (`bfs_closure`)."""
+    if not ring.is_field:
+        return bfs_closure(rep, ring)
+    labels, gmats, _ = root_element_generators(rep, ring)
+    d = rep.dim
+    cells = bruhat_cells(rep, ring)
+    order = sum(len(A) * len(V) for A, _, V, _ in cells)
+    elems = np.empty((order, d, d), dtype=ring.dtype)  # in the cells' layout (w, u t, v)
+    invs = np.empty_like(elems)
+    at = 0
+    for A, B, V, V_inv in cells:
+        n = len(V)
+        vcat = V.transpose(1, 0, 2).reshape(d, n * d)  # V side by side
+        rows = gfmat.block_rows(ring, d, n)
+        for r0 in range(0, len(A), rows):
+            blk = slice(r0, min(r0 + rows, len(A)))
+            k = blk.stop - blk.start
+            out = slice(at, at + k * n)
+            # element (i, j) is A[i] V[j], and its inverse V_inv[j] B[i]
+            elems[out].reshape(k, n, d, d)[:] = (
+                gfmat.mat_mul(ring, A[blk].reshape(-1, d), vcat).reshape(k, d, n, d).transpose(0, 2, 1, 3))
+            bcat = B[blk].transpose(1, 0, 2).reshape(d, k * d)
+            invs[out].reshape(k, n, d, d)[:] = (
+                gfmat.mat_mul(ring, V_inv.reshape(-1, d), bcat).reshape(n, d, k, d).transpose(2, 0, 1, 3))
+            at += k * n
+    # number in key order; the inverses' keys are the same keys, so sorting
+    # them too finds each inverse's number without a search
+    keys, inv_keys = gfmat.MatSet.keys(ring, elems), gfmat.MatSet.keys(ring, invs)
+    del invs
+    perm = np.argsort(keys)
+    elements = elems[perm]
+    del elems
+    index = gfmat.MatSet(ring, elements, key_order=True)
+    if len(index) != order:
+        raise RuntimeError(f"the Bruhat cells give {len(index)} distinct elements for {order} tuples")
+    inv_perm = np.argsort(inv_keys)
+    if not np.array_equal(inv_keys[inv_perm], keys[perm]):
+        raise RuntimeError("an inverse built from the Bruhat cells is not an element")
+    rank = np.empty(order, dtype=np.intp)
+    rank[perm] = np.arange(order)
+    inv_idx = np.empty(order, dtype=np.intp)
+    inv_idx[rank[inv_perm]] = np.arange(order)
+    if not np.array_equal(inv_idx[inv_idx], np.arange(order)):
+        raise RuntimeError("the inverses built from the Bruhat cells are not an involution")
+    return EnumeratedGroup(rep, ring, elements, index, inv_idx, labels, gmats)
+
+
+def bfs_closure(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
+    """Deterministic BFS closure of the root elements, over any ring; the
+    groups of `enumerate_group` over a field are tested against it.  Each
+    level multiplies its frontier by every generator, block by block, and
+    keeps the products not met before, in order of their first (frontier
+    position, generator).  Whether a product was met is one bit of a bitmap
+    over the key space when that fits the block rule's 8 MiB, else a binary
+    search in the sorted keys met so far (`gfmat.SeenKeys`); the group's
+    `MatSet` is built once, from all the elements."""
     labels, gmats, ginvs = root_element_generators(rep, ring)
     d = rep.dim
     G = len(gmats)
@@ -497,7 +602,7 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
             blk = slice(b0, min(b0 + rows, ends[lv]))
             inv_mats[blk] = gfmat.mat_mul(ring, ginvs[genidx[blk]], inv_mats[parent[blk]])
     inv_idx = index.index(inv_mats)
-    return EnumeratedGroup(rep, ring, elements, index, dist, parent, genidx, inv_idx, labels, gmats)
+    return EnumeratedGroup(rep, ring, elements, index, inv_idx, labels, gmats, words=(dist, parent, genidx))
 
 
 def centralizer_indices(ring: FiniteRing, elements: np.ndarray, mats) -> np.ndarray:
@@ -623,31 +728,65 @@ def weyl_elements(sys: RootSystem):
     return out
 
 
-def verify_bruhat(E: EnumeratedGroup) -> dict:
-    """Check the factorization g = u . t n_w . v, with u over all positive
-    roots in the fixed order and v only over {i : w(root_i) < 0}: every
-    element must arise exactly once and the tuple count must equal |E|."""
-    rep, ring = E.rep, E.ring
-    sys = rep.sys
-    rcodes = np.arange(ring.size, dtype=ring.dtype)
-    U_full = product_set(ring, [rep.x_batch(ring, a, rcodes) for a in range(sys.n_pos)])
-    assert len(U_full) == ring.size**sys.n_pos, "unipotent product set collapsed"
+def _unipotent_cell(rep: MatrixRep, ring: FiniteRing, roots):
+    """x_{a_1}(r_1) ... x_{a_k}(r_k) over every tuple of codes, in base-|R|
+    order of (r_1, ..., r_k), and the inverse x_{a_k}(-r_k) ... x_{a_1}(-r_1)
+    of each at its place; RuntimeError if two tuples give one product."""
+    codes = np.arange(ring.size, dtype=ring.dtype)
+    ident = rep.identity(ring)[None]
+    prods = product_set(ring, [ident] + [rep.x_batch(ring, a, codes) for a in roots])
+    if len(prods) != ring.size ** len(roots):
+        raise RuntimeError("unipotent product set collapsed")
+    invs = ident
+    for a in roots:  # x_a(r)^-1 = x_a(-r), on the left, with r the last digit
+        invs = gfmat.mat_mul(ring, rep.x_batch(ring, a, ring.neg_t[codes])[None], invs[:, None])
+        invs = invs.reshape(-1, rep.dim, rep.dim)
+    return prods, invs
+
+
+def bruhat_cells(rep: MatrixRep, ring: FiniteRing):
+    """The Bruhat cells of G(F) over a field F: every element is uniquely
+    u t n_w v, with u in U over all positive roots in the fixed order, t in
+    T(F), w in the Weyl group and v over S_w = {i : w(root_i) < 0}
+    (Steinberg, Lectures on Chevalley Groups, 1968, 3; Carter, Simple Groups
+    of Lie Type, 1972, Thm 8.4.3).  One tuple (A, B, V, V^-1) per w: A the
+    products u t n_w in layout (u, t), B = n_w^-1 (u t)^-1 at the same
+    places, and V the products over S_w (`_unipotent_cell`).  t^-1 is looked
+    up in T, and n_w^-1 is `weyl_rep_inv`.  The order |U| |T| sum_w q^|S_w|
+    passes `check_budget` before any cell is built."""
+    sys, d = rep.sys, rep.dim
     T = torus_set(rep, ring)
-    prods = []
-    for perm, word in weyl_elements(sys).items():
-        nw = rep.weyl_rep(ring, word)
-        sw = [i for i in range(sys.n_pos) if perm[i] >= sys.n_pos]
-        V = product_set(ring, [rep.x_batch(ring, a, rcodes) for a in sw]) if sw else rep.identity(ring)[None]
-        assert len(V) == ring.size ** len(sw)
-        for t in T:
-            mid = gfmat.mat_mul(ring, gfmat.mat_mul(ring, U_full, t[None]), nw[None])
-            prods.append(gfmat.mat_mul(ring, mid[:, None], V[None]).reshape(-1, rep.dim, rep.dim))
+    words = weyl_elements(sys)
+    negs = [[i for i in range(sys.n_pos) if perm[i] >= sys.n_pos] for perm in words]
+    order = ring.size ** sys.n_pos * len(T) * sum(ring.size ** len(sw) for sw in negs)
+    gfmat.check_budget("group elements", (order, d, d), ring.dtype)
+    is_one = (gfmat.mat_mul(ring, T[:, None], T[None]) == rep.identity(ring)).all(axis=(-2, -1))
+    if not is_one.any(axis=1).all():
+        raise RuntimeError("torus set is not closed under inverses")
+    U, U_inv = _unipotent_cell(rep, ring, range(sys.n_pos))
+    UT = gfmat.mat_mul(ring, U[:, None], T[None]).reshape(-1, d, d)
+    UT_inv = gfmat.mat_mul(ring, T[is_one.argmax(axis=1)][None], U_inv[:, None]).reshape(-1, d, d)
+    return [(gfmat.mat_mul(ring, UT, rep.weyl_rep(ring, word)),
+             gfmat.mat_mul(ring, rep.weyl_rep_inv(ring, word), UT_inv),
+             *_unipotent_cell(rep, ring, sw))
+            for word, sw in zip(words.values(), negs)]
+
+
+def verify_bruhat(E: EnumeratedGroup) -> dict:
+    """Check the factorization g = u t n_w v of `bruhat_cells` against the
+    BFS closure of the root elements, built apart from E: every product
+    must arise exactly once, the tuple count must equal |E|, and the
+    distinct products must be the closure's elements."""
+    rep, ring = E.rep, E.ring
+    prods = [gfmat.mat_mul(ring, A[:, None], V[None]).reshape(-1, rep.dim, rep.dim)
+             for A, _, V, _ in bruhat_cells(rep, ring)]
     total = sum(len(p) for p in prods)
-    distinct = len(gfmat.MatSet(ring, np.concatenate(prods)))
+    distinct = gfmat.MatSet(ring, np.concatenate(prods))
+    same = np.array_equal(distinct.sorted(), bfs_closure(rep, ring).index.sorted())
     return {
         "order": E.order,
         "tuple_count": total,
-        "distinct_products": distinct,
-        "unique": distinct == total,
-        "ok": total == E.order == distinct,
+        "distinct_products": len(distinct),
+        "unique": len(distinct) == total,
+        "ok": same and total == E.order == len(distinct),
     }

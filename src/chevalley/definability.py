@@ -729,8 +729,9 @@ def eval_poly_in_group(rig: RingInGroup, coeffs, relt: np.ndarray) -> np.ndarray
 
 
 def width_probe(E: EnumeratedGroup) -> dict:
-    """Elementary width data: N = max BFS distance over the root-element
-    generator set, with per-element witnessing words available from E."""
+    """Elementary width data: N = max BFS distance from the identity over
+    the root-element generator set (E.dist, computed on first use), with
+    per-element witnessing words available from E.word."""
     return {"width": int(E.dist.max()), "order": E.order}
 
 
@@ -760,7 +761,7 @@ class ThetaMap:
         return _horner(rig, rep.divpow[a], rprime)
 
     def theta(self, idx: int) -> np.ndarray:
-        """theta of the element with BFS index idx, via its witnessing word."""
+        """theta of the element with index idx in E, via its witnessing word."""
         E, T = self.E, self.rig.table
         out = gfmat.identity(T, self.rep.dim)
         for gi in E.word(idx):

@@ -1,6 +1,7 @@
-"""Shared fixtures.  Group enumeration by BFS is the expensive step (Sp4
-over F4 alone takes on the order of a minute), so enumerated groups are
-cached once per session and shared across test modules."""
+"""Shared fixtures.  Group enumeration is the expensive step of many tests
+(Sp4 over F4 takes about half a second from its Bruhat cells, and its word
+data several seconds more), so enumerated groups are cached once per
+session and shared across test modules."""
 
 import pytest
 

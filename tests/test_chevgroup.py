@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chevalley import gfmat
+from chevalley import chevgroup, gfmat
 from chevalley.chevgroup import (
-    adjoint_rep, center_set, centralizer_indices, classical_rep, commutant_group_points, commutator_word,
-    enumerate_group, linear_commutant, root_element_generators, torus_set, verify_bruhat, weyl_elements,
+    adjoint_rep, bfs_closure, center_set, centralizer_indices, classical_rep, commutant_group_points,
+    commutator_word, enumerate_group, linear_commutant, root_element_generators, torus_set, verify_bruhat,
+    weyl_elements,
 )
-from chevalley.rings import GF, Zmod
+from chevalley.rings import GF, ProductRing, Zmod
 from chevalley.rootsys import commutator_template, structure_constants
 
 ORDERS = {
@@ -219,13 +220,13 @@ def test_centralizer_indices_in_blocks_against_pairwise_oracle(group_of, t, monk
     # a 16 KiB budget cuts each stack of 80 into blocks of a few rows
     E = group_of("classical", t, 2, 3)
     ring, d = E.ring, E.rep.dim
+    stack = E.elements[E.dist >= 3]  # the word data first, in blocks of the usual size
     monkeypatch.setattr(gfmat, "BUDGET_BYTES", 1 << 14)
     assert gfmat.block_rows(ring, d, 1) < 20
     assert _scan_against_pairwise_oracle(E.rep, ring, with_identity=True) >= 4
     # no mat_mul operand holds scanned elements, as a stack, stacked as rows
     # or side by side: the scan multiplies their pivot coordinates (rows of
     # the commutant's dimension, here 5 or 10) by the commutant basis
-    stack = E.elements[E.dist >= 3]
     scanned = gfmat.MatSet(ring, stack)
     operands = []
     mat_mul = gfmat.mat_mul
@@ -235,7 +236,7 @@ def test_centralizer_indices_in_blocks_against_pairwise_oracle(group_of, t, monk
         return mat_mul(ring, A, B)
 
     monkeypatch.setattr(gfmat, "mat_mul", recording)
-    got = centralizer_indices(ring, stack, [E.elements[0], E.rep.x(ring, 0, ring.one)])
+    got = centralizer_indices(ring, stack, [E.rep.identity(ring), E.rep.x(ring, 0, ring.one)])
     assert 0 < len(got) < len(stack) and len(operands) >= 2 * (len(stack) // gfmat.block_rows(ring, d, 1))
     for X in operands:
         if X.shape[-1] == d:
@@ -247,29 +248,34 @@ def test_centralizer_indices_in_blocks_against_pairwise_oracle(group_of, t, monk
 @pytest.mark.parametrize("t,q", [("A", 3), ("A", 4), ("C", 3)], ids=["SL3(F3)", "SL3(F4)", "Sp4(F3)"])
 def test_enumeration_through_the_table_loop_is_the_same(group_of, t, q, monkeypatch):
     # the table loop in place of every product, and blocks of a few rows (a
-    # 1 MiB budget), give the BFS of the float products in full blocks
-    E = group_of("classical", t, 2, q)
+    # 1 MiB budget), give the BFS closure of the float products in full
+    # blocks, and the group built from the Bruhat cells
+    rep = classical_rep(t, 2)
+    E, Y = bfs_closure(rep, GF(q)), group_of("classical", t, 2, q)
     monkeypatch.setattr(gfmat, "mat_mul", gfmat._mat_mul_tables)
     monkeypatch.setattr(gfmat, "BUDGET_BYTES", 1 << 20)
-    F = enumerate_group(E.rep, GF(q))
+    F = bfs_closure(rep, GF(q))
     widest = np.bincount(F.dist).max()
     assert gfmat.block_rows(F.ring, F.rep.dim, len(F.gens)) < gfmat.block_rows(F.ring, F.rep.dim, 1) < widest
     for attr in ("elements", "dist", "parent", "genidx", "inv_idx"):
         assert np.array_equal(getattr(F, attr), getattr(E, attr)), attr
+    Z = enumerate_group(rep, GF(q))
+    for attr in ("elements", "inv_idx"):
+        assert np.array_equal(getattr(Z, attr), getattr(Y, attr)), attr
 
 
 @pytest.mark.parametrize("t,q,order", [("A", 3, 5616), ("A", 4, 60480), ("C", 3, 51840)],
                          ids=["SL3(F3)", "SL3(F4)", "Sp4(F3)"])
-def test_enumeration_with_sorted_seen_keys_is_the_same(group_of, t, q, order, monkeypatch):
+def test_enumeration_with_sorted_seen_keys_is_the_same(t, q, order, monkeypatch):
     # the bitmap of seen keys, which these groups get, and the sorted keys,
     # which a budget one byte short of the bitmap's 32 times gives them, make
     # the same BFS of distinct elements and the same numbering
-    E = group_of("classical", t, 2, q)
+    E = bfs_closure(classical_rep(t, 2), GF(q))
     ring, d = E.ring, E.rep.dim
     assert gfmat.SeenKeys(ring, d).bits is not None
     monkeypatch.setattr(gfmat, "BUDGET_BYTES", (((q ** (d * d) + 7) >> 3) << 5) - 1)
     assert gfmat.SeenKeys(ring, d).bits is None
-    F = enumerate_group(E.rep, ring)
+    F = bfs_closure(E.rep, ring)
     assert E.order == F.order == order == len(gfmat.MatSet(ring, E.elements))
     for attr in ("elements", "dist", "parent", "genidx", "inv_idx"):
         assert np.array_equal(getattr(F, attr), getattr(E, attr)), attr
@@ -298,16 +304,86 @@ def test_bruhat_uniqueness_sl3_f2(group_of):
     assert rpt["ok"] and rpt["order"] == 168 and rpt["tuple_count"] == 168
 
 
+BRUHAT_GROUPS = [("classical", "A", q) for q in (2, 3, 4, 5)] + [("classical", "C", 3), ("classical", "C", 4),
+                                                                   ("adjoint", "G", 2)]
+
+
+@pytest.mark.parametrize("form,t,q", BRUHAT_GROUPS,
+                         ids=["SL3(F2)", "SL3(F3)", "SL3(F4)", "SL3(F5)", "Sp4(F3)", "Sp4(F4)", "G2adj(F2)"])
+def test_bruhat_enumeration_against_the_bfs_closure(group_of, form, t, q):
+    # the group built from the Bruhat cells and the BFS closure of the root
+    # elements: the same elements, numbered in key order, every inverse
+    # right, the same center and, under the map between their numberings,
+    # the same BFS words and distances
+    E = group_of(form, t, 2, q)
+    B = bfs_closure(E.rep, E.ring)
+    ring, d = E.ring, E.rep.dim
+    assert np.array_equal(E.elements, B.index.sorted())
+    ident = E.rep.identity(ring)
+    rows = gfmat.block_rows(ring, d, 1)
+    for b0 in range(0, E.order, rows):
+        blk = slice(b0, b0 + rows)
+        assert (gfmat.mat_mul(ring, E.elements[blk], E.elements[E.inv_idx[blk]]) == ident).all()
+    assert np.array_equal(gfmat.MatSet(ring, E.elements[E.center]).sorted(),
+                          gfmat.MatSet(ring, B.elements[B.center]).sorted())
+    if E.order > 500_000:
+        return  # Sp4(F4): the words' 47 M lookups take seconds; SL3(F5) checks them at scale
+    m = E.idx(B.elements)  # BFS index -> index in E
+    assert np.array_equal(E.dist[m], B.dist)
+    assert np.array_equal(E.genidx[m], B.genidx)
+    assert np.array_equal(E.parent[m], np.where(B.parent < 0, -1, m[B.parent]))
+    for j in range(0, B.order, max(1, B.order // 50)):
+        word = E.word(int(m[j]))
+        assert word == B.word(j)
+        prod = ident
+        for g in word:
+            prod = gfmat.mat_mul(ring, prod, E.gens[g])
+        assert (prod == E.elements[m[j]]).all()
+
+
+@pytest.mark.parametrize("which", range(6))
+def test_bruhat_enumeration_refuses_a_corrupted_weyl_representative(which, monkeypatch):
+    # one entry of one n_w changed: its cell's products no longer match the
+    # inverses built from n_w^-1, and enumerate_group raises
+    rep, ring = classical_rep("A", 2), GF(3)
+    bad = list(weyl_elements(rep.sys).values())[which]
+    weyl_rep = rep.weyl_rep
+
+    def corrupted(ring, word):
+        nw = weyl_rep(ring, word)
+        if word == bad:
+            nw = nw.copy()
+            nw[0, 1] = ring.add(nw[0, 1], ring.one)
+        return nw
+
+    monkeypatch.setattr(rep, "weyl_rep", corrupted)
+    with pytest.raises(RuntimeError):
+        enumerate_group(rep, ring)
+
+
+def test_bruhat_check_compares_the_products_with_the_bfs_closure(group_of, monkeypatch):
+    # a closure with one element swapped for a matrix outside the group has
+    # the right size, so the counts still agree with |E|; the check fails
+    E = group_of("classical", "A", 2, 2)
+    closure = bfs_closure(E.rep, E.ring)
+    elements = closure.elements.copy()
+    elements[-1] = gfmat.scalar_mat(E.ring, 3, E.ring.zero)
+    closure.index = gfmat.MatSet(E.ring, elements)
+    monkeypatch.setattr(chevgroup, "bfs_closure", lambda rep, ring: closure)
+    rpt = verify_bruhat(E)
+    assert not rpt["ok"] and rpt["order"] == rpt["tuple_count"] == rpt["distinct_products"] == 168
+
+
 def test_adjoint_g2_order(group_of):
     assert group_of("adjoint", "G", 2, 2).order == 12096
 
 
 @pytest.mark.parametrize("t,r,q", [("A", 2, 2), ("C", 2, 2)])
-def test_bfs_order_oracle(group_of, t, r, q):
+def test_bfs_order_oracle(t, r, q):
     # every element's (parent, genidx) is the first (frontier position,
     # generator) pair of the previous level whose product gives it, and each
     # level lists its new elements in that order
-    E = group_of("classical", t, r, q)
+    E = bfs_closure(classical_rep(t, r), GF(q))
     ring = E.ring
     _, gens, _ = root_element_generators(E.rep, ring)
     seen = {E.elements[0].tobytes()}
@@ -353,3 +429,13 @@ def test_idx_raises_key_error_off_group(group_of):
     with pytest.raises(KeyError):
         E.idx(np.stack([E.elements[5], two]))
     assert E.idx(E.elements[[7, 3]]).tolist() == [7, 3]
+
+
+def test_enumeration_over_a_ring_that_is_not_a_field_is_the_bfs_closure():
+    # SL3(F2 x F2) = SL3(F2)^2: no Bruhat cells, the closure with its own
+    # word data
+    rep, ring = classical_rep("A", 2), ProductRing([GF(2), GF(2)])
+    E, B = enumerate_group(rep, ring), bfs_closure(rep, ring)
+    assert E.order == 168**2
+    for attr in ("elements", "dist", "parent", "genidx", "inv_idx"):
+        assert np.array_equal(getattr(E, attr), getattr(B, attr)), attr

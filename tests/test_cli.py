@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -155,6 +156,21 @@ def test_refused_input_exits_2_with_one_line(argv, message, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("chevalley: error: ") and message in line
+
+
+def test_dc_suite_is_the_same_under_python_O():
+    # python -O strips assert statements: the dc suite's invariants raise
+    # instead, so its report reads the same with and without -O
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = [subprocess.run([sys.executable, *flags, "-m", "chevalley.cli", "--format", "json", "--seed", "0",
+                            "run", "--suite", "dc"], capture_output=True, env=env, check=True).stdout
+            for flags in ([], ["-O"])]
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["failures"] == 0 and len(report["checks"]) == 17
+    tree = ast.parse((Path(src) / "chevalley" / "chevgroup.py").read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
 
 
 def test_check_dc_json_is_the_same_under_any_hash_seed():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from chevalley import gfmat
 from chevalley.adelic import SL2Group, higher_rank_width
-from chevalley.chevgroup import classical_rep, enumerate_group
+from chevalley.chevgroup import bfs_closure, classical_rep, enumerate_group
 from chevalley.gfmat import BudgetExceeded, MatSet, span_elements
 from chevalley.rings import GF, ProductRing, Zmod
 
@@ -338,10 +338,49 @@ def test_enumeration_refused_before_the_elements_outgrow_the_budget(monkeypatch)
 
     monkeypatch.setattr(gfmat.SeenKeys, "fresh", recording_fresh)
     with pytest.raises(BudgetExceeded, match="group elements"):
-        enumerate_group(classical_rep("A", 2), GF(3))
+        bfs_closure(classical_rep("A", 2), GF(3))
     # stored[0] is the identity alone: refused after at least one block was
     # stored, and while the stored elements still fit
     assert len(stored) > 1 and max(stored) <= budget
+
+
+def test_bruhat_enumeration_refused_before_any_element_block(monkeypatch):
+    # SL3(F3) takes 5 616 x 9 bytes: refused from the cells' tuple count,
+    # before any 2-D product of a cell (u t n_w side by side with v) is built
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 20_000)
+    blocks = []
+    mat_mul = gfmat.mat_mul
+
+    def recording(ring, A, B):
+        if A.ndim == B.ndim == 2:
+            blocks.append(A.shape[0] * B.shape[1])
+        return mat_mul(ring, A, B)
+
+    monkeypatch.setattr(gfmat, "mat_mul", recording)
+    with pytest.raises(BudgetExceeded, match="group elements"):
+        enumerate_group(classical_rep("A", 2), GF(3))
+    assert blocks == []
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 5616 * 9)
+    assert enumerate_group(classical_rep("A", 2), GF(3)).order == 5616
+    assert blocks
+
+
+@pytest.mark.parametrize("name", ["F2", "Z/6", "Z/9", "F7xF11", "Z/2048"])
+def test_mat_mul_stacks_agree_on_both_sides_of_the_division_cutoff(name):
+    # a stack of products reduces with %= below REDUCE_BY_DIVISION entries and
+    # as C - C // n * n from there on; both agree with the table loop, at the
+    # lift's bound too, for a stack times a stack and times one matrix (the
+    # shape of the Bruhat cells' u t n_w)
+    ring = KERNEL_RINGS[name]()
+    rng = np.random.default_rng(sorted(KERNEL_RINGS).index(name))
+    cut = gfmat.REDUCE_BY_DIVISION
+    for d in (1, 3, 4, 7):
+        for n in (cut // d**2 - 1, -(-cut // d**2)):  # the last stack below the cutoff, the first at it
+            A = rng.integers(ring.size, size=(n, d, d)).astype(ring.dtype)
+            B = rng.integers(ring.size, size=(n, d, d)).astype(ring.dtype)
+            A[0] = B[0] = ring.size - 1
+            for X, Y in ((A, B), (A, B[0])):
+                assert np.array_equal(gfmat.mat_mul(ring, X, Y), gfmat._mat_mul_tables(ring, X, Y)), (d, n)
 
 
 def test_width_refused_before_the_product_is_built(monkeypatch):
