@@ -420,38 +420,16 @@ class EnumeratedGroup:
 
     @cached_property
     def _words(self):
-        """(dist, parent, genidx): the BFS of `bfs_closure` from the identity,
-        run over indices of the known elements, so "seen?" is a flag per
-        element and each product is looked up rather than deduplicated.  New
-        elements come in order of their first (frontier position, generator),
-        so words and distances are the closure's, element for element."""
-        ring, d, G = self.ring, self.rep.dim, len(self.gens)
-        gcat = self.gens.transpose(1, 0, 2).reshape(d, G * d)  # the generators side by side
-        rows = gfmat.block_rows(ring, d, G)
-        seen = np.zeros(self.order, dtype=bool)
-        dist, parent, genidx = (np.full(self.order, -1) for _ in range(3))
-        frontier = np.atleast_1d(self.idx(self.rep.identity(ring)))
-        seen[frontier] = True
-        dist[frontier] = 0
-        level = 0
-        while len(frontier):
-            level += 1
-            new = []
-            for c0 in range(0, len(frontier), rows):
-                block = frontier[c0:c0 + rows]
-                cand = gfmat.mat_mul(ring, self.elements[block].reshape(-1, d), gcat).reshape(-1, d, G, d)
-                hit = self.idx(cand.transpose(0, 2, 1, 3)).ravel()  # hit[i G + g]: frontier[c0 + i] gens[g]
-                fresh = np.flatnonzero(~seen[hit])
-                _, first = np.unique(hit[fresh], return_index=True)
-                fresh = fresh[np.sort(first)]
-                found = hit[fresh]
-                seen[found] = True
-                dist[found] = level
-                parent[found] = block[fresh // G]
-                genidx[found] = fresh % G
-                new.append(found)
-            frontier = np.concatenate(new)
-        return dist, parent, genidx
+        """(dist, parent, genidx) of `bfs_closure`'s BFS from the identity,
+        carried over to this numbering by one lookup of each BFS element."""
+        elements, dist, parent, genidx = _bfs(self.rep, self.ring, self.gens)
+        if len(elements) != self.order:
+            raise RuntimeError(f"the BFS closure has {len(elements)} elements, the group {self.order}")
+        m = self.idx(elements)  # BFS position -> index here
+        out = [np.empty(self.order, dtype=a.dtype) for a in (dist, parent, genidx)]
+        for a, b in zip(out, (dist, np.where(parent < 0, -1, m[parent]), genidx)):
+            a[m] = b
+        return tuple(out)
 
     @cached_property
     def center(self) -> np.ndarray:
@@ -501,12 +479,12 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
         return bfs_closure(rep, ring)
     labels, gmats, _ = root_element_generators(rep, ring)
     d = rep.dim
-    cells = bruhat_cells(rep, ring)
-    order = sum(len(A) * len(V) for A, _, V, _ in cells)
+    cells = bruhat_cells(rep, ring, inverses=True)
+    order = sum(len(A) * len(V) for A, V, _, _ in cells)
     elems = np.empty((order, d, d), dtype=ring.dtype)  # in the cells' layout (w, u t, v)
     invs = np.empty_like(elems)
     at = 0
-    for A, B, V, V_inv in cells:
+    for A, V, B, V_inv in cells:
         n = len(V)
         vcat = V.transpose(1, 0, 2).reshape(d, n * d)  # V side by side
         rows = gfmat.block_rows(ring, d, n)
@@ -544,15 +522,36 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
 
 
 def bfs_closure(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
-    """Deterministic BFS closure of the root elements, over any ring; the
-    groups of `enumerate_group` over a field are tested against it.  Each
-    level multiplies its frontier by every generator, block by block, and
-    keeps the products not met before, in order of their first (frontier
-    position, generator).  Whether a product was met is one bit of a bitmap
-    over the key space when that fits the block rule's 8 MiB, else a binary
-    search in the sorted keys met so far (`gfmat.SeenKeys`); the group's
-    `MatSet` is built once, from all the elements."""
+    """Deterministic BFS closure of the root elements (`_bfs`), over any
+    ring, numbered in BFS order; the groups of `enumerate_group` over a
+    field are tested against it.  Each inverse is g^-1 inv(e) for the
+    element's parent e and generator g, built level by level."""
     labels, gmats, ginvs = root_element_generators(rep, ring)
+    elements, dist, parent, genidx = _bfs(rep, ring, gmats)
+    d = rep.dim
+    index = gfmat.MatSet(ring, elements)
+    # inverses, level by level and block by block: inv(e g) = g^-1 inv(e),
+    # with e in an earlier level
+    inv_mats = np.empty_like(elements)
+    inv_mats[0] = rep.identity(ring)
+    rows = gfmat.block_rows(ring, d, 1)
+    ends = np.searchsorted(dist, np.arange(1, dist[-1] + 2))  # level lv ends at ends[lv]
+    for lv in range(1, len(ends)):
+        for b0 in range(ends[lv - 1], ends[lv], rows):
+            blk = slice(b0, min(b0 + rows, ends[lv]))
+            inv_mats[blk] = gfmat.mat_mul(ring, ginvs[genidx[blk]], inv_mats[parent[blk]])
+    inv_idx = index.index(inv_mats)
+    return EnumeratedGroup(rep, ring, elements, index, inv_idx, labels, gmats, words=(dist, parent, genidx))
+
+
+def _bfs(rep: MatrixRep, ring: FiniteRing, gmats: np.ndarray):
+    """The BFS from the identity over the generators gmats: (elements,
+    dist, parent, genidx), elements in BFS order.  Each level multiplies its
+    frontier by every generator, block by block, and keeps the products not
+    met before, in order of their first (frontier position, generator).
+    Whether a product was met is one bit of a bitmap over the key space
+    when that fits the block rule's 8 MiB, else a binary search in the
+    sorted keys met so far (`gfmat.SeenKeys`)."""
     d = rep.dim
     G = len(gmats)
     ident = rep.identity(ring)[None]
@@ -586,23 +585,8 @@ def bfs_closure(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
         parent += par
         genidx += gen
     elements = np.concatenate(elems)
-    del elems  # free the levels before the index is built
-    dist = np.concatenate(dist)
-    parent = np.concatenate(parent)
-    genidx = np.concatenate(genidx)
-    index = gfmat.MatSet(ring, elements)
-    # inverses, level by level and block by block: inv(e g) = g^-1 inv(e),
-    # with e in an earlier level
-    inv_mats = np.empty_like(elements)
-    inv_mats[0] = ident[0]
-    rows = gfmat.block_rows(ring, d, 1)
-    ends = np.searchsorted(dist, np.arange(1, dist[-1] + 2))  # level lv ends at ends[lv]
-    for lv in range(1, len(ends)):
-        for b0 in range(ends[lv - 1], ends[lv], rows):
-            blk = slice(b0, min(b0 + rows, ends[lv]))
-            inv_mats[blk] = gfmat.mat_mul(ring, ginvs[genidx[blk]], inv_mats[parent[blk]])
-    inv_idx = index.index(inv_mats)
-    return EnumeratedGroup(rep, ring, elements, index, inv_idx, labels, gmats, words=(dist, parent, genidx))
+    del elems  # free the levels before the word arrays are joined
+    return elements, np.concatenate(dist), np.concatenate(parent), np.concatenate(genidx)
 
 
 def centralizer_indices(ring: FiniteRing, elements: np.ndarray, mats) -> np.ndarray:
@@ -728,61 +712,70 @@ def weyl_elements(sys: RootSystem):
     return out
 
 
-def _unipotent_cell(rep: MatrixRep, ring: FiniteRing, roots):
+def _unipotent_cell(rep: MatrixRep, ring: FiniteRing, roots) -> np.ndarray:
     """x_{a_1}(r_1) ... x_{a_k}(r_k) over every tuple of codes, in base-|R|
-    order of (r_1, ..., r_k), and the inverse x_{a_k}(-r_k) ... x_{a_1}(-r_1)
-    of each at its place; RuntimeError if two tuples give one product."""
+    order of (r_1, ..., r_k); RuntimeError if two tuples give one product."""
     codes = np.arange(ring.size, dtype=ring.dtype)
-    ident = rep.identity(ring)[None]
-    prods = product_set(ring, [ident] + [rep.x_batch(ring, a, codes) for a in roots])
+    prods = product_set(ring, [rep.identity(ring)[None]] + [rep.x_batch(ring, a, codes) for a in roots])
     if len(prods) != ring.size ** len(roots):
         raise RuntimeError("unipotent product set collapsed")
-    invs = ident
+    return prods
+
+
+def _unipotent_cell_inverses(rep: MatrixRep, ring: FiniteRing, roots) -> np.ndarray:
+    """The inverse x_{a_k}(-r_k) ... x_{a_1}(-r_1) of each product of
+    `_unipotent_cell`, at its place."""
+    neg = ring.neg_t[np.arange(ring.size)]
+    invs = rep.identity(ring)[None]
     for a in roots:  # x_a(r)^-1 = x_a(-r), on the left, with r the last digit
-        invs = gfmat.mat_mul(ring, rep.x_batch(ring, a, ring.neg_t[codes])[None], invs[:, None])
+        invs = gfmat.mat_mul(ring, rep.x_batch(ring, a, neg)[None], invs[:, None])
         invs = invs.reshape(-1, rep.dim, rep.dim)
-    return prods, invs
+    return invs
 
 
-def bruhat_cells(rep: MatrixRep, ring: FiniteRing):
+def bruhat_cells(rep: MatrixRep, ring: FiniteRing, inverses: bool = False):
     """The Bruhat cells of G(F) over a field F: every element is uniquely
     u t n_w v, with u in U over all positive roots in the fixed order, t in
     T(F), w in the Weyl group and v over S_w = {i : w(root_i) < 0}
     (Steinberg, Lectures on Chevalley Groups, 1968, 3; Carter, Simple Groups
-    of Lie Type, 1972, Thm 8.4.3).  One tuple (A, B, V, V^-1) per w: A the
-    products u t n_w in layout (u, t), B = n_w^-1 (u t)^-1 at the same
-    places, and V the products over S_w (`_unipotent_cell`).  t^-1 is looked
-    up in T, and n_w^-1 is `weyl_rep_inv`.  The order |U| |T| sum_w q^|S_w|
-    passes `check_budget` before any cell is built."""
+    of Lie Type, 1972, Thm 8.4.3).  One pair (A, V) per w: A the products
+    u t n_w in layout (u, t), V the products over S_w (`_unipotent_cell`).
+    With inverses, (A, V, B, V^-1) with B = n_w^-1 (u t)^-1 at the places
+    of A: t^-1 is looked up in T, and n_w^-1 is `weyl_rep_inv`.  The order
+    |U| |T| sum_w q^|S_w| passes `check_budget` before any cell is built."""
     sys, d = rep.sys, rep.dim
     T = torus_set(rep, ring)
-    words = weyl_elements(sys)
-    negs = [[i for i in range(sys.n_pos) if perm[i] >= sys.n_pos] for perm in words]
+    words = list(weyl_elements(sys).items())
+    negs = [[i for i in range(sys.n_pos) if perm[i] >= sys.n_pos] for perm, _ in words]
     order = ring.size ** sys.n_pos * len(T) * sum(ring.size ** len(sw) for sw in negs)
     gfmat.check_budget("group elements", (order, d, d), ring.dtype)
+    UT = gfmat.mat_mul(ring, _unipotent_cell(rep, ring, range(sys.n_pos))[:, None], T[None]).reshape(-1, d, d)
+    cells = [(gfmat.mat_mul(ring, UT, rep.weyl_rep(ring, word)), _unipotent_cell(rep, ring, sw))
+             for (_, word), sw in zip(words, negs)]
+    if not inverses:
+        return cells
     is_one = (gfmat.mat_mul(ring, T[:, None], T[None]) == rep.identity(ring)).all(axis=(-2, -1))
     if not is_one.any(axis=1).all():
         raise RuntimeError("torus set is not closed under inverses")
-    U, U_inv = _unipotent_cell(rep, ring, range(sys.n_pos))
-    UT = gfmat.mat_mul(ring, U[:, None], T[None]).reshape(-1, d, d)
+    U_inv = _unipotent_cell_inverses(rep, ring, range(sys.n_pos))
     UT_inv = gfmat.mat_mul(ring, T[is_one.argmax(axis=1)][None], U_inv[:, None]).reshape(-1, d, d)
-    return [(gfmat.mat_mul(ring, UT, rep.weyl_rep(ring, word)),
-             gfmat.mat_mul(ring, rep.weyl_rep_inv(ring, word), UT_inv),
-             *_unipotent_cell(rep, ring, sw))
-            for word, sw in zip(words.values(), negs)]
+    return [(A, V, gfmat.mat_mul(ring, rep.weyl_rep_inv(ring, word), UT_inv), _unipotent_cell_inverses(rep, ring, sw))
+            for (A, V), (_, word), sw in zip(cells, words, negs)]
 
 
 def verify_bruhat(E: EnumeratedGroup) -> dict:
     """Check the factorization g = u t n_w v of `bruhat_cells` against the
-    BFS closure of the root elements, built apart from E: every product
-    must arise exactly once, the tuple count must equal |E|, and the
-    distinct products must be the closure's elements."""
+    BFS closure of the root elements (`_bfs`): every product must arise
+    exactly once, the tuple count must equal |E|, and the distinct
+    products must be the closure's elements.  Over a field E is built from
+    the same cells, so the tuple count equals |E| by construction there;
+    the comparison with the closure is the check that stands apart."""
     rep, ring = E.rep, E.ring
     prods = [gfmat.mat_mul(ring, A[:, None], V[None]).reshape(-1, rep.dim, rep.dim)
-             for A, _, V, _ in bruhat_cells(rep, ring)]
+             for A, V in bruhat_cells(rep, ring)]
     total = sum(len(p) for p in prods)
     distinct = gfmat.MatSet(ring, np.concatenate(prods))
-    same = np.array_equal(distinct.sorted(), bfs_closure(rep, ring).index.sorted())
+    same = np.array_equal(distinct.sorted(), gfmat.MatSet(ring, _bfs(rep, ring, E.gens)[0]).sorted())
     return {
         "order": E.order,
         "tuple_count": total,

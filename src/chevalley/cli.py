@@ -19,7 +19,7 @@ import numpy as np
 
 from . import adelic
 from .chevgroup import (
-    adjoint_rep, classical_rep, commutator_word, enumerate_group, verify_bruhat,
+    adjoint_rep, bfs_closure, classical_rep, commutator_word, enumerate_group, verify_bruhat,
 )
 from .definability import (
     ThetaMap, RingInGroup, check_ring_axioms, define_set, evaluate_sentence,
@@ -557,7 +557,9 @@ def _dispatch(args) -> int:
         elif args.cmd == "eval-formula":
             F = parse_formula(args.formula)
             params = [parse_element(rep, ring, p) for p in args.params.split(";") if p]
-        E = enumerate_group(rep, ring)
+        # the word lengths are the BFS closure's, which gives the elements
+        # with them; the other subcommands take the group from its cells
+        E = (bfs_closure if args.cmd == "enumerate" else enumerate_group)(rep, ring)
         name = f"{args.group}({ring.name})"
         if args.cmd == "enumerate":
             s.add(name, "group-enumeration", None,

@@ -27,10 +27,11 @@ holds the bound: a single product gains nothing from BLAS but its call
 overhead, and a float32 stacked matmul measured slower than an integer one.
 A block's float product is cast to work_dtype and reduced there.  In uint8
 (a bound of at most 255, as for SL3(F5), Sp4(F3), G2adj(F2) and the F4
-lift at d = 3) nothing is widened to reduce and narrowed again.  A block,
-and a stack of at least REDUCE_BY_DIVISION entries, reduces mod n as
-C - C // n * n, which numpy divides with a multiply and shift; single
-products and smaller stacks take one ``%=`` pass, cheaper there.  Other
+lift at d = 3) nothing is widened to reduce and narrowed again.  A
+product of at least REDUCE_BY_DIVISION entries (a block, a stack or one
+large matrix) reduces mod n as C - C // n * n, which numpy divides with a
+multiply and shift; smaller ones take one ``%=`` pass, cheaper there (the
+two cross between 640 and 1024 uint8 or int16 entries).  Other
 rings (TableRing, products such as F3xF4) and rings whose Kronecker reduce
 table would pass the block rule's BUDGET_BYTES >> 5 bytes go through the
 ring's lookup tables, one gather per inner index; that loop,
@@ -58,7 +59,7 @@ import numpy as np
 from .rings import GF, FiniteRing, ProductRing, Zmod
 
 BUDGET_BYTES = 1 << 28  # the largest array one step may build: 256 MiB
-REDUCE_BY_DIVISION = 4096  # entries from which a stack of products reduces as C - C // n * n
+REDUCE_BY_DIVISION = 1024  # entries from which a product reduces as C - C // n * n
 
 
 class BudgetExceeded(ValueError):
@@ -158,18 +159,19 @@ def mat_mul(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if lift is None:
         return _mat_mul_tables(ring, A, B)
     enc, modulus, dec, work, flt, fenc = lift
-    block = flt is not None and A.ndim == B.ndim == 2 and A.shape[0] * B.shape[1] > d * d
-    if block:
+    if flt is not None and A.ndim == B.ndim == 2 and A.shape[0] * B.shape[1] > d * d:
         # a block of products, stacked or side by side: one GEMM
         C = (A.astype(flt) @ B.astype(flt) if fenc is None else fenc[A] @ fenc[B]).astype(work)
     else:
         # exact in work_dtype, uint8 included: no partial sum passes the bound
         C = A.astype(work, copy=False) @ B.astype(work, copy=False) if enc is None else enc[A] @ enc[B]
     if modulus is not None:
-        if block or C.size >= REDUCE_BY_DIVISION:
+        if C.size >= REDUCE_BY_DIVISION:
             # C >= 0; numpy divides by a scalar with a multiply and shift,
-            # where % divides entry by entry
-            C -= C // modulus * modulus
+            # where % divides entry by entry; one temporary, q
+            q = C // modulus
+            q *= modulus
+            C -= q
         else:
             C %= modulus  # one pass: cheaper on single products and small stacks
     return C.astype(ring.dtype, copy=False) if dec is None else dec[C]

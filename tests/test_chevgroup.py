@@ -327,7 +327,7 @@ def test_bruhat_enumeration_against_the_bfs_closure(group_of, form, t, q):
     assert np.array_equal(gfmat.MatSet(ring, E.elements[E.center]).sorted(),
                           gfmat.MatSet(ring, B.elements[B.center]).sorted())
     if E.order > 500_000:
-        return  # Sp4(F4): the words' 47 M lookups take seconds; SL3(F5) checks them at scale
+        return  # Sp4(F4): the word data would run its 6 s BFS again; SL3(F5) checks them at scale
     m = E.idx(B.elements)  # BFS index -> index in E
     assert np.array_equal(E.dist[m], B.dist)
     assert np.array_equal(E.genidx[m], B.genidx)
@@ -365,11 +365,9 @@ def test_bruhat_check_compares_the_products_with_the_bfs_closure(group_of, monke
     # a closure with one element swapped for a matrix outside the group has
     # the right size, so the counts still agree with |E|; the check fails
     E = group_of("classical", "A", 2, 2)
-    closure = bfs_closure(E.rep, E.ring)
-    elements = closure.elements.copy()
+    elements, *words = chevgroup._bfs(E.rep, E.ring, E.gens)
     elements[-1] = gfmat.scalar_mat(E.ring, 3, E.ring.zero)
-    closure.index = gfmat.MatSet(E.ring, elements)
-    monkeypatch.setattr(chevgroup, "bfs_closure", lambda rep, ring: closure)
+    monkeypatch.setattr(chevgroup, "_bfs", lambda rep, ring, gens: (elements, *words))
     rpt = verify_bruhat(E)
     assert not rpt["ok"] and rpt["order"] == rpt["tuple_count"] == rpt["distinct_products"] == 168
 

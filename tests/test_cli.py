@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from chevalley.chevgroup import enumerate_group
 from chevalley.cli import _render, main, parse_element, parse_group, run_suite
 from chevalley.rings import GF
 
@@ -41,6 +42,9 @@ def test_enumerate_command(capsys):
     assert main(["--format", "json", "enumerate", "--group", "SL3", "--field", "2"]) == 0
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     assert check["status"] == "exploratory" and check["data"]["order"] == 168
+    # the command takes the BFS closure; the group built from its cells
+    # carries the same word lengths
+    assert check["data"]["max_word_length"] == int(enumerate_group(parse_group("SL3"), GF(2)).dist.max())
 
 
 def test_check_commutators_command(capsys):

@@ -352,7 +352,7 @@ def test_bruhat_enumeration_refused_before_any_element_block(monkeypatch):
     mat_mul = gfmat.mat_mul
 
     def recording(ring, A, B):
-        if A.ndim == B.ndim == 2:
+        if A.ndim == B.ndim == 2 and A.shape[0] * B.shape[1] > A.shape[1] ** 2:  # not one d x d product
             blocks.append(A.shape[0] * B.shape[1])
         return mat_mul(ring, A, B)
 
@@ -367,10 +367,10 @@ def test_bruhat_enumeration_refused_before_any_element_block(monkeypatch):
 
 @pytest.mark.parametrize("name", ["F2", "Z/6", "Z/9", "F7xF11", "Z/2048"])
 def test_mat_mul_stacks_agree_on_both_sides_of_the_division_cutoff(name):
-    # a stack of products reduces with %= below REDUCE_BY_DIVISION entries and
-    # as C - C // n * n from there on; both agree with the table loop, at the
-    # lift's bound too, for a stack times a stack and times one matrix (the
-    # shape of the Bruhat cells' u t n_w)
+    # a product reduces with %= below REDUCE_BY_DIVISION entries and as
+    # C - C // n * n from there on; both agree with the table loop, at the
+    # lift's bound too, for a stack times a stack, a stack times one matrix
+    # (the shape of the Bruhat cells' u t n_w) and a 2-D block of the same size
     ring = KERNEL_RINGS[name]()
     rng = np.random.default_rng(sorted(KERNEL_RINGS).index(name))
     cut = gfmat.REDUCE_BY_DIVISION
@@ -379,7 +379,7 @@ def test_mat_mul_stacks_agree_on_both_sides_of_the_division_cutoff(name):
             A = rng.integers(ring.size, size=(n, d, d)).astype(ring.dtype)
             B = rng.integers(ring.size, size=(n, d, d)).astype(ring.dtype)
             A[0] = B[0] = ring.size - 1
-            for X, Y in ((A, B), (A, B[0])):
+            for X, Y in ((A, B), (A, B[0]), (A.reshape(-1, d), B[0])):
                 assert np.array_equal(gfmat.mat_mul(ring, X, Y), gfmat._mat_mul_tables(ring, X, Y)), (d, n)
 
 
