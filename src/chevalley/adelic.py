@@ -6,8 +6,10 @@ Gamma_1, the group-word multiplication on U, the VHU factorization with
 W-correction, the entrywise theta map, and the 8-factor K_alpha / elementary
 width decompositions.
 
-Quotient modes are realized by canonical coset representatives (the
-lexicographically least matrix in the coset), so set comparisons are exact.
+`SL2Group` is a `chevgroup.EnumeratedGroup`, built by the same
+constructor as the Chevalley groups.  Quotient modes are realized by
+canonical coset representatives (the lexicographically least matrix in the
+coset, `SL2Group.canon`), so set comparisons are exact.
 First-order definitions are double-checked against the direct constructions
 with the formula evaluator on the plain SL2 mode, where matrix products of
 representatives are the honest group operation.
@@ -34,6 +36,7 @@ import math
 import numpy as np
 
 from . import gfmat
+from .chevgroup import EnumeratedGroup
 from .rings import FiniteRing, ProductRing, TableRing, decompose_square_diff
 from .definability import And, Eq, Exists, Inv, Mul, One, Or, Param, Var, define_set
 
@@ -76,35 +79,27 @@ def _sl2_field(f: FiniteRing) -> np.ndarray:
     return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
 
 
-class SL2Group:
-    """SL2(A) or one of its central quotients, fully enumerated.
-
-    Duck-types the slice of EnumeratedGroup that the formula evaluator
-    needs: ring, rep.dim, elements, order, idx(), inv_idx.
-    """
+class SL2Group(EnumeratedGroup):
+    """SL2(A) or one of its central quotients, fully enumerated: an
+    EnumeratedGroup whose elements are the distinct coset representatives
+    (`canon`, the lex-least matrix of a coset of the mode's central
+    scalars) of the determinant-1 grid, each with the representative of its
+    adjugate as inverse; here too the generators, the P tables and the
+    ring on U."""
 
     MODES = ("SL2", "SL2modZ", "PSL2")
 
     def __init__(self, ring: FiniteRing, mode: str = "SL2"):
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
-        self.ring = ring
+        self.ring = ring  # canon reads it before the group is numbered
         self.mode = mode
         comps = [_sl2_field(f) for f in _field_factors(ring)]
         gfmat.check_budget(f"SL2({ring.name})", (math.prod(len(c) for c in comps), 2, 2), np.int64)
-        mats = _componentwise(ring, comps)
-
         self._zs = self._central_scalars()
-        # elements in lexicographic order, numbered by position
-        self._set = gfmat.MatSet(ring, self.canon(mats), key_order=True)
-        self.elements = self._set.sorted()
-        self.order = len(self.elements)
-        self.inv_idx = self.idx(_adjugate(ring, self.elements))
+        cosets = gfmat.MatSet.unique(ring, self.canon(_componentwise(ring, comps)))
+        super().__init__(ring, cosets, self.canon(_adjugate(ring, cosets)))
         self._p_tables = {}  # offset set S -> P table
-
-        class _Rep:
-            dim = 2
-        self.rep = _Rep()
 
     # -- coset representatives ------------------------------------------
 
@@ -127,16 +122,8 @@ class SL2Group:
         flat = variants.reshape(len(self._zs), -1, 2, 2)
         return flat[pick.ravel(), np.arange(flat.shape[1])].reshape(mats.shape)
 
-    def idx(self, mats: np.ndarray):
-        """Index of the coset of a matrix, or the indices of a stack; raises
-        KeyError for a matrix outside the group."""
-        return self._set.index(self.canon(mats))
-
     def mul(self, a, b) -> np.ndarray:
         return self.canon(gfmat.mat_mul(self.ring, a, b))
-
-    def inv(self, m) -> np.ndarray:
-        return self.elements[self.inv_idx[self.idx(m)]]
 
     def conj(self, g, x) -> np.ndarray:
         # g^x = x^-1 g x

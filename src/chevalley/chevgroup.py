@@ -13,11 +13,13 @@ into each target ring, so x_alpha(r) = sum r^i M_i(alpha) is exact in any
 characteristic.  Both constructions are calibrated against the same
 structure-constant table and abort if any bracket disagrees.
 
-Also here: group enumeration, over a field from the Bruhat cells
-u t n_w v (numbered in key order, with the BFS word data used for theta
-and width computed on first use) and over other rings by BFS closure,
-which is also the oracle the cells are checked against; centralizers as
-the elements of a stack inside the linear commutant of the conditions; the
+Also here: `EnumeratedGroup`, the one finite-group type, whose one
+constructor numbers given elements in key order and pairs them with their
+given inverses by a sort; group enumeration, over a field from the Bruhat
+cells u t n_w v and over any ring by BFS closure, which is also the oracle
+the cells are checked against (the BFS word data used for theta and width
+are the closure's, carried over to key order); centralizers as the
+elements of a stack inside the linear commutant of the conditions; the
 bound U_{a_1}...U_{a_k}Z as an explicit set; and the Bruhat factorization
 check.
 """
@@ -72,6 +74,14 @@ class MatrixRep:
             self.q = max(self.q, len(powers) - 1)
         self._check_brackets()
         self._ring_cache = {}
+
+    @staticmethod
+    def signed_pos(type_label: str, m: int):
+        """pos(i), the matrix position of the signed index i in the classical
+        layout 1..m, -1..-m of rank m (after a leading 0 for type B)."""
+        if type_label == "B":
+            return lambda i: 0 if i == 0 else (i if i > 0 else m - i)
+        return lambda i: i - 1 if i > 0 else m - i - 1
 
     # -- construction-time consistency -------------------------------------
 
@@ -191,7 +201,7 @@ class MatrixRep:
             eta = next((e for e in (ring.one, ring.neg(ring.one))
                         if (conj == self.x(ring, b, e)).all()), None)
             if eta is None:
-                raise AssertionError("Weyl conjugation did not land on x_b(+-1)")
+                raise RuntimeError("Weyl conjugation did not land on x_b(+-1)")
             cache[(a, b)] = (nw_inv, nw, eta)
         return cache[(a, b)]
 
@@ -299,12 +309,7 @@ def classical_rep(type_label: str, rank: int) -> MatrixRep:
     elif type_label in ("B", "C", "D"):
         two_m = 2 * m
         d = two_m + 1 if type_label == "B" else two_m
-
-        def pos(i):
-            # signed index -> matrix position
-            if type_label == "B":
-                return 0 if i == 0 else (i if i > 0 else m - i)
-            return i - 1 if i > 0 else m - i - 1
+        pos = MatrixRep.signed_pos(type_label, m)
 
         if type_label == "C":
             fund_eps = [[int(t == k) - int(t == k + 1) for t in range(m)] for k in range(m - 1)]
@@ -373,7 +378,7 @@ def _calibrate(sys: RootSystem, raw_X: dict) -> dict:
         elif (br == -target).all():
             eta[g] = -1
         else:
-            raise AssertionError(f"calibration failed at positive root {g}")
+            raise RuntimeError(f"calibration failed at positive root {g}")
     # negatives: pick the sign making [e_g, e_-g] act as +2 on e_g
     out = {g: eta[g] * raw_X[g] for g in range(sys.n_pos)}
     for g in range(sys.n_pos):
@@ -385,7 +390,7 @@ def _calibrate(sys: RootSystem, raw_X: dict) -> dict:
                 out[ng] = F
                 break
         else:
-            raise AssertionError(f"calibration failed at negative root {ng}")
+            raise RuntimeError(f"calibration failed at negative root {ng}")
     return out
 
 
@@ -394,25 +399,54 @@ def _calibrate(sys: RootSystem, raw_X: dict) -> dict:
 
 
 class EnumeratedGroup:
-    """The elements of G(R) = <x_alpha(r)> in a matrix representation over a
-    finite ring, each with the index of its inverse.  Over a field they come
-    from the Bruhat cells and are numbered in key order (`enumerate_group`),
-    over other rings from the BFS closure of the root elements, numbered in
-    BFS order (`bfs_closure`).  The word data (each element's BFS distance,
-    parent and generator) come with the BFS closure; otherwise they are
-    computed on first use (`_words`)."""
+    """A finite matrix group, each element listed once and numbered in key
+    order (`gfmat.MatSet.keys`, the lexicographic order of the entries),
+    with the index of its inverse.  The constructors differ only in how
+    they produce the elements and their inverses: over a field from the
+    Bruhat cells (`enumerate_group`), over any ring from the BFS closure
+    of the root elements (`bfs_closure`), and SL2 over a product of fields
+    in its quotient modes (`adelic.SL2Group`, whose `canon` picks one
+    matrix per coset).  A group of a representation keeps its generators;
+    its word data (each element's BFS distance, parent and generator) are
+    the BFS closure's, carried over to key order, and its center is
+    scanned once, both on first use."""
 
-    def __init__(self, rep: MatrixRep, ring: FiniteRing, elements, index, inv_idx, gens_meta, gens, words=None):
+    def __init__(self, ring: FiniteRing, elements, inverses, rep: MatrixRep | None = None,
+                 gens_meta=None, gens=None):
+        """Number the distinct elements in key order by one sort, and find
+        the number of each inverse, inverses[i] for elements[i], by one sort
+        of the inverses' keys.  inverses must be a fresh C-contiguous array
+        like elements: once the inverses are numbered, their buffer takes
+        the sorted elements.  RuntimeError when a key repeats, when an
+        inverse is not an element, or when the inverses do not pair up
+        (inv(inv(g)) != g)."""
         self.rep = rep
         self.ring = ring
-        self.elements = elements  # (order, d, d)
-        self.index = index  # gfmat.MatSet numbering the elements
-        self.inv_idx = inv_idx
         self.gens_meta = gens_meta  # list of generator labels (root, ring elt)
         self.gens = gens  # (G, d, d) generator matrices, in the order of gens_meta
-        self.order = len(elements)
-        if words is not None:
-            self._words = words  # the closure's own, in place of the cached property
+        keys, inv_keys = gfmat.MatSet.keys(ring, elements), gfmat.MatSet.keys(ring, inverses)
+        self.order = order = len(keys)
+        perm, inv_perm = np.argsort(keys), np.argsort(inv_keys)
+        srt = keys[perm]
+        if (srt[1:] == srt[:-1]).any():
+            raise RuntimeError("an element is given twice")
+        # the inverses' keys are the same keys, so sorting them too pairs
+        # each element with its inverse without a search
+        if not np.array_equal(inv_keys[inv_perm], srt):
+            raise RuntimeError("an inverse is not an element")
+        # byte keys of uint8 matrices are views of them: they go before the
+        # inverses' buffer takes the sorted elements
+        del keys, inv_keys, srt
+        rank = np.empty(order, dtype=np.intp)
+        rank[perm] = np.arange(order)
+        # elements[inv_perm[i]] is the inverse of the element numbered i
+        self.inv_idx = rank[inv_perm]
+        del rank, inv_perm
+        if not np.array_equal(self.inv_idx[self.inv_idx], np.arange(order)):
+            raise RuntimeError("the inverses are not an involution")
+        self.elements = np.take(elements, perm, axis=0, out=inverses, mode="clip")  # (order, d, d)
+        del perm
+        self.index = gfmat.MatSet(ring, self.elements, key_order=True)
 
     dist = property(lambda self: self._words[0])
     parent = property(lambda self: self._words[1])
@@ -420,9 +454,11 @@ class EnumeratedGroup:
 
     @cached_property
     def _words(self):
-        """(dist, parent, genidx) of `bfs_closure`'s BFS from the identity,
-        carried over to this numbering by one lookup of each BFS element."""
-        elements, dist, parent, genidx = _bfs(self.rep, self.ring, self.gens)
+        return self._carry_words(*_bfs(self.rep, self.ring, self.gens))
+
+    def _carry_words(self, elements, dist, parent, genidx):
+        """(dist, parent, genidx) of a BFS from the identity (`_bfs`),
+        carried over to key order by one lookup of each BFS element."""
         if len(elements) != self.order:
             raise RuntimeError(f"the BFS closure has {len(elements)} elements, the group {self.order}")
         m = self.idx(elements)  # BFS position -> index here
@@ -437,10 +473,19 @@ class EnumeratedGroup:
         scanned once per group."""
         return centralizer_indices(self.ring, self.elements, self.gens)
 
+    def canon(self, mats: np.ndarray) -> np.ndarray:
+        """The matrices that stand for a stack in this group: the matrices
+        themselves, unless a quotient picks one per coset."""
+        return mats
+
     def idx(self, mats: np.ndarray):
         """Index of a matrix, or the indices of a stack of matrices; raises
         KeyError for a matrix outside the group."""
-        return self.index.index(mats)
+        return self.index.index(self.canon(mats))
+
+    def inv(self, mats: np.ndarray) -> np.ndarray:
+        """The inverse of a group element, or of each of a stack."""
+        return self.elements[self.inv_idx[self.idx(mats)]]
 
     def word(self, i: int):
         """Generator-index word with elements[i] = prod of gens (left to right)."""
@@ -470,11 +515,8 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
     """The elements of G(R).  Over a field they are the products u t n_w v
     of the Bruhat cells (`bruhat_cells`), one 2-D product (u t n_w) x v per
     block of rows of a cell, and each inverse v^-1 n_w^-1 t^-1 u^-1 is built
-    in the same layout, so it lands at the place of its element.  One sort
-    of the keys numbers the elements in key order.  RuntimeError when a key
-    repeats (fewer elements than the cells' tuples), when the inverses'
-    keys are not the elements' keys, or when the inverses do not pair up
-    (inv(inv(g)) != g).  Over other rings, the BFS closure (`bfs_closure`)."""
+    in the same layout, so it lands at the place of its element.  Over
+    other rings, the BFS closure (`bfs_closure`)."""
     if not ring.is_field:
         return bfs_closure(rep, ring)
     labels, gmats, _ = root_element_generators(rep, ring)
@@ -499,49 +541,29 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
             invs[out].reshape(k, n, d, d)[:] = (
                 gfmat.mat_mul(ring, V_inv.reshape(-1, d), bcat).reshape(n, d, k, d).transpose(2, 0, 1, 3))
             at += k * n
-    # number in key order; the inverses' keys are the same keys, so sorting
-    # them too finds each inverse's number without a search
-    keys, inv_keys = gfmat.MatSet.keys(ring, elems), gfmat.MatSet.keys(ring, invs)
-    del invs
-    perm = np.argsort(keys)
-    elements = elems[perm]
-    del elems
-    index = gfmat.MatSet(ring, elements, key_order=True)
-    if len(index) != order:
-        raise RuntimeError(f"the Bruhat cells give {len(index)} distinct elements for {order} tuples")
-    inv_perm = np.argsort(inv_keys)
-    if not np.array_equal(inv_keys[inv_perm], keys[perm]):
-        raise RuntimeError("an inverse built from the Bruhat cells is not an element")
-    rank = np.empty(order, dtype=np.intp)
-    rank[perm] = np.arange(order)
-    inv_idx = np.empty(order, dtype=np.intp)
-    inv_idx[rank[inv_perm]] = np.arange(order)
-    if not np.array_equal(inv_idx[inv_idx], np.arange(order)):
-        raise RuntimeError("the inverses built from the Bruhat cells are not an involution")
-    return EnumeratedGroup(rep, ring, elements, index, inv_idx, labels, gmats)
+    return EnumeratedGroup(ring, elems, invs, rep, labels, gmats)
 
 
 def bfs_closure(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
     """Deterministic BFS closure of the root elements (`_bfs`), over any
-    ring, numbered in BFS order; the groups of `enumerate_group` over a
-    field are tested against it.  Each inverse is g^-1 inv(e) for the
-    element's parent e and generator g, built level by level."""
+    ring; the groups of `enumerate_group` over a field are tested against
+    it.  Each inverse is g^-1 inv(e) for the element's parent e and
+    generator g, built level by level; the BFS's word data are kept."""
     labels, gmats, ginvs = root_element_generators(rep, ring)
     elements, dist, parent, genidx = _bfs(rep, ring, gmats)
-    d = rep.dim
-    index = gfmat.MatSet(ring, elements)
     # inverses, level by level and block by block: inv(e g) = g^-1 inv(e),
     # with e in an earlier level
     inv_mats = np.empty_like(elements)
     inv_mats[0] = rep.identity(ring)
-    rows = gfmat.block_rows(ring, d, 1)
+    rows = gfmat.block_rows(ring, rep.dim, 1)
     ends = np.searchsorted(dist, np.arange(1, dist[-1] + 2))  # level lv ends at ends[lv]
     for lv in range(1, len(ends)):
         for b0 in range(ends[lv - 1], ends[lv], rows):
             blk = slice(b0, min(b0 + rows, ends[lv]))
             inv_mats[blk] = gfmat.mat_mul(ring, ginvs[genidx[blk]], inv_mats[parent[blk]])
-    inv_idx = index.index(inv_mats)
-    return EnumeratedGroup(rep, ring, elements, index, inv_idx, labels, gmats, words=(dist, parent, genidx))
+    E = EnumeratedGroup(ring, elements, inv_mats, rep, labels, gmats)
+    E._words = E._carry_words(elements, dist, parent, genidx)  # this BFS's, so none runs again
+    return E
 
 
 def _bfs(rep: MatrixRep, ring: FiniteRing, gmats: np.ndarray):
@@ -657,15 +679,9 @@ def product_set(ring: FiniteRing, sets) -> np.ndarray:
 
 
 def torus_set(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
-    """T(R): closure of the elementary torus elements h_{a_i}(t)."""
+    """T(R): the BFS closure (`_bfs`) of the elementary torus elements h_{a_i}(t)."""
     gens = [rep.h(ring, a, t) for a in rep.sys.fundamental for t in ring.units()]
-    out = rep.identity(ring)[None]
-    while True:
-        prods = gfmat.mat_mul(ring, out[:, None], np.stack(gens)[None])
-        nxt = gfmat.MatSet.unique(ring, np.concatenate([out, prods.reshape(-1, rep.dim, rep.dim)]))
-        if len(nxt) == len(out):
-            return out
-        out = nxt
+    return _bfs(rep, ring, np.stack(gens))[0]
 
 
 def center_set(rep: MatrixRep, ring: FiniteRing, group: EnumeratedGroup | None = None) -> np.ndarray:

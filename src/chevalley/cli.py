@@ -19,7 +19,8 @@ import numpy as np
 
 from . import adelic
 from .chevgroup import (
-    adjoint_rep, bfs_closure, classical_rep, commutator_word, enumerate_group, verify_bruhat,
+    _bfs, adjoint_rep, classical_rep, commutator_word, enumerate_group, root_element_generators,
+    verify_bruhat,
 )
 from .definability import (
     ThetaMap, RingInGroup, check_ring_axioms, define_set, evaluate_sentence,
@@ -557,16 +558,15 @@ def _dispatch(args) -> int:
         elif args.cmd == "eval-formula":
             F = parse_formula(args.formula)
             params = [parse_element(rep, ring, p) for p in args.params.split(";") if p]
-        # the word lengths are the BFS closure's, which gives the elements
-        # with them; the other subcommands take the group from its cells
-        E = (bfs_closure if args.cmd == "enumerate" else enumerate_group)(rep, ring)
         name = f"{args.group}({ring.name})"
         if args.cmd == "enumerate":
-            s.add(name, "group-enumeration", None,
-                  order=E.order, max_word_length=int(E.dist.max()))
+            # |G| and the longest word are the BFS's: no index, no inverses
+            elements, dist, _, _ = _bfs(rep, ring, root_element_generators(rep, ring)[1])
+            s.add(name, "group-enumeration", None, order=len(elements), max_word_length=int(dist[-1]))
         elif args.cmd == "check-dc":
-            _dc_check(s, f"{name} {args.root} root", E, alpha)
+            _dc_check(s, f"{name} {args.root} root", enumerate_group(rep, ring), alpha)
         else:
+            E = enumerate_group(rep, ring)
             if free_vars(F):
                 data = {"free": sorted(free_vars(F)),
                         "extension_size": int(len(define_set(F, E, params)))}

@@ -338,14 +338,10 @@ class _EvalCtx:
     def __init__(self, E: EnumeratedGroup, params):
         self.E = E
         self.ring = E.ring
-        self.d = E.rep.dim
+        self.d = E.elements.shape[-1]
         self.params = [np.asarray(p, dtype=E.ring.dtype) for p in params]
         self.rows = max(1, 2**22 // (self.d * self.d))  # bindings one step may hold
         self.guards = {}  # quantifier -> mask over E of its guard (see _eval_quant)
-
-    def invert(self, mats: np.ndarray) -> np.ndarray:
-        E = self.E
-        return E.elements[E.inv_idx[E.idx(mats)]]
 
 
 def _eval_term(t, env: dict, ctx: _EvalCtx) -> np.ndarray:
@@ -363,7 +359,7 @@ def _eval_term(t, env: dict, ctx: _EvalCtx) -> np.ndarray:
     if isinstance(t, Mul):
         return gfmat.mat_mul(ctx.ring, _eval_term(t.left, env, ctx), _eval_term(t.right, env, ctx))
     if isinstance(t, Inv):
-        return ctx.invert(_eval_term(t.arg, env, ctx))
+        return ctx.E.inv(_eval_term(t.arg, env, ctx))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -521,7 +517,7 @@ def _b2_long_partner(sys, alpha: int) -> int:
         if sys.is_long(b) and sys.sum_root(alpha, b) is not None \
                 and sys.combo([(2, alpha), (1, b)]) is not None:
             return b
-    raise AssertionError("no B2 partner for the short root")
+    raise RuntimeError("no B2 partner for the short root")
 
 
 def verify_dc_formula(E: EnumeratedGroup, alpha: int) -> dict:
@@ -575,7 +571,7 @@ def _cross_length_triple(sys):
             g = sys.sum_root(mu, nu)
             if g is not None and not sys.is_long(g):
                 return mu, nu, g
-    raise AssertionError("no mixed-length triple in this system")
+    raise RuntimeError("no mixed-length triple in this system")
 
 
 def _comm_leading(rep: MatrixRep, ring: FiniteRing, mu: int, nu: int,
@@ -588,7 +584,8 @@ def _comm_leading(rep: MatrixRep, ring: FiniteRing, mu: int, nu: int,
     for groot, _, _, _ in template:
         if groot not in roots:
             roots.append(groot)
-    assert roots[0] == sys.sum_root(mu, nu)
+    if roots[0] != sys.sum_root(mu, nu):
+        raise RuntimeError("the commutator's leading root is not mu + nu")
     inv_mu = gfmat.mat_inv(ring, gmu)
     inv_nu = gfmat.mat_inv(ring, gnu)
     comm = gfmat.mat_mul_many(ring, [inv_mu, inv_nu, np.asarray(gmu, dtype=ring.dtype), gnu])
@@ -600,7 +597,7 @@ def _leading_sign(sc, mu: int, nu: int) -> int:
     for groot, ea, eb, c in commutator_template(sc, mu, nu):
         if ea == 1 and eb == 1:
             return c
-    raise AssertionError("no leading commutator term")
+    raise RuntimeError("no leading commutator term")
 
 
 def map_c(rep: MatrixRep, ring: FiniteRing, a: int, b: int, g: np.ndarray) -> np.ndarray:
@@ -654,7 +651,7 @@ def _mult_triple(sys):
             for nu in range(sys.n_pos):
                 if mu != nu and sys.sum_root(mu, nu) is not None:
                     return mu, nu
-        raise AssertionError("no summable root pair")
+        raise RuntimeError("no summable root pair")
     mu, nu, _ = _cross_length_triple(sys)
     return mu, nu
 

@@ -136,7 +136,8 @@ def matrix_witness_check(rep: MatrixRep, ring: FiniteRing, word, alpha: int, bet
     U_alpha(R) and no nontrivial element of U_beta(R)."""
     s = witness_word_matrix(rep, ring, word)
     sinv = witness_word_matrix(rep, ring, [(g, ring.inv(t)) for g, t in reversed(word)])
-    assert (gfmat.mat_mul(ring, s, sinv) == rep.identity(ring)).all()
+    if not (gfmat.mat_mul(ring, s, sinv) == rep.identity(ring)).all():
+        raise RuntimeError("the reversed torus word does not invert the word")
     codes = np.arange(ring.size, dtype=ring.dtype)
     xa = rep.x_batch(ring, alpha, codes)
     conj_a = gfmat.mat_mul(ring, sinv[None], gfmat.mat_mul(ring, xa, s[None]))
@@ -166,7 +167,8 @@ class WitnessSet:
 def f4_b_roots(sys: RootSystem):
     """The three positive long roots orthogonal to a_1 in F4, with their
     published coefficient vectors cross-checked against the search."""
-    assert sys.type_label == "F"
+    if sys.type_label != "F":
+        raise ValueError(f"F4 roots asked of type {sys.type_label}")
     a1 = sys.fundamental[0]
     by_search = sorted(
         g
@@ -174,7 +176,8 @@ def f4_b_roots(sys: RootSystem):
         if sys.is_long(g) and sys.gram6[g, a1] == 0
     )
     printed = [sys.index[v] for v in [(1, 2, 2, 0), (1, 2, 2, 2), (1, 2, 4, 2)]]
-    assert by_search == sorted(printed), "F4 exceptional roots differ from the printed ones"
+    if by_search != sorted(printed):
+        raise RuntimeError("F4 exceptional roots differ from the printed ones")
     return printed
 
 
@@ -189,8 +192,8 @@ def f4_witness_set(ring: FiniteRing) -> WitnessSet:
     # the four root subgroups must commute elementwise: pairwise sums off Phi
     for r1 in [a1, *bs]:
         for r2 in [a1, *bs]:
-            if r1 != r2:
-                assert sys.sum_root(r1, r2) is None
+            if r1 != r2 and sys.sum_root(r1, r2) is not None:
+                raise RuntimeError(f"roots {r1} and {r2} sum to a root")
     elements, prov = [], []
     for beta in range(sys.n_pos):
         if beta == a1 or beta in bs:
@@ -221,7 +224,7 @@ def _root_index_for_nilpotent(rep: MatrixRep, X: np.ndarray) -> int:
     for a, M in rep.root_X.items():
         if (M == X).all() or (M == -X).all():
             return a
-    raise AssertionError("nilpotent matrix is not a root matrix of this representation")
+    raise RuntimeError("nilpotent matrix is not a root matrix of this representation")
 
 
 _WITNESS_SET_TYPE = {"sl": "A", "X1": "C", "X2": "C", "X3": "D", "X4": "B", "X5": "B"}
@@ -239,13 +242,7 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
     rep = classical_rep(type_label, rank)
     m = rank
     d = rep.dim
-
-    if type_label == "B":
-        def pos(i):
-            return 0 if i == 0 else (i if i > 0 else m - i)
-    else:
-        def pos(i):
-            return i - 1 if i > 0 else m - i - 1
+    pos = rep.signed_pos(type_label, m)
 
     ints: list[np.ndarray] = []
     prov: list[str] = []
@@ -431,7 +428,7 @@ def _c2_partner(sys: RootSystem, alpha: int) -> int:
     for b in range(len(sys.roots)):
         if b != alpha and b != sys.neg(alpha) and sys.span_roots(alpha, b) and len(sys.span_roots(alpha, b)) == 8:
             return b
-    raise AssertionError("no B2 subsystem through the root")
+    raise RuntimeError("no B2 subsystem through the root")
 
 
 def _adjacent_longs(sys: RootSystem, alpha: int):
@@ -441,7 +438,8 @@ def _adjacent_longs(sys: RootSystem, alpha: int):
     beta = _c2_partner(sys, alpha)
     span = sys.span_roots(alpha, beta)
     out = [g for g in span if sys.is_long(g) and sys.sum_root(alpha, g) is None]
-    assert len(out) == 2
+    if len(out) != 2:
+        raise RuntimeError(f"{len(out)} long roots beside the short root, not 2")
     return sorted(out)
 
 
@@ -449,10 +447,7 @@ def sp4_phi_set(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
     """{1 + r(e_{1,-1} - e_{-2,2})} in the symplectic signed layout."""
     m = rep.sys.rank
     d = rep.dim
-
-    def pos(i):
-        return i - 1 if i > 0 else m - i - 1
-
+    pos = rep.signed_pos(rep.sys.type_label, m)
     base = gfmat.from_int_matrix(ring, _e(d, pos(1), pos(-1)) - _e(d, pos(-2), pos(2)))
     ident = rep.identity(ring)
     out = [ring.add_t[ident, ring.mul_t[r, base]] for r in ring.elements()]
@@ -463,10 +458,7 @@ def sp4_xi_matrix(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
     """xi = (e_{1,-2} - e_{2,-1}) - (e_{-1,2} - e_{-2,1}) + sum_{|i|>2} e_{ii}."""
     m = rep.sys.rank
     d = rep.dim
-
-    def pos(i):
-        return i - 1 if i > 0 else m - i - 1
-
+    pos = rep.signed_pos(rep.sys.type_label, m)
     M = _e(d, pos(1), pos(-2)) - _e(d, pos(2), pos(-1)) - _e(d, pos(-1), pos(2)) + _e(d, pos(-2), pos(1))
     for i in range(3, m + 1):
         M += _e(d, pos(i), pos(i)) + _e(d, pos(-i), pos(-i))
@@ -486,7 +478,8 @@ def verify_dc_exceptional_sp4(ring: FiniteRing) -> dict:
     rep = classical_rep("C", 2)
     sys = rep.sys
     alpha = sys.fundamental[0]  # short
-    assert not sys.is_long(alpha)
+    if sys.is_long(alpha):
+        raise RuntimeError("the first fundamental root of C2 is not short")
     v = rep.x(ring, alpha, ring.one)
     Cv = centralizer_by_commutant(rep, ring, [v])
     ZC = Cv[centralizer_indices(ring, Cv, Cv)]

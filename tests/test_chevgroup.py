@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevalley import chevgroup, gfmat
+from chevalley.adelic import SL2Group
 from chevalley.chevgroup import (
     adjoint_rep, bfs_closure, center_set, centralizer_indices, classical_rep, commutant_group_points,
     commutator_word, enumerate_group, linear_commutant, root_element_generators, torus_set, verify_bruhat,
@@ -312,33 +313,30 @@ BRUHAT_GROUPS = [("classical", "A", q) for q in (2, 3, 4, 5)] + [("classical", "
                          ids=["SL3(F2)", "SL3(F3)", "SL3(F4)", "SL3(F5)", "Sp4(F3)", "Sp4(F4)", "G2adj(F2)"])
 def test_bruhat_enumeration_against_the_bfs_closure(group_of, form, t, q):
     # the group built from the Bruhat cells and the BFS closure of the root
-    # elements: the same elements, numbered in key order, every inverse
-    # right, the same center and, under the map between their numberings,
-    # the same BFS words and distances
+    # elements, both numbered in key order: the same elements and inverses,
+    # every inverse right, the same center, and the same BFS words and
+    # distances
     E = group_of(form, t, 2, q)
     B = bfs_closure(E.rep, E.ring)
     ring, d = E.ring, E.rep.dim
-    assert np.array_equal(E.elements, B.index.sorted())
+    assert np.array_equal(E.elements, B.elements) and np.array_equal(E.inv_idx, B.inv_idx)
     ident = E.rep.identity(ring)
     rows = gfmat.block_rows(ring, d, 1)
     for b0 in range(0, E.order, rows):
         blk = slice(b0, b0 + rows)
         assert (gfmat.mat_mul(ring, E.elements[blk], E.elements[E.inv_idx[blk]]) == ident).all()
-    assert np.array_equal(gfmat.MatSet(ring, E.elements[E.center]).sorted(),
-                          gfmat.MatSet(ring, B.elements[B.center]).sorted())
+    assert np.array_equal(E.center, B.center)
     if E.order > 500_000:
         return  # Sp4(F4): the word data would run its 6 s BFS again; SL3(F5) checks them at scale
-    m = E.idx(B.elements)  # BFS index -> index in E
-    assert np.array_equal(E.dist[m], B.dist)
-    assert np.array_equal(E.genidx[m], B.genidx)
-    assert np.array_equal(E.parent[m], np.where(B.parent < 0, -1, m[B.parent]))
+    for attr in ("dist", "parent", "genidx"):
+        assert np.array_equal(getattr(E, attr), getattr(B, attr)), attr
     for j in range(0, B.order, max(1, B.order // 50)):
-        word = E.word(int(m[j]))
+        word = E.word(j)
         assert word == B.word(j)
         prod = ident
         for g in word:
             prod = gfmat.mat_mul(ring, prod, E.gens[g])
-        assert (prod == E.elements[m[j]]).all()
+        assert (prod == E.elements[j]).all()
 
 
 @pytest.mark.parametrize("which", range(6))
@@ -365,9 +363,12 @@ def test_bruhat_check_compares_the_products_with_the_bfs_closure(group_of, monke
     # a closure with one element swapped for a matrix outside the group has
     # the right size, so the counts still agree with |E|; the check fails
     E = group_of("classical", "A", 2, 2)
-    elements, *words = chevgroup._bfs(E.rep, E.ring, E.gens)
+    bfs = chevgroup._bfs
+    elements, *words = bfs(E.rep, E.ring, E.gens)
     elements[-1] = gfmat.scalar_mat(E.ring, 3, E.ring.zero)
-    monkeypatch.setattr(chevgroup, "_bfs", lambda rep, ring, gens: (elements, *words))
+    # the closure of the root elements only: the torus is a BFS too
+    monkeypatch.setattr(chevgroup, "_bfs", lambda rep, ring, gens: (elements, *words) if gens is E.gens
+                        else bfs(rep, ring, gens))
     rpt = verify_bruhat(E)
     assert not rpt["ok"] and rpt["order"] == rpt["tuple_count"] == rpt["distinct_products"] == 168
 
@@ -381,29 +382,29 @@ def test_bfs_order_oracle(t, r, q):
     # every element's (parent, genidx) is the first (frontier position,
     # generator) pair of the previous level whose product gives it, and each
     # level lists its new elements in that order
-    E = bfs_closure(classical_rep(t, r), GF(q))
-    ring = E.ring
-    _, gens, _ = root_element_generators(E.rep, ring)
-    seen = {E.elements[0].tobytes()}
-    assert (E.dist[0], E.parent[0], E.genidx[0]) == (0, -1, -1)
+    rep, ring = classical_rep(t, r), GF(q)
+    _, gens, _ = root_element_generators(rep, ring)
+    elements, dist, parent, genidx = chevgroup._bfs(rep, ring, gens)
+    seen = {elements[0].tobytes()}
+    assert (dist[0], parent[0], genidx[0]) == (0, -1, -1)
     level = 0
     while True:
-        frontier = np.nonzero(E.dist == level)[0]
+        frontier = np.nonzero(dist == level)[0]
         first = {}
         for p in frontier:
             for g in range(len(gens)):
-                key = gfmat.mat_mul(ring, E.elements[p], gens[g]).tobytes()
+                key = gfmat.mat_mul(ring, elements[p], gens[g]).tobytes()
                 if key not in seen and key not in first:
                     first[key] = (int(p), g)
-        nxt = np.nonzero(E.dist == level + 1)[0]
-        assert [E.elements[i].tobytes() for i in nxt] == list(first)
-        assert [(int(E.parent[i]), int(E.genidx[i])) for i in nxt] == list(first.values())
+        nxt = np.nonzero(dist == level + 1)[0]
+        assert [elements[i].tobytes() for i in nxt] == list(first)
+        assert [(int(parent[i]), int(genidx[i])) for i in nxt] == list(first.values())
         if not len(nxt):
             break
         seen.update(first)
         level += 1
-    assert len(seen) == E.order
-    assert np.array_equal(np.nonzero(E.dist <= level)[0], np.arange(E.order))
+    assert len(seen) == len(elements)
+    assert np.array_equal(np.nonzero(dist <= level)[0], np.arange(len(elements)))
 
 
 @pytest.mark.parametrize("rep", [classical_rep("A", 2), classical_rep("C", 2), adjoint_rep("G", 2)],
@@ -437,3 +438,49 @@ def test_enumeration_over_a_ring_that_is_not_a_field_is_the_bfs_closure():
     assert E.order == 168**2
     for attr in ("elements", "dist", "parent", "genidx", "inv_idx"):
         assert np.array_equal(getattr(E, attr), getattr(B, attr)), attr
+
+
+CONSTRUCTED = {
+    "SL3(F3) cells": lambda group_of, sl2_f3: group_of("classical", "A", 2, 3),
+    "SL3(F3) BFS": lambda group_of, sl2_f3: bfs_closure(classical_rep("A", 2), GF(3)),
+    "SL3(F2xF2) BFS": lambda group_of, sl2_f3: bfs_closure(classical_rep("A", 2), ProductRing([GF(2), GF(2)])),
+    **{f"{mode}(F7)": lambda group_of, sl2_f3, mode=mode: SL2Group(GF(7), mode) for mode in SL2Group.MODES},
+    "SL2(F3) tests": lambda group_of, sl2_f3: sl2_f3,
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTED))
+def test_every_constructor_numbers_its_group_alike(group_of, sl2_f3, name):
+    # each constructor hands the one constructor its elements and inverses:
+    # the elements come in strictly increasing key order, each is its own
+    # index, the inverses pair up and multiply to the identity, and a
+    # matrix off the group has no index
+    E = CONSTRUCTED[name](group_of, sl2_f3)
+    ring, d = E.ring, E.elements.shape[-1]
+    keys = gfmat.MatSet.keys(ring, E.elements)
+    assert (keys[1:] > keys[:-1]).all()
+    assert np.array_equal(E.idx(E.elements), np.arange(E.order))
+    assert np.array_equal(E.inv_idx[E.inv_idx], np.arange(E.order))
+    assert (E.canon(gfmat.mat_mul(ring, E.elements, E.elements[E.inv_idx])) == gfmat.identity(ring, d)).all()
+    assert (E.inv(E.elements) == E.elements[E.inv_idx]).all()
+    zero = np.zeros((d, d), dtype=ring.dtype)  # singular, in no coset of these groups
+    with pytest.raises(KeyError):
+        E.idx(zero)
+    with pytest.raises(KeyError):
+        E.idx(np.stack([E.elements[-1], zero]))
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("repeat", "given twice"), ("stranger", "not an element"), ("shifted", "not an involution")])
+def test_constructor_refuses_elements_and_inverses_that_do_not_make_a_group(sl2_f3, fault, message):
+    # SL2(F3) handed over again, with one element given twice, one inverse
+    # off the group, or each element paired with the next one's inverse
+    elements, inverses = sl2_f3.elements.copy(), sl2_f3.elements[sl2_f3.inv_idx]
+    if fault == "repeat":
+        elements[1], inverses[1] = elements[0], inverses[0]
+    elif fault == "stranger":
+        inverses[3] = 0
+    else:
+        inverses = np.roll(inverses, 1, axis=0)
+    with pytest.raises(RuntimeError, match=message):
+        chevgroup.EnumeratedGroup(sl2_f3.ring, elements, inverses)

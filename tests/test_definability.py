@@ -1,7 +1,5 @@
 import contextlib
 import functools
-import itertools
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chevalley import definability, gfmat
-from chevalley.chevgroup import centralizer_indices, classical_rep, enumerate_group
+from chevalley.chevgroup import centralizer_indices, classical_rep
 from chevalley.definability import (
     DC_TEXT, And, Eq, Exists, Forall, Implies, Inv, Mul, Not, One, Or, Param, ParseError,
     RingInGroup, ThetaMap, Var, check_ring_axioms, define_set, eval_poly_in_group,
@@ -172,30 +170,9 @@ def _formulas(draw, scope, quants, depth=3):
     return (Forall if kind == "forall" else Exists)(var, body)
 
 
-class _SL2F3:
-    """SL2(F3), 24 elements, with the slice of EnumeratedGroup the evaluator
-    reads: ring, rep.dim, elements, order, idx(), inv_idx."""
-
-    ring = GF(3)
-    rep = SimpleNamespace(dim=2)
-
-    def __init__(self):
-        mats = [m for m in itertools.product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3 == 1]
-        self.elements = np.array(mats, dtype=self.ring.dtype).reshape(-1, 2, 2)
-        self.order = len(self.elements)
-        self._set = gfmat.MatSet(self.ring, self.elements)
-        a, b, c, d = (self.elements[:, i, j].astype(int) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        adjugate = np.stack([d, -b % 3, -c % 3, a], axis=-1).reshape(-1, 2, 2)
-        self.inv_idx = self.idx(adjugate)
-
-    def idx(self, mats):
-        return self._set.index(mats)
-
-
 @functools.cache
-def _oracle_group(name: str):
-    E = enumerate_group(classical_rep("A", 2), GF(2)) if name == "SL3(F2)" else _SL2F3()
-    return E, _Naive(E.elements, E.ring.size)
+def _naive(E) -> _Naive:
+    return _Naive(E.elements, E.ring.size)
 
 
 def _rows_per_step(rows):
@@ -218,11 +195,12 @@ def _rows_per_step(rows):
 ])
 @settings(deadline=None, max_examples=80, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_evaluator_against_naive_oracle(group, quants, rows, data):
+def test_evaluator_against_naive_oracle(group_of, sl2_f3, group, quants, rows, data):
     """define_set and evaluate_sentence agree with the naive semantics on
     random formulas.  Over SL3(F2) the extension is compared on 16 sampled
     candidates, which bounds the naive side by 16 * 168^2 steps."""
-    E, naive = _oracle_group(group)
+    E = group_of("classical", "A", 2, 2) if group == "SL3(F2)" else sl2_f3
+    naive = _naive(E)
     picks = data.draw(st.lists(st.integers(0, E.order - 1), min_size=2, max_size=2))
     params = [E.elements[i] for i in picks]
     env = {f"@{k + 1}": naive.elems[i] for k, i in enumerate(picks)}

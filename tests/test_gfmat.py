@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chevalley import gfmat
+from chevalley import chevgroup, gfmat
 from chevalley.adelic import SL2Group, higher_rank_width
 from chevalley.chevgroup import bfs_closure, classical_rep, enumerate_group
 from chevalley.gfmat import BudgetExceeded, MatSet, span_elements
@@ -346,7 +346,11 @@ def test_enumeration_refused_before_the_elements_outgrow_the_budget(monkeypatch)
 
 def test_bruhat_enumeration_refused_before_any_element_block(monkeypatch):
     # SL3(F3) takes 5 616 x 9 bytes: refused from the cells' tuple count,
-    # before any 2-D product of a cell (u t n_w side by side with v) is built
+    # before any 2-D product of a cell (u t n_w side by side with v) is built.
+    # The torus, whose size the count needs, is a BFS of 2-D blocks of its
+    # own, so it is built first
+    T = chevgroup.torus_set(classical_rep("A", 2), GF(3))
+    monkeypatch.setattr(chevgroup, "torus_set", lambda rep, ring: T)
     monkeypatch.setattr(gfmat, "BUDGET_BYTES", 20_000)
     blocks = []
     mat_mul = gfmat.mat_mul
