@@ -9,7 +9,9 @@ width decompositions.
 `SL2Group` is a `chevgroup.EnumeratedGroup`, built by the same
 constructor as the Chevalley groups.  Quotient modes are realized by
 canonical coset representatives (the lexicographically least matrix in the
-coset, `SL2Group.canon`), so set comparisons are exact.
+coset, `SL2Group.canon`, a running minimum over the central scalars), so
+set comparisons are exact; each is picked where the componentwise grid of
+SL2(A), which holds every matrix once, meets its coset.
 First-order definitions are double-checked against the direct constructions
 with the formula evaluator on the plain SL2 mode, where matrix products of
 representatives are the honest group operation.
@@ -81,11 +83,11 @@ def _sl2_field(f: FiniteRing) -> np.ndarray:
 
 class SL2Group(EnumeratedGroup):
     """SL2(A) or one of its central quotients, fully enumerated: an
-    EnumeratedGroup whose elements are the distinct coset representatives
-    (`canon`, the lex-least matrix of a coset of the mode's central
-    scalars) of the determinant-1 grid, each with the representative of its
-    adjugate as inverse; here too the generators, the P tables and the
-    ring on U."""
+    EnumeratedGroup whose elements are the matrices of the determinant-1
+    grid that are their own coset representative (`canon`, the lex-least
+    matrix of a coset of the mode's central scalars), one per coset, each
+    with the representative of its adjugate as inverse; here too the
+    generators, the P tables and the ring on U."""
 
     MODES = ("SL2", "SL2modZ", "PSL2")
 
@@ -96,31 +98,34 @@ class SL2Group(EnumeratedGroup):
         self.mode = mode
         comps = [_sl2_field(f) for f in _field_factors(ring)]
         gfmat.check_budget(f"SL2({ring.name})", (math.prod(len(c) for c in comps), 2, 2), np.int64)
-        self._zs = self._central_scalars()
-        cosets = gfmat.MatSet.unique(ring, self.canon(_componentwise(ring, comps)))
+        # the central scalars, one coset of them per element
+        self._zs = np.array({"SL2": [ring.one], "SL2modZ": [ring.one, ring.neg(ring.one)],
+                             "PSL2": [z for z in ring.units() if ring.mul(z, z) == ring.one]}[mode])
+        cosets = _componentwise(ring, comps)  # all of SL2(A), each matrix once
+        reps = self.canon(cosets)  # the grid itself in SL2 mode
+        if reps is not cosets:  # z g != g for z != 1: a coset is |Z| grid matrices, one its own canon
+            cosets = cosets[(reps == cosets).all(axis=(-1, -2))]
+        del reps
         super().__init__(ring, cosets, self.canon(_adjugate(ring, cosets)))
         self._p_tables = {}  # offset set S -> P table
 
     # -- coset representatives ------------------------------------------
 
-    def _central_scalars(self):
-        ring = self.ring
-        if self.mode == "SL2":
-            return [ring.one]
-        if self.mode == "SL2modZ":
-            return [ring.one, ring.neg(ring.one)]
-        return [z for z in ring.units() if ring.mul(z, z) == ring.one]
-
     def canon(self, mats: np.ndarray) -> np.ndarray:
-        """Lex-least matrix in the coset mats * Z."""
-        mats = np.asarray(mats, dtype=self.ring.dtype)
+        """Lex-least matrix in the coset mats * Z: the z of the least key,
+        a running minimum over the central scalars; the first z keeps a tie."""
+        ring = self.ring
+        mats = np.asarray(mats, dtype=ring.dtype)
         if len(self._zs) == 1:
             return mats
-        variants = np.stack([self.ring.mul_t[mats, z] for z in self._zs])
         # 2 x 2 keys are packed integers for every ring within the table budget
-        pick = gfmat.MatSet.keys(self.ring, variants).argmin(axis=0)
-        flat = variants.reshape(len(self._zs), -1, 2, 2)
-        return flat[pick.ravel(), np.arange(flat.shape[1])].reshape(mats.shape)
+        keys = gfmat.MatSet.keys(ring, ring.mul_t[mats, self._zs[0]])
+        pick = np.zeros(keys.shape, dtype=np.uint8)  # |Z| = 2^k over k factors
+        for i, z in enumerate(self._zs[1:], start=1):
+            var_keys = gfmat.MatSet.keys(ring, ring.mul_t[mats, z])
+            pick[var_keys < keys] = i
+            np.minimum(keys, var_keys, out=keys)
+        return ring.mul_t[mats, self._zs[pick][..., None, None]]
 
     def mul(self, a, b) -> np.ndarray:
         return self.canon(gfmat.mat_mul(self.ring, a, b))
@@ -155,8 +160,12 @@ class SL2Group(EnumeratedGroup):
         """lam with m = u(lam), or the lams of a stack; representatives of
         u-cosets keep 1 top left."""
         ring = self.ring
-        if not ((m[..., 0, 0] == ring.one) & (m[..., 1, 0] == ring.zero)
-                & (m[..., 1, 1] == ring.one)).all():
+        if m.ndim == 2:  # one matrix: three scalar tests
+            (a, _), (c, d) = m.tolist()
+            ok = a == d == ring.one and c == ring.zero
+        else:
+            ok = ((m[..., 0, 0] == ring.one) & (m[..., 1, 0] == ring.zero) & (m[..., 1, 1] == ring.one)).all()
+        if not ok:
             raise ValueError("not a canonical unipotent representative")
         return m[..., 0, 1]
 
@@ -187,6 +196,8 @@ class SL2Group(EnumeratedGroup):
 def _mats(dtype, a, b, c, d) -> np.ndarray:
     """The matrices (a, b; c, d) of entry codes broadcast together: one
     (2, 2) matrix from scalars, a (..., 2, 2) stack from arrays."""
+    if all(map(np.isscalar, (a, b, c, d))):
+        return np.array((a, b, c, d), dtype=dtype).reshape(2, 2)
     shape = np.broadcast_shapes(*(np.shape(x) for x in (a, b, c, d)))
     out = np.empty(shape + (2, 2), dtype=dtype)
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
@@ -215,12 +226,13 @@ def _split(ring: FiniteRing, codes):
 
 def _componentwise(ring: FiniteRing, comps) -> np.ndarray:
     """Every matrix over ring whose component in factor i is a matrix of the
-    stack comps[i]: the cartesian product, first factor slowest."""
+    stack comps[i]: the cartesian product, first factor slowest.  Built in
+    the ring's dtype: every partial sum is a code below |A|."""
     strides = ring.strides if isinstance(ring, ProductRing) else [1]
-    mats = np.zeros((1, 2, 2), dtype=np.int64)
+    mats = np.zeros((1, 2, 2), dtype=ring.dtype)
     for comp, st in zip(comps, strides):
-        mats = (mats[:, None] + st * np.asarray(comp, dtype=np.int64)[None]).reshape(-1, 2, 2)
-    return mats.astype(ring.dtype)
+        mats = (mats[:, None] + st * np.asarray(comp, dtype=ring.dtype)[None]).reshape(-1, 2, 2)
+    return mats
 
 
 # ---------------------------------------------------------------------------

@@ -311,15 +311,10 @@ def classical_rep(type_label: str, rank: int) -> MatrixRep:
         d = two_m + 1 if type_label == "B" else two_m
         pos = MatrixRep.signed_pos(type_label, m)
 
-        if type_label == "C":
-            fund_eps = [[int(t == k) - int(t == k + 1) for t in range(m)] for k in range(m - 1)]
-            fund_eps.append([2 * int(t == m - 1) for t in range(m)])
-        elif type_label == "B":
-            fund_eps = [[int(t == k) - int(t == k + 1) for t in range(m)] for k in range(m - 1)]
-            fund_eps.append([int(t == m - 1) for t in range(m)])
-        else:
-            fund_eps = [[int(t == k) - int(t == k + 1) for t in range(m)] for k in range(m - 1)]
-            fund_eps.append([int(t == m - 2) + int(t == m - 1) for t in range(m)])
+        # e_k - e_{k+1}, then 2 e_m (C), e_m (B) or e_{m-1} + e_m (D)
+        fund_eps = [[int(t == k) - int(t == k + 1) for t in range(m)] for k in range(m - 1)]
+        last = {"C": [0] * (m - 1) + [2], "B": [0] * (m - 1) + [1], "D": [0] * (m - 2) + [1, 1]}
+        fund_eps.append(last[type_label])
 
         def raw(a):
             eps = _eps_coords(sys, fund_eps, a)
@@ -413,40 +408,38 @@ class EnumeratedGroup:
 
     def __init__(self, ring: FiniteRing, elements, inverses, rep: MatrixRep | None = None,
                  gens_meta=None, gens=None):
-        """Number the distinct elements in key order by one sort, and find
-        the number of each inverse, inverses[i] for elements[i], by one sort
-        of the inverses' keys.  inverses must be a fresh C-contiguous array
-        like elements: once the inverses are numbered, their buffer takes
-        the sorted elements.  RuntimeError when a key repeats, when an
-        inverse is not an element, or when the inverses do not pair up
-        (inv(inv(g)) != g)."""
+        """Number the distinct elements in key order by one sort, whose
+        sorted keys are the index, and find the number of each inverse,
+        inverses[i] for elements[i], by one sort of the inverses' keys.
+        inverses must be a fresh C-contiguous array like elements: once the
+        inverses are keyed, their buffer takes the sorted elements.
+        RuntimeError when a key repeats, when an inverse is not an element,
+        or when the inverses do not pair up (inv(inv(g)) != g)."""
         self.rep = rep
         self.ring = ring
         self.gens_meta = gens_meta  # list of generator labels (root, ring elt)
         self.gens = gens  # (G, d, d) generator matrices, in the order of gens_meta
-        keys, inv_keys = gfmat.MatSet.keys(ring, elements), gfmat.MatSet.keys(ring, inverses)
+        keys = gfmat.MatSet.keys(ring, elements)
         self.order = order = len(keys)
-        perm, inv_perm = np.argsort(keys), np.argsort(inv_keys)
+        perm = np.argsort(keys)
         srt = keys[perm]
         if (srt[1:] == srt[:-1]).any():
             raise RuntimeError("an element is given twice")
-        # the inverses' keys are the same keys, so sorting them too pairs
-        # each element with its inverse without a search
-        if not np.array_equal(inv_keys[inv_perm], srt):
-            raise RuntimeError("an inverse is not an element")
-        # byte keys of uint8 matrices are views of them: they go before the
-        # inverses' buffer takes the sorted elements
-        del keys, inv_keys, srt
-        rank = np.empty(order, dtype=np.intp)
-        rank[perm] = np.arange(order)
-        # elements[inv_perm[i]] is the inverse of the element numbered i
-        self.inv_idx = rank[inv_perm]
-        del rank, inv_perm
-        if not np.array_equal(self.inv_idx[self.inv_idx], np.arange(order)):
-            raise RuntimeError("the inverses are not an involution")
+        # a copy, in key order of the elements: the inverses' buffer is free
+        inv_keys = gfmat.MatSet.keys(ring, inverses)[perm]
+        del keys
         self.elements = np.take(elements, perm, axis=0, out=inverses, mode="clip")  # (order, d, d)
         del perm
-        self.index = gfmat.MatSet(ring, self.elements, key_order=True)
+        # the inverse of the element numbered s[j] is the element numbered j,
+        # for s the sort of inv_keys, so s is the inverse map once it is an
+        # involution (s^-1 = s)
+        self.inv_idx = np.argsort(inv_keys)
+        if not np.array_equal(inv_keys[self.inv_idx], srt):
+            raise RuntimeError("an inverse is not an element")
+        del inv_keys
+        if not np.array_equal(self.inv_idx[self.inv_idx], np.arange(order)):
+            raise RuntimeError("the inverses are not an involution")
+        self.index = gfmat.MatSet.from_sorted_keys(ring, elements.shape[-2:], srt)
 
     dist = property(lambda self: self._words[0])
     parent = property(lambda self: self._words[1])

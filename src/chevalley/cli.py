@@ -101,8 +101,7 @@ class Suite:
             {"name": name, "anchor": anchor, "status": status, "data": data})
 
     def done(self) -> dict:
-        self.report["failures"] = sum(
-            1 for c in self.report["checks"] if c["status"] == "fail")
+        self.report["failures"] = sum(c["status"] == "fail" for c in self.report["checks"])
         print(f"[{self.report['suite']}] {time.time() - self.t0:.1f}s", file=sys.stderr)
         return self.report
 
@@ -120,12 +119,8 @@ def _render(report: dict, fmt: str) -> str:
 
 
 def _jsonable(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
+    if isinstance(o, (np.integer, np.bool_, np.ndarray)):
+        return o.tolist()  # Python ints and bools
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 

@@ -208,9 +208,7 @@ def mat_mul_many(ring, mats) -> np.ndarray:
 
 
 def identity(ring: FiniteRing, d: int) -> np.ndarray:
-    out = np.full((d, d), ring.zero, dtype=ring.dtype)
-    np.fill_diagonal(out, ring.one)
-    return out
+    return scalar_mat(ring, d, ring.one)
 
 
 def scalar_mat(ring: FiniteRing, d: int, c) -> np.ndarray:
@@ -233,14 +231,7 @@ def mat_det(ring: FiniteRing, A: np.ndarray) -> np.ndarray:
         for i, j in enumerate(perm):
             entry = A[..., i, j]
             term = entry if term is None else ring.mul_t[term, entry]
-        sgn = 1
-        p = list(perm)
-        for i in range(d):
-            while p[i] != i:
-                j = p[i]
-                p[i], p[j] = p[j], p[i]
-                sgn = -sgn
-        if sgn < 0:
+        if sum(perm[i] > perm[j] for i, j in itertools.combinations(range(d), 2)) % 2:  # odd permutation
             term = ring.neg_t[term]
         det = term if det is None else ring.add_t[det, term]
     return det
@@ -311,7 +302,7 @@ def span_elements(ring: FiniteRing, basis: np.ndarray) -> np.ndarray:
 
 class MatSet:
     """A set of distinct d x d matrices over a ring, numbered in order of
-    first occurrence, or with key_order in key order.
+    first occurrence, or in key order when made from sorted keys.
 
     The key of a matrix reads its entries c_0, ..., c_{w-1} (w = d^2, row by
     row) as base-|R| digits, first entry most significant:
@@ -332,19 +323,26 @@ class MatSet:
     module docstring, so a BFS block and a single product of the same
     matrices give the same codes and the same keys."""
 
-    def __init__(self, ring: FiniteRing, mats: np.ndarray, key_order: bool = False):
+    def __init__(self, ring: FiniteRing, mats: np.ndarray):
         mats = np.asarray(mats)
         self.ring = ring
         self.shape = mats.shape[-2:]
         keys = self.keys(ring, mats.reshape(-1, *self.shape))
         self._keys, first = _first_unique(keys)
-        if key_order:
-            self._num = np.arange(len(first))  # number of each sorted key
-        elif len(first) == len(keys):
+        if len(first) == len(keys):
             self._num = first  # no key repeats: each first position is its own rank
         else:
             self._num = np.empty(len(first), dtype=np.int64)
             self._num[np.argsort(first)] = np.arange(len(first))
+
+    @classmethod
+    def from_sorted_keys(cls, ring: FiniteRing, shape, keys: np.ndarray) -> MatSet:
+        """The set of the matrices of this shape with these keys, which are
+        sorted and distinct, numbered in key order; it keys nothing."""
+        out = cls.__new__(cls)
+        out.ring, out.shape, out._keys = ring, tuple(shape), keys
+        out._num = None  # a key's number is its sorted position
+        return out
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -394,7 +392,7 @@ class MatSet:
         pos, hit = self._find(self.keys(self.ring, mats))
         if not hit.all():
             raise KeyError("matrix is not in the set")
-        return self._num[pos]
+        return pos if self._num is None else self._num[pos]
 
     def sorted(self) -> np.ndarray:
         """The matrices of the set in key order, i.e. lexicographic entry order."""

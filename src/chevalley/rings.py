@@ -161,7 +161,7 @@ def _smallest_irreducible(p, f):
             continue  # reducible: X divides
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
-    raise AssertionError(f"no irreducible of degree {f} over GF({p})")
+    raise RuntimeError(f"no irreducible of degree {f} over GF({p})")
 
 
 def _factor_prime_power(q):

@@ -57,7 +57,8 @@ def _cartan_data(type_label: str, rank: int):
     for i in range(n):
         for j in range(n):
             v = 2 * B[i][j] / B[i][i]
-            assert v.denominator == 1, (t, n, i, j, v)
+            if v.denominator != 1:
+                raise RuntimeError(f"Cartan integer {v} of {t}{n} at ({i}, {j}) is not an integer")
             A[i, j] = int(v)
     return A, B, d
 
@@ -91,7 +92,8 @@ class RootSystem:
             (v for v in seen if all(c >= 0 for c in v)),
             key=lambda v: (sum(v), v),
         )
-        assert 2 * len(pos) == len(seen), "positive roots must be half of all roots"
+        if 2 * len(pos) != len(seen):
+            raise RuntimeError("positive roots must be half of all roots")
         self.roots = pos + [tuple(-c for c in v) for v in pos]
         self.n_pos = len(pos)
         self.index = {v: i for i, v in enumerate(self.roots)}
@@ -104,7 +106,8 @@ class RootSystem:
         norms = np.diag(self.gram6)
         num = 2 * self.gram6
         self.cartan_all = num // norms[:, None]
-        assert (self.cartan_all * norms[:, None] == num).all()
+        if not (self.cartan_all * norms[:, None] == num).all():
+            raise RuntimeError(f"a Cartan integer of {type_label}{rank} is not an integer")
         self.long_norm6 = int(norms.max())
 
     # -- basic queries ----------------------------------------------------
@@ -234,9 +237,8 @@ class StructureConstants:
                 if sys.sum_root(i, j) is not None:
                     n = self.N(i, j)
                     p = sys.chain_down(i, j)
-                    assert abs(n) == p + 1 and 1 <= abs(n) <= 3, (
-                        f"inconsistent structure constant at roots {i},{j}: N={n}, p={p}"
-                    )
+                    if not (abs(n) == p + 1 and 1 <= abs(n) <= 3):
+                        raise RuntimeError(f"inconsistent structure constant at roots {i},{j}: N={n}, p={p}")
 
     def N(self, a: int, b: int) -> int:
         """N_{ab} with root_a + root_b a root; 0 if the sum is not a root."""
@@ -266,7 +268,8 @@ class StructureConstants:
             t3 = self._pair_term(na, ea, eb, nb)
             gg = sys.bilinear(g, g)
             val = (t2 + t3) * gg / self.N(ea, eb)
-            assert val.denominator == 1 and val != 0, (a, b, val)
+            if val.denominator != 1 or val == 0:
+                raise RuntimeError(f"structure constant N({a}, {b}) = {val} is not a nonzero integer")
             return int(val)
         if a >= npos and b >= npos:
             return -self.N(sys.neg(a), sys.neg(b))
@@ -277,7 +280,8 @@ class StructureConstants:
             val = sys.bilinear(g, g) / sys.bilinear(a, a) * self.N(b, ng)
         else:
             val = sys.bilinear(g, g) / sys.bilinear(b, b) * self.N(ng, a)
-        assert val.denominator == 1 and val != 0, (a, b, val)
+        if val.denominator != 1 or val == 0:
+            raise RuntimeError(f"structure constant N({a}, {b}) = {val} is not a nonzero integer")
         return int(val)
 
     def _pair_term(self, x, y, z, w):
@@ -294,12 +298,14 @@ class StructureConstants:
         num = 1
         for k in range(i):
             kb = sys.combo([(k, a), (1, b)])
-            assert kb is not None
+            if kb is None:
+                raise ValueError(f"{k} a + b is not a root for a = {a}, b = {b}: i = {i} passes the chain")
             num *= self.N(a, kb)
         fact = 1
         for k in range(2, i + 1):
             fact *= k
-        assert num % fact == 0, (a, b, i, num)
+        if num % fact:
+            raise RuntimeError(f"M_{i}({a}, {b}) = {num}/{fact} is not an integer")
         return num // fact
 
 
@@ -339,16 +345,12 @@ def _carter_coeff(sc: StructureConstants, alpha: int, beta: int, i: int, j: int)
     if i == 1:
         return (-1) ** j * sc.M(beta, alpha, j)
     ab = sys.sum_root(alpha, beta)
-    assert ab is not None
-    if (i, j) == (3, 2):
-        m = sc.M(ab, alpha, 2)
-        assert m % 3 == 0
-        return m // 3
-    if (i, j) == (2, 3):
-        m = sc.M(ab, beta, 2)
-        assert (2 * m) % 3 == 0
-        return -(2 * m) // 3
-    raise AssertionError(f"unexpected exponent pair {(i, j)}")
+    if ab is None or (i, j) not in ((3, 2), (2, 3)):
+        raise ValueError(f"no commutator coefficient C_{i}{j} for roots {alpha}, {beta}")
+    m = sc.M(ab, alpha, 2) if i == 3 else -2 * sc.M(ab, beta, 2)
+    if m % 3:
+        raise RuntimeError(f"C_{i}{j} = {m}/3 for roots {alpha}, {beta} is not an integer")
+    return m // 3
 
 
 def dump_roots(sys: RootSystem) -> str:

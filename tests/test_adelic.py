@@ -304,27 +304,110 @@ def test_idx_raises_key_error_off_group(g7):
     assert g7.idx(g7.elements[[9, 2]]).tolist() == [9, 2]
 
 
+RINGS = [F7, ProductRing([GF(7), GF(11)])]
+RING_IDS = ["F7", "F7xF11"]
+
+
 @pytest.mark.parametrize("mode", SL2Group.MODES)
-@pytest.mark.parametrize("ring", [F7, ProductRing([GF(7), GF(11)])], ids=["F7", "F7xF11"])
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 def test_sl2_group_keys_its_elements_once(ring, mode, monkeypatch):
-    # one MatSet, numbered in key order, gives the elements, indices and
-    # inverses of two sets (one to sort, one to number the sorted rows)
-    built = []
-    init = gfmat.MatSet.__init__
+    # each full-size stack is keyed once: in a quotient mode canon keys each
+    # central scalar's variant of the grid, then of the inverses; then the
+    # elements and the inverses are keyed, and the index keys nothing more
+    keyed = []
+    keys = gfmat.MatSet.keys
 
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
+    def counting_keys(ring, mats):
+        keyed.append(int(np.prod(np.shape(mats)[:-2])))
+        return keys(ring, mats)
 
-    monkeypatch.setattr(gfmat.MatSet, "__init__", counting_init)
+    monkeypatch.setattr(gfmat.MatSet, "keys", staticmethod(counting_keys))
     G = SL2Group(ring, mode)
-    assert len(built) == 1
     monkeypatch.undo()
 
     mats = adelic._componentwise(ring, [adelic._sl2_field(f) for f in adelic._field_factors(ring)])
+    z = len(mats) // G.order  # the number of central scalars
+    assert keyed == ([len(mats)] * z + [G.order] * z if z > 1 else []) + [G.order] * 2
     elements = gfmat.MatSet(ring, G.canon(mats)).sorted()
     numbered = gfmat.MatSet(ring, elements)
     assert np.array_equal(G.elements, elements)
     assert np.array_equal(G.inv_idx, numbered.index(G.canon(adelic._adjugate(ring, elements))))
     sample = mats[np.random.default_rng(5).integers(len(mats), size=500)]
     assert np.array_equal(G.idx(sample), numbered.index(G.canon(sample)))
+
+
+def _central_scalars(ring, mode):
+    if mode == "SL2":
+        return [ring.one]
+    if mode == "SL2modZ":
+        return [ring.one, ring.neg(ring.one)]
+    return [z for z in ring.units() if ring.mul(z, z) == ring.one]
+
+
+def _canon_oracle(ring, mode, mats):
+    # the stacked argmin over every central scalar's variant at once
+    zs = _central_scalars(ring, mode)
+    variants = np.stack([ring.mul_t[mats, z] for z in zs])
+    pick = gfmat.MatSet.keys(ring, variants).argmin(axis=0)
+    flat = variants.reshape(len(zs), -1, 2, 2)
+    return flat[pick.ravel(), np.arange(flat.shape[1])].reshape(mats.shape)
+
+
+def _grid(ring):
+    return adelic._componentwise(ring, [adelic._sl2_field(f) for f in adelic._field_factors(ring)])
+
+
+@pytest.mark.parametrize("mode", SL2Group.MODES)
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_single_generators_are_the_rows_of_the_stacked_call(ring, mode):
+    G = SL2Group(ring, mode)
+    codes = np.arange(ring.size, dtype=ring.dtype)
+    for gen, cs in ((G.u, codes), (G.v, codes), (G.h, codes[ring.unit_mask])):
+        stack = gen(cs)
+        for c, row in zip(cs, stack):
+            single = gen(c)
+            assert single.shape == (2, 2) and single.dtype == ring.dtype
+            assert np.array_equal(single, row)
+    U = G.u(codes)
+    assert [G.u_decode(m) for m in U] == G.u_decode(U).tolist() == codes.tolist()
+
+
+@pytest.mark.parametrize("mode", SL2Group.MODES)
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_u_decode_refuses_a_single_matrix_outside_u(ring, mode):
+    G = SL2Group(ring, mode)
+    for i, j in ((0, 0), (1, 0), (1, 1)):  # each of the three entries u(c) fixes
+        m = G.u(ring.one).copy()
+        m[i, j] = ring.add(m[i, j], ring.one)
+        with pytest.raises(ValueError):
+            G.u_decode(m)
+        with pytest.raises(ValueError):
+            G.u_decode(np.stack([G.u(ring.one), m]))
+    with pytest.raises(ValueError):
+        G.u_decode(G.w)
+
+
+@pytest.mark.parametrize("mode", SL2Group.MODES)
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_running_min_canon_is_the_stacked_argmin(ring, mode):
+    G = SL2Group(ring, mode)
+    rand = np.random.default_rng(18).integers(ring.size, size=(3, 500, 2, 2)).astype(ring.dtype)
+    grid = _grid(ring)
+    for mats in (rand, grid, rand[0, 0]):
+        assert np.array_equal(G.canon(mats), _canon_oracle(ring, mode, mats))
+    # the elements are the grid's matrices that are their own canon
+    assert np.array_equal(G.elements, gfmat.MatSet(ring, _canon_oracle(ring, mode, grid)).sorted())
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_componentwise_in_the_ring_dtype_is_the_int64_build(ring):
+    factors = adelic._field_factors(ring)
+    strides = ring.strides if isinstance(ring, ProductRing) else [1]
+    w = [np.array([[[f.one, f.zero], [f.zero, f.one]], [[f.zero, f.one], [f.neg(f.one), f.zero]]])
+         for f in factors]
+    for comps in ([adelic._sl2_field(f) for f in factors], w):
+        want = np.zeros((1, 2, 2), dtype=np.int64)
+        for comp, st in zip(comps, strides):
+            want = (want[:, None] + st * np.asarray(comp, dtype=np.int64)[None]).reshape(-1, 2, 2)
+        got = adelic._componentwise(ring, comps)
+        assert got.dtype == ring.dtype and np.array_equal(got, want)

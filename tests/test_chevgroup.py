@@ -484,3 +484,22 @@ def test_constructor_refuses_elements_and_inverses_that_do_not_make_a_group(sl2_
         inverses = np.roll(inverses, 1, axis=0)
     with pytest.raises(RuntimeError, match=message):
         chevgroup.EnumeratedGroup(sl2_f3.ring, elements, inverses)
+
+
+@pytest.mark.parametrize("form,t,q", [("classical", "A", q) for q in (2, 3, 4, 5)]
+                         + [("classical", "C", 3), ("adjoint", "G", 2)],
+                         ids=["SL3(F2)", "SL3(F3)", "SL3(F4)", "SL3(F5)", "Sp4(F3)", "G2adj(F2)"])
+def test_index_from_the_sorted_keys_is_the_index_of_the_elements(group_of, form, t, q):
+    # the group's index is its sorted keys, never keyed again; the oracle
+    # is the test's own lexicographic sort of the entries and a MatSet
+    # built from the elements as given
+    E = group_of(form, t, 2, q)
+    flat = E.elements.reshape(E.order, -1)
+    assert np.array_equal(np.lexsort(flat.T[::-1]), np.arange(E.order))
+    built = gfmat.MatSet(E.ring, E.elements)
+    sample = E.elements[np.random.default_rng(q).integers(E.order, size=500)]
+    assert len(E.index) == len(built) == E.order
+    assert np.array_equal(E.index.index(E.elements), np.arange(E.order))
+    assert np.array_equal(E.index.index(sample), built.index(sample))
+    assert np.array_equal(E.index.sorted(), built.sorted())
+    assert np.array_equal(E.index.sorted(), E.elements)

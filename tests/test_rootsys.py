@@ -84,3 +84,16 @@ def test_dump_roots_shape():
 def test_bad_type_rejected():
     with pytest.raises((ValueError, KeyError)):
         build_root_system("H", 3)
+
+
+def test_coefficients_past_the_root_chain_raise_value_error():
+    # in A2 the a-string through b is b, a + b: M_3(a, b) needs 2a + b
+    from chevalley.rootsys import _carter_coeff
+    sc = structure_constants("A", 2)
+    sys = sc.sys
+    a, b = sys.fundamental
+    assert sc.M(a, b, 1) == sc.N(a, b)
+    with pytest.raises(ValueError):
+        sc.M(a, b, 3)
+    with pytest.raises(ValueError):
+        _carter_coeff(sc, a, b, 2, 2)
