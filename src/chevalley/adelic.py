@@ -102,22 +102,28 @@ class SL2Group(EnumeratedGroup):
         self._zs = np.array({"SL2": [ring.one], "SL2modZ": [ring.one, ring.neg(ring.one)],
                              "PSL2": [z for z in ring.units() if ring.mul(z, z) == ring.one]}[mode])
         cosets = _componentwise(ring, comps)  # all of SL2(A), each matrix once
-        reps = self.canon(cosets)  # the grid itself in SL2 mode
-        if reps is not cosets:  # z g != g for z != 1: a coset is |Z| grid matrices, one its own canon
-            cosets = cosets[(reps == cosets).all(axis=(-1, -2))]
-        del reps
+        if len(self._zs) > 1:
+            # z g != g for z != 1: a coset is |Z| grid matrices, and the one
+            # kept is its own least variant, the one picked by z = 1
+            cosets = cosets[self._least_scalar(cosets) == self._zs.tolist().index(ring.one)]
         super().__init__(ring, cosets, self.canon(_adjugate(ring, cosets)))
         self._p_tables = {}  # offset set S -> P table
 
     # -- coset representatives ------------------------------------------
 
     def canon(self, mats: np.ndarray) -> np.ndarray:
-        """Lex-least matrix in the coset mats * Z: the z of the least key,
-        a running minimum over the central scalars; the first z keeps a tie."""
+        """Lex-least matrix in the coset mats * Z (`_least_scalar`)."""
         ring = self.ring
         mats = np.asarray(mats, dtype=ring.dtype)
         if len(self._zs) == 1:
             return mats
+        return ring.mul_t[mats, self._zs[self._least_scalar(mats)][..., None, None]]
+
+    def _least_scalar(self, mats: np.ndarray) -> np.ndarray:
+        """For each matrix, the position in _zs of the central scalar z whose
+        z mats has the least key: a running minimum over the scalars; the
+        first z keeps a tie."""
+        ring = self.ring
         # 2 x 2 keys are packed integers for every ring within the table budget
         keys = gfmat.MatSet.keys(ring, ring.mul_t[mats, self._zs[0]])
         pick = np.zeros(keys.shape, dtype=np.uint8)  # |Z| = 2^k over k factors
@@ -125,7 +131,7 @@ class SL2Group(EnumeratedGroup):
             var_keys = gfmat.MatSet.keys(ring, ring.mul_t[mats, z])
             pick[var_keys < keys] = i
             np.minimum(keys, var_keys, out=keys)
-        return ring.mul_t[mats, self._zs[pick][..., None, None]]
+        return pick
 
     def mul(self, a, b) -> np.ndarray:
         return self.canon(gfmat.mat_mul(self.ring, a, b))

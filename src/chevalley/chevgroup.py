@@ -404,7 +404,9 @@ class EnumeratedGroup:
     matrix per coset).  A group of a representation keeps its generators;
     its word data (each element's BFS distance, parent and generator) are
     the BFS closure's, carried over to key order, and its center is
-    scanned once, both on first use."""
+    scanned once, both on first use.  So is the multiplication table of a
+    group small enough to have one (`mul_table`), on which the formula
+    evaluator multiplies element numbers."""
 
     def __init__(self, ring: FiniteRing, elements, inverses, rep: MatrixRep | None = None,
                  gens_meta=None, gens=None):
@@ -459,6 +461,33 @@ class EnumeratedGroup:
         for a, b in zip(out, (dist, np.where(parent < 0, -1, m[parent]), genidx)):
             a[m] = b
         return tuple(out)
+
+    @cached_property
+    def mul_table(self) -> np.ndarray | None:
+        """The (order, order) table of element numbers, entry [i, j] the
+        number of elements[i] elements[j], in the narrowest of int16 and
+        int32 that holds them; None when it would pass the block rule's
+        BUDGET_BYTES >> 5 bytes.  Built in blocks of rows, each one 2-D
+        product of the block's elements stacked as rows by all elements
+        side by side, numbered through `idx` (so through `canon`);
+        RuntimeError when a product is not an element.  The table is the
+        usual representation of a small group (Holt, Eick and O'Brien,
+        Handbook of Computational Group Theory, 2005)."""
+        n, d = self.order, self.elements.shape[-1]
+        dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+        if n * n * np.dtype(dtype).itemsize > gfmat.BUDGET_BYTES >> 5:
+            return None
+        table = np.empty((n, n), dtype=dtype)
+        right = self.elements.transpose(1, 0, 2).reshape(d, n * d)  # every element side by side
+        rows = gfmat.block_rows(self.ring, d, n)
+        for lo in range(0, n, rows):
+            block = self.elements[lo:lo + rows]
+            prods = gfmat.mat_mul(self.ring, block.reshape(-1, d), right)
+            try:
+                table[lo:lo + len(block)] = self.idx(prods.reshape(-1, d, n, d).transpose(0, 2, 1, 3))
+            except KeyError:
+                raise RuntimeError("a product of two elements is not an element") from None
+        return table
 
     @cached_property
     def center(self) -> np.ndarray:

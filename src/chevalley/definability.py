@@ -4,10 +4,16 @@ ring structure on a root subgroup.
 The formula layer is a small AST (group terms with a product, inverse and
 identity; equality atoms; boolean connectives; group quantifiers) with a
 concrete syntax, plus an exhaustive evaluator over enumerated groups.  The
-evaluator works in rows: each row is one assignment, each variable a stack
-of matrices with one binding per row.  A quantifier pairs the live rows with
-a growing step of its range and drops each row once decided, and `&`, `|`
-and `->` evaluate their right side only on the rows the left leaves open.
+evaluator works in rows: each row is one assignment, each variable one
+binding per row.  The bindings are element numbers when the group has a
+multiplication table (`EnumeratedGroup.mul_table`, for groups whose |G|^2
+entries fit the block rule, such as SL2(F11) and SL3(F2)): a product is a
+gather from the table, an inverse a gather from the inverse map.  Otherwise
+they are matrices, multiplied by `gfmat.mat_mul` (SL3(F4) and larger).
+Parameters must be elements of the group.  A quantifier pairs the live
+rows with a growing step of its range and drops each row once decided, and
+`&`, `|` and `->` evaluate their right side only on the rows the left
+leaves open.
 For the ubiquitous shapes `A h.(guard -> body)` / `E h.(guard & body)`
 whose guard mentions only the quantified variable, it restricts the
 quantifier range to the guard's extension first (for centralizer-style
@@ -335,17 +341,51 @@ def parse_formula(text: str):
 
 
 class _EvalCtx:
+    """The group and parameters of one evaluation, and the representation
+    of its values, picked once: element numbers when the group has a
+    multiplication table (`EnumeratedGroup.mul_table`), where a product is
+    one gather from the table, an inverse one gather from `inv_idx` and an
+    equality an integer compare; else matrices, where a product is a
+    `gfmat.mat_mul` and an inverse an index lookup.  Either way a value is
+    one binding per row, and `domain` lists the group in element order."""
+
     def __init__(self, E: EnumeratedGroup, params):
         self.E = E
         self.ring = E.ring
-        self.d = E.elements.shape[-1]
+        d = E.elements.shape[-1]
         self.params = [np.asarray(p, dtype=E.ring.dtype) for p in params]
-        self.rows = max(1, 2**22 // (self.d * self.d))  # bindings one step may hold
+        numbers = []
+        for k, p in enumerate(self.params, start=1):
+            try:
+                numbers.append(E.idx(p))
+            except KeyError:
+                raise ValueError(f"parameter @{k} is not an element of the group") from None
+        self.one = gfmat.identity(E.ring, d)
+        self.domain = E.elements
+        self.table = E.mul_table
+        if self.table is not None:
+            self.params, self.one = numbers, E.idx(self.one)
+            self.domain = np.arange(E.order, dtype=self.table.dtype)
+            self.inv_idx = E.inv_idx.astype(self.table.dtype)
+        self.rows = max(1, 2**22 // (d * d))  # bindings one step may hold
         self.guards = {}  # quantifier -> mask over E of its guard (see _eval_quant)
+
+    def mul(self, a, b):
+        if self.table is None:
+            return gfmat.mat_mul(self.ring, a, b)
+        # entry [a, b] of the table as one flat gather: half the time of a 2-D one
+        return self.table.ravel().take(np.multiply(a, self.E.order, dtype=np.intp) + b)
+
+    def inv(self, a):
+        return self.E.inv(a) if self.table is None else self.inv_idx[a]
+
+    def same(self, a, b) -> np.ndarray:
+        return (a == b).all(axis=(-1, -2)) if self.table is None else a == b
 
 
 def _eval_term(t, env: dict, ctx: _EvalCtx) -> np.ndarray:
-    """The term on every row, (rows, d, d); (d, d) if it has no variable."""
+    """The term on every row: (rows, d, d) matrices or (rows,) numbers, one
+    value without the rows axis if it has no variable."""
     if isinstance(t, Var):
         if t.name not in env:
             raise ValueError(f"unbound variable {t.name}")
@@ -355,19 +395,19 @@ def _eval_term(t, env: dict, ctx: _EvalCtx) -> np.ndarray:
             raise ValueError(f"parameter @{t.k} not supplied")
         return ctx.params[t.k - 1]
     if isinstance(t, One):
-        return gfmat.identity(ctx.ring, ctx.d)
+        return ctx.one
     if isinstance(t, Mul):
-        return gfmat.mat_mul(ctx.ring, _eval_term(t.left, env, ctx), _eval_term(t.right, env, ctx))
+        return ctx.mul(_eval_term(t.left, env, ctx), _eval_term(t.right, env, ctx))
     if isinstance(t, Inv):
-        return ctx.E.inv(_eval_term(t.arg, env, ctx))
+        return ctx.inv(_eval_term(t.arg, env, ctx))
     raise TypeError(f"not a term: {t!r}")
 
 
 def _eval(f, env: dict, n: int, ctx: _EvalCtx) -> np.ndarray:
     """The truth of f on each of n rows, shape (n,); env binds each variable
-    to an (n, d, d) stack, one matrix per row."""
+    to n values, one per row (see _EvalCtx)."""
     if isinstance(f, Eq):
-        same = (_eval_term(f.left, env, ctx) == _eval_term(f.right, env, ctx)).all(axis=(-1, -2))
+        same = ctx.same(_eval_term(f.left, env, ctx), _eval_term(f.right, env, ctx))
         return np.broadcast_to(same, (n,)).copy()
     if isinstance(f, Not):
         return ~_eval(f.arg, env, n, ctx)
@@ -389,7 +429,7 @@ def _eval(f, env: dict, n: int, ctx: _EvalCtx) -> np.ndarray:
 def _eval_quant(f, env: dict, n: int, ctx: _EvalCtx) -> np.ndarray:
     forall = isinstance(f, Forall)
     body = f.body
-    domain = ctx.E.elements
+    domain = ctx.domain
     # guard trick: a guard mentioning only the bound variable restricts the
     # quantifier range up front
     guard = None
@@ -412,7 +452,7 @@ def _eval_quant(f, env: dict, n: int, ctx: _EvalCtx) -> np.ndarray:
         step = max(1, min(step, ctx.rows // len(live)))
         dom = domain[lo:lo + step]
         sub = {v: np.repeat(m[live], len(dom), axis=0) for v, m in env.items()}
-        sub[f.var] = np.tile(dom, (len(live), 1, 1))
+        sub[f.var] = np.tile(dom, (len(live),) + (1,) * (dom.ndim - 1))
         val = _eval(body, sub, len(live) * len(dom), ctx).reshape(len(live), len(dom))
         decided = (val != forall).any(axis=1)
         out[live[decided]] = not forall
@@ -425,7 +465,7 @@ def _eval_quant(f, env: dict, n: int, ctx: _EvalCtx) -> np.ndarray:
 def _guard_mask(var: str, guard, ctx: _EvalCtx) -> np.ndarray:
     """Which elements of the group satisfy a guard whose only free variable
     is `var`; one scan of the whole group."""
-    domain = ctx.E.elements
+    domain = ctx.domain
     mask = np.empty(len(domain), dtype=bool)
     for lo in range(0, len(domain), ctx.rows):
         block = domain[lo:lo + ctx.rows]
@@ -444,7 +484,7 @@ def define_set(F, E: EnumeratedGroup, params) -> np.ndarray:
     ctx = _EvalCtx(E, params)
     hits = []
     for lo in range(0, E.order, ctx.rows):
-        block = E.elements[lo:lo + ctx.rows]
+        block = ctx.domain[lo:lo + ctx.rows]
         hits.append(np.flatnonzero(_eval(F, {fv[0]: block}, len(block), ctx)) + lo)
     return np.concatenate(hits)
 

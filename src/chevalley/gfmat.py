@@ -317,7 +317,11 @@ class MatSet:
     of the formula evaluator, and any other view by Horner's rule in place,
     one entry at a time, which copies nothing (the BFS keys each block's
     product as a transposed view).  Deduplication is one unstable argsort of the keys
-    (`_first_unique`), lookups a ``searchsorted`` over the sorted keys.
+    (`_first_unique`), lookups a ``searchsorted`` over the sorted keys.  A
+    set made from sorted keys (every group's index) whose key space,
+    |R|^(h w) positions, fits the block rule's BUDGET_BYTES >> 5 bytes
+    answers lookups from a position array over that space instead, built on
+    its first lookup: entry k is the number of key k, or -1 off the set.
     The matrices a set is fed come from `mat_mul`, which multiplies blocks
     of products in float32 or float64 BLAS, exactly by the bound in the
     module docstring, so a BFS block and a single product of the same
@@ -329,6 +333,7 @@ class MatSet:
         self.shape = mats.shape[-2:]
         keys = self.keys(ring, mats.reshape(-1, *self.shape))
         self._keys, first = _first_unique(keys)
+        self._pos = None  # numbered by first occurrence: lookups search the sorted keys
         if len(first) == len(keys):
             self._num = first  # no key repeats: each first position is its own rank
         else:
@@ -342,6 +347,7 @@ class MatSet:
         out = cls.__new__(cls)
         out.ring, out.shape, out._keys = ring, tuple(shape), keys
         out._num = None  # a key's number is its sorted position
+        out._pos = None  # the position array, once a lookup asks for it
         return out
 
     def __len__(self) -> int:
@@ -374,22 +380,40 @@ class MatSet:
         _, first = _first_unique(MatSet.keys(ring, mats))
         return mats[np.sort(first)]
 
-    def _find(self, keys: np.ndarray):
-        """Sorted positions of the keys, and which of them are present."""
-        if not len(self._keys):
-            return np.zeros(keys.shape, dtype=np.intp), np.zeros(keys.shape, dtype=bool)
+    def _positions(self) -> np.ndarray | None:
+        """The position array of a set made from sorted keys whose key space
+        fits the block rule, built on first use; else None."""
+        if self._num is not None or self._pos is not None:
+            return self._pos
+        space = self.ring.size ** (self.shape[0] * self.shape[1])
+        dtype = np.int16 if len(self._keys) <= np.iinfo(np.int16).max else np.int32
+        if space * np.dtype(dtype).itemsize <= BUDGET_BYTES >> 5:  # within it, keys are u32
+            self._pos = np.full(space, -1, dtype=dtype)
+            self._pos[self._keys] = np.arange(len(self._keys), dtype=dtype)
+        return self._pos
+
+    def _find(self, mats: np.ndarray):
+        """Sorted positions of the matrices, and which of them are present."""
+        mats = np.asarray(mats)
+        if not len(self._keys) or mats.shape[-2:] != self.shape:  # keys of another shape mean other matrices
+            return np.zeros(mats.shape[:-2], dtype=np.intp), np.zeros(mats.shape[:-2], dtype=bool)
+        keys = self.keys(self.ring, mats)
+        table = self._positions()
+        if table is not None:
+            pos = table[keys]
+            return pos, pos >= 0
         pos = np.asarray(self._keys.searchsorted(keys))
         np.minimum(pos, len(self._keys) - 1, out=pos)  # in place: a lookup of a whole group builds one intp array
         return pos, self._keys[pos] == keys
 
     def contains(self, mats) -> np.ndarray:
         """Membership of each matrix of a stack, shape mats.shape[:-2]."""
-        return self._find(self.keys(self.ring, mats))[1]
+        return self._find(mats)[1]
 
     def index(self, mats):
         """Number of each matrix of a stack, or of a single matrix; raises
         KeyError when any is not in the set."""
-        pos, hit = self._find(self.keys(self.ring, mats))
+        pos, hit = self._find(mats)
         if not hit.all():
             raise KeyError("matrix is not in the set")
         return pos if self._num is None else self._num[pos]

@@ -8,7 +8,7 @@ from chevalley.adelic import (
     mult_formula_P, sl2_formula_report, theta_report, theta_sl2, theta_decode,
     u_set, v_set, w_correction,
 )
-from chevalley.chevgroup import classical_rep
+from chevalley.chevgroup import EnumeratedGroup, classical_rep
 from chevalley.rings import GF, ProductRing, decompose_square_diff
 
 F7 = GF(7)
@@ -277,6 +277,15 @@ def test_k_alpha_refuses_a_factor_that_is_not_a_subgroup(monkeypatch):
 def test_formula_report_f7():
     rpt = sl2_formula_report(F7)
     assert all(v["match"] for v in rpt.values())
+
+
+def test_formula_report_f7_by_matrices(monkeypatch):
+    # the same five definitions evaluated on matrices, with no group given a
+    # multiplication table, match the same direct constructions
+    monkeypatch.setattr(EnumeratedGroup, "mul_table", None)
+    assert SL2Group(F7).mul_table is None
+    rpt = sl2_formula_report(F7)
+    assert sorted(rpt) == sorted(("H", "U", "AT", "W", "G1")) and all(v["match"] for v in rpt.values())
 
 
 def test_formula_report_product_h_w(g7x11):

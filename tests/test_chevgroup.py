@@ -270,7 +270,9 @@ def test_enumeration_through_the_table_loop_is_the_same(group_of, t, q, monkeypa
 def test_enumeration_with_sorted_seen_keys_is_the_same(t, q, order, monkeypatch):
     # the bitmap of seen keys, which these groups get, and the sorted keys,
     # which a budget one byte short of the bitmap's 32 times gives them, make
-    # the same BFS of distinct elements and the same numbering
+    # the same BFS of distinct elements and the same numbering; the index
+    # looks up from its position array where the key space fits the block
+    # rule (SL3), and the lowered budget sends it to searchsorted
     E = bfs_closure(classical_rep(t, 2), GF(q))
     ring, d = E.ring, E.rep.dim
     assert gfmat.SeenKeys(ring, d).bits is not None
@@ -280,7 +282,10 @@ def test_enumeration_with_sorted_seen_keys_is_the_same(t, q, order, monkeypatch)
     assert E.order == F.order == order == len(gfmat.MatSet(ring, E.elements))
     for attr in ("elements", "dist", "parent", "genidx", "inv_idx"):
         assert np.array_equal(getattr(F, attr), getattr(E, attr)), attr
-    assert np.array_equal(F.index._keys, E.index._keys) and np.array_equal(F.index._num, E.index._num)
+    assert np.array_equal(F.index._keys, E.index._keys)
+    assert (E.index._pos is not None) == (t == "A") and F.index._pos is None
+    for G in (E, F):
+        assert np.array_equal(G.idx(E.elements), np.arange(order))
 
 
 @pytest.mark.parametrize("form,t,q", [("classical", "A", q) for q in (2, 3, 4, 5)]
@@ -503,3 +508,32 @@ def test_index_from_the_sorted_keys_is_the_index_of_the_elements(group_of, form,
     assert np.array_equal(E.index.index(sample), built.index(sample))
     assert np.array_equal(E.index.sorted(), built.sorted())
     assert np.array_equal(E.index.sorted(), E.elements)
+
+
+@pytest.mark.parametrize("name", ["SL2(F7)", "SL2modZ(F7)", "PSL2(F7)", "SL3(F2)"])
+def test_multiplication_table_is_the_index_of_each_product(group_of, name):
+    # the table, built from 2-D blocks, against every product taken as a
+    # stack of single products and numbered through canon and the index
+    E = group_of("classical", "A", 2, 2) if name == "SL3(F2)" else SL2Group(GF(7), name[:-4])
+    T = E.mul_table
+    assert T.dtype == np.int16 and T.shape == (E.order, E.order)
+    assert np.array_equal(T, E.idx(gfmat.mat_mul(E.ring, E.elements[:, None], E.elements[None])))
+    assert (T[np.arange(E.order), E.inv_idx] == E.idx(gfmat.identity(E.ring, E.elements.shape[-1]))).all()
+
+
+def test_multiplication_table_only_within_the_block_rule(group_of):
+    # |G|^2 int16 entries: SL3(F2)'s 168^2 fit 8 MiB, SL3(F3)'s 5616^2 do not
+    assert group_of("classical", "A", 2, 2).mul_table is not None
+    assert group_of("classical", "A", 2, 3).mul_table is None
+
+
+def test_multiplication_table_refuses_a_set_not_closed_under_products():
+    # {1, x, x^-1} with x = (0 1; -1 0) of order 4 in SL2(F3) is closed
+    # under inverses, so it numbers as a group, but x x = -1 is not in it
+    ring = GF(3)
+    one, x, xinv = (np.array(m, dtype=ring.dtype) for m in ([[1, 0], [0, 1]], [[0, 1], [2, 0]], [[0, 2], [1, 0]]))
+    assert (gfmat.mat_mul(ring, x, xinv) == one).all() and not (gfmat.mat_mul(ring, x, x) == one).all()
+    small = chevgroup.EnumeratedGroup(ring, np.stack([one, x, xinv]), np.stack([one, xinv, x]))
+    assert small.order == 3
+    with pytest.raises(RuntimeError, match="not an element"):
+        small.mul_table

@@ -52,6 +52,37 @@ def test_missing_parameter_refused_even_where_no_row_reaches_it(group_of):
         define_set(parse_formula("x=x | x=@2"), E, [u])
 
 
+@pytest.mark.parametrize("by_matrices", [False, True], ids=["numbers", "matrices"])
+def test_parameter_outside_the_group_refused_before_evaluating(group_of, by_matrices, monkeypatch):
+    # a singular matrix has no element number; both representations refuse
+    # it, naming the parameter, before any row is evaluated
+    E = group_of("classical", "A", 2, 2)
+    u = E.rep.x(E.ring, 0, E.ring.one)
+    stranger = np.zeros((3, 3), dtype=E.ring.dtype)
+    if by_matrices:
+        monkeypatch.setattr(E, "mul_table", None)
+    monkeypatch.setattr(definability, "_eval", mock.Mock(side_effect=AssertionError("evaluated")))
+    with pytest.raises(ValueError, match="@2"):
+        define_set(parse_formula("x=@1 | x=@2"), E, [u, stranger])
+    with pytest.raises(ValueError, match="@1"):
+        evaluate_sentence(parse_formula("E g. g=@1"), E, [stranger])
+
+
+def test_define_set_multiplies_no_matrix_once_the_table_exists(group_of, monkeypatch):
+    # products, inverses and the identity are element numbers: the DC
+    # formula and a formula with inverses make no gfmat.mat_mul call
+    E = group_of("classical", "A", 2, 2)
+    assert E.mul_table is not None
+    F, params = definability.dc_definition_formula(E.rep, E.ring, 0)
+    want = [define_set(F, E, params).tolist()]
+    G = parse_formula("E h. (x=h*@1*h^-1 & !x=1)")
+    with _by_matrices(E, True):
+        want += [define_set(F, E, params).tolist(), define_set(G, E, params).tolist()]
+    monkeypatch.setattr(gfmat, "mat_mul", mock.Mock(side_effect=AssertionError("mat_mul called")))
+    assert define_set(F, E, params).tolist() == want[0] == want[1]
+    assert define_set(G, E, params).tolist() == want[2]
+
+
 def test_define_set_matches_centralizer_scan(group_of):
     E = group_of("classical", "A", 2, 3)
     u = E.rep.x(E.ring, 0, E.ring.one)
@@ -175,6 +206,11 @@ def _naive(E) -> _Naive:
     return _Naive(E.elements, E.ring.size)
 
 
+def _by_matrices(E, on: bool):
+    """Evaluate on matrices, as groups without a multiplication table do."""
+    return mock.patch.object(E, "mul_table", None) if on else contextlib.nullcontext()
+
+
 def _rows_per_step(rows):
     """Cut the evaluator's rows per step to `rows` (None keeps it)."""
     if rows is None:
@@ -192,14 +228,17 @@ def _rows_per_step(rows):
     ("SL3(F2)", 2, None),
     ("SL2(F3)", 3, None),
     ("SL2(F3)", 3, 7),  # blocks and quantifier steps cut short
+    ("SL3(F2) by matrices", 2, None),  # the table set aside
+    ("SL2(F3) by matrices", 3, None),
 ])
 @settings(deadline=None, max_examples=80, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_evaluator_against_naive_oracle(group_of, sl2_f3, group, quants, rows, data):
     """define_set and evaluate_sentence agree with the naive semantics on
-    random formulas.  Over SL3(F2) the extension is compared on 16 sampled
+    random formulas, on element numbers through the multiplication table
+    and on matrices.  Over SL3(F2) the extension is compared on 16 sampled
     candidates, which bounds the naive side by 16 * 168^2 steps."""
-    E = group_of("classical", "A", 2, 2) if group == "SL3(F2)" else sl2_f3
+    E = group_of("classical", "A", 2, 2) if group.startswith("SL3(F2)") else sl2_f3
     naive = _naive(E)
     picks = data.draw(st.lists(st.integers(0, E.order - 1), min_size=2, max_size=2))
     params = [E.elements[i] for i in picks]
@@ -210,7 +249,7 @@ def test_evaluator_against_naive_oracle(group_of, sl2_f3, group, quants, rows, d
     S = data.draw(_formulas((), quants), label="sentence")
     xs = range(E.order) if E.order <= 24 else data.draw(
         st.lists(st.integers(0, E.order - 1), min_size=16, max_size=16, unique=True))
-    with _rows_per_step(rows):
+    with _rows_per_step(rows), _by_matrices(E, group.endswith("by matrices")):
         got = set(define_set(F, E, params).tolist())
         value = evaluate_sentence(S, E, params)
     assert [i in got for i in xs] == [naive.holds(F, {**env, "x": naive.elems[i]}) for i in xs]

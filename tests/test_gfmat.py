@@ -222,6 +222,48 @@ def test_packed_keys_follow_lexicographic_order(name, w):
     assert [tuple(int(v) for v in m.ravel()) for m in srt] == sorted(set(rows))
 
 
+def _widest_positions(q: int) -> int:
+    """The largest w whose q^w int16 positions fit the block rule's 8 MiB."""
+    return max(w for w in range(1, 24) if q**w * 2 <= gfmat.BUDGET_BYTES >> 5)
+
+
+# the key cases above, none of whose key spaces fits a position array, and
+# on the same rings the widths at and just past the widest that fits
+POSITION_WIDTHS = KEY_WIDTHS + [
+    pytest.param(name, w, id=f"{name}-w{w}")
+    for name, q in (("Z/2", 2), ("Z/256", 256), ("F3", 3), ("F5", 5), ("F7xF11", 77))
+    for w in (1, _widest_positions(q), _widest_positions(q) + 1)]
+
+
+@pytest.mark.parametrize("name,w", POSITION_WIDTHS)
+def test_position_lookup_is_the_sorted_search(name, w, monkeypatch):
+    # a set made from sorted keys looks up from a position array over the
+    # key space exactly when that fits the block rule; with the budget at 0
+    # the same set searches its sorted keys: the same numbers, the same
+    # membership, and KeyError off the set either way
+    ring = KEY_RINGS[name]() if name in KEY_RINGS else Zmod(int(name[2:]))
+    mats = np.random.default_rng(ring.size * 100 + w).integers(ring.size, size=(300, 1, w)).astype(ring.dtype)
+    keys = MatSet.keys(ring, mats)
+    uniq = gfmat._first_unique(keys)[0]
+    members = uniq[::2]  # sorted and distinct; every other distinct key is off the set
+    assert len(uniq) >= 2
+    dense, sparse = (MatSet.from_sorted_keys(ring, (1, w), members) for _ in range(2))
+    got = dense.contains(mats)
+    assert (dense._pos is not None) == (ring.size**w * 2 <= gfmat.BUDGET_BYTES >> 5)
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 0)
+    want = sparse.contains(mats)
+    assert sparse._pos is None
+    assert np.array_equal(got, want) and np.array_equal(want, np.isin(keys, members))
+    assert np.array_equal(dense.index(mats[want]), sparse.index(mats[want]))
+    assert np.array_equal(sparse.index(mats[want]), np.searchsorted(members, keys[want]))
+    for s in (dense, sparse):
+        with pytest.raises(KeyError):
+            s.index(mats)
+        with pytest.raises(KeyError):
+            s.index(mats[np.flatnonzero(~want)[0]])
+        assert not s.contains(np.zeros((3, 2, w), dtype=ring.dtype)).any()  # another shape
+
+
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_matset_from_the_identity_finds_every_later_code(name):
     # keys depend only on the ring and the shape: a set of the identity
