@@ -13,8 +13,7 @@ coset, `SL2Group.canon`, a running minimum over the central scalars), so
 set comparisons are exact; each is picked where the componentwise grid of
 SL2(A), which holds every matrix once, meets its coset.
 First-order definitions are double-checked against the direct constructions
-with the formula evaluator on the plain SL2 mode, where matrix products of
-representatives are the honest group operation.
+with the formula evaluator, which applies the group product in every mode.
 
 The ring A is read off the group as U = u(A): + is the group product and x
 is the group word P.  Each group evaluates both once, on all pairs of U at
@@ -132,9 +131,6 @@ class SL2Group(EnumeratedGroup):
             pick[var_keys < keys] = i
             np.minimum(keys, var_keys, out=keys)
         return pick
-
-    def mul(self, a, b) -> np.ndarray:
-        return self.canon(gfmat.mat_mul(self.ring, a, b))
 
     def conj(self, g, x) -> np.ndarray:
         # g^x = x^-1 g x
@@ -275,8 +271,8 @@ def centralizer_H(G: SL2Group, tau=None) -> np.ndarray:
     if tau is None:
         tau = make_tau(G.ring)
     ht = G.h(tau)
-    left = G.canon(gfmat.mat_mul(G.ring, G.elements, ht))
-    right = G.canon(gfmat.mat_mul(G.ring, ht, G.elements))
+    left = G.mul(G.elements, ht)
+    right = G.mul(ht, G.elements)
     hit = np.nonzero((left == right).all(axis=(-1, -2)))[0]
     cent = G.elements[hit]
     if not np.array_equal(hit, G.idx(h_set(G))):
@@ -392,7 +388,7 @@ def gamma1_factor(G: SL2Group, g: np.ndarray):
     vt = G.v(ring.neg_t[ring.mul_t[ainv, c]])
     ht = G.h(ainv)
     ut = G.u(ring.mul_t[ainv, b])
-    if not (G.canon(gfmat.mat_mul_many(ring, [vt, ht, ut])) == g).all():
+    if not (G.mul(G.mul(vt, ht), ut) == g).all():
         raise RuntimeError("VHU factorization failed to reconstruct g")
     return vt, ht, ut
 
@@ -565,9 +561,8 @@ def higher_rank_width(rep, ring: FiniteRing) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# first-order definitions, double-checked against the direct constructions.
-# Evaluated on the plain SL2 mode, where matrix products of representatives
-# are the honest group operation.
+# first-order definitions, double-checked against the direct constructions
+# by the formula evaluator, which applies the group product of any mode.
 
 
 class _ParamBag:

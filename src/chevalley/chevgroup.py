@@ -401,12 +401,13 @@ class EnumeratedGroup:
     Bruhat cells (`enumerate_group`), over any ring from the BFS closure
     of the root elements (`bfs_closure`), and SL2 over a product of fields
     in its quotient modes (`adelic.SL2Group`, whose `canon` picks one
-    matrix per coset).  A group of a representation keeps its generators;
-    its word data (each element's BFS distance, parent and generator) are
-    the BFS closure's, carried over to key order, and its center is
-    scanned once, both on first use.  So is the multiplication table of a
-    group small enough to have one (`mul_table`), on which the formula
-    evaluator multiplies element numbers."""
+    matrix per coset, so `mul`, the one group product on matrices, reads
+    each product as its coset).  A group of a representation keeps its
+    generators; its word data (each element's BFS distance, parent and
+    generator) are the BFS closure's, carried over to key order, and its
+    center is scanned once, both on first use.  So is the multiplication
+    table of a group small enough to have one (`mul_table`), on which the
+    formula evaluator multiplies element numbers."""
 
     def __init__(self, ring: FiniteRing, elements, inverses, rep: MatrixRep | None = None,
                  gens_meta=None, gens=None):
@@ -499,6 +500,10 @@ class EnumeratedGroup:
         """The matrices that stand for a stack in this group: the matrices
         themselves, unless a quotient picks one per coset."""
         return mats
+
+    def mul(self, a, b) -> np.ndarray:
+        """The group product of two elements or stacks: `canon` of the matrix product."""
+        return self.canon(gfmat.mat_mul(self.ring, a, b))
 
     def idx(self, mats: np.ndarray):
         """Index of a matrix, or the indices of a stack of matrices; raises
@@ -701,9 +706,10 @@ def product_set(ring: FiniteRing, sets) -> np.ndarray:
 
 
 def torus_set(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
-    """T(R): the BFS closure (`_bfs`) of the elementary torus elements h_{a_i}(t)."""
-    gens = [rep.h(ring, a, t) for a in rep.sys.fundamental for t in ring.units()]
-    return _bfs(rep, ring, np.stack(gens))[0]
+    """T(R): the product set of the rank-one tori {h_{a_i}(t) : t in R*},
+    which are commuting subgroups, since each h_{a_i} is a homomorphism."""
+    tori = [np.stack([rep.h(ring, a, t) for t in ring.units()]) for a in rep.sys.fundamental]
+    return product_set(ring, [rep.identity(ring)[None]] + tori)
 
 
 def center_set(rep: MatrixRep, ring: FiniteRing, group: EnumeratedGroup | None = None) -> np.ndarray:

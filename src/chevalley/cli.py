@@ -173,9 +173,8 @@ def suite_commutators(config: dict, seed: int) -> dict:
     s = Suite("commutators", config, seed)
     reps = [classical_rep("A", 2), classical_rep("C", 2), classical_rep("C", 3),
             classical_rep("B", 3), adjoint_rep("G", 2)]
-    fields = config.get("fields", (2, 3, 4, 5, 7))
     for rep in reps:
-        for q in fields:
+        for q in (2, 3, 4, 5, 7):
             _commutator_check(s, rep, GF(q))
     return s.done()
 
@@ -211,7 +210,7 @@ def suite_dc(config: dict, seed: int) -> dict:
         _dc_check(s, f"{spec}(F{q}) root 0", E, 0, **expect)
     # symplectic: long root is dc1 everywhere, the short root is the
     # exceptional case when the units are just {1,-1}
-    for q in config.get("sp4_fields", (3, 4)):
+    for q in (3, 4):
         ring = GF(q)
         E = enumerate_group(parse_group("Sp4"), ring)
         for length in ("long", "short"):
@@ -257,20 +256,17 @@ def suite_witnesses(config: dict, seed: int) -> dict:
     # torus witnesses across the big systems; absence must be exactly the
     # orthogonal long-long pairs of F4 over F3
     systems = [("F", 4), ("E", 6), ("E", 7), ("E", 8)]
-    fields = config.get("torus_fields", (3, 5, 7))
     sys_f4 = build_root_system("F", 4)
     n_f4 = len(sys_f4.roots)
-    expected = set()
-    if 3 in fields:
-        expected = {("F", 4, 3, a, b) for a in range(n_f4) for b in range(n_f4)
-                    if sys_f4.is_long(a) and sys_f4.is_long(b)
-                    and sys_f4.cartan_integer(a, b) == 0}
+    expected = {("F", 4, 3, a, b) for a in range(n_f4) for b in range(n_f4)
+                if sys_f4.is_long(a) and sys_f4.is_long(b)
+                and sys_f4.cartan_integer(a, b) == 0}
     absent = []
     total = 0
     for t, r in systems:
         sys_ = build_root_system(t, r)
         n = len(sys_.roots)
-        for q in fields:
+        for q in (3, 5, 7):
             ring = GF(q)
             for a in range(n):
                 for b in range(n):
@@ -285,7 +281,7 @@ def suite_witnesses(config: dict, seed: int) -> dict:
     rep_f4 = adjoint_rep("F", 4)
     ring = GF(5)
     checked = bad = 0
-    for _ in range(config.get("matrix_oracle_samples", 40)):
+    for _ in range(40):
         a, b = int(rng.integers(n_f4)), int(rng.integers(n_f4))
         if b == a or b == sys_f4.neg(a):
             continue
@@ -413,7 +409,7 @@ def suite_adelic(config: dict, seed: int) -> dict:
 
 def suite_width(config: dict, seed: int) -> dict:
     s = Suite("width", config, seed)
-    for q in config.get("width_fields", (3, 5)):
+    for q in (3, 5):
         rep = classical_rep("A", 2)
         rpt = adelic.higher_rank_width(rep, GF(q))
         E = enumerate_group(rep, GF(q))

@@ -9,11 +9,11 @@ binding per row.  The bindings are element numbers when the group has a
 multiplication table (`EnumeratedGroup.mul_table`, for groups whose |G|^2
 entries fit the block rule, such as SL2(F11) and SL3(F2)): a product is a
 gather from the table, an inverse a gather from the inverse map.  Otherwise
-they are matrices, multiplied by `gfmat.mat_mul` (SL3(F4) and larger).
-Parameters must be elements of the group.  A quantifier pairs the live
-rows with a growing step of its range and drops each row once decided, and
-`&`, `|` and `->` evaluate their right side only on the rows the left
-leaves open.
+they are matrices, multiplied by the group's product `EnumeratedGroup.mul`
+(SL3(F4) and larger, and SL2(F7xF11) in each mode).  Parameters must be
+elements of the group.  A quantifier pairs the live rows with a growing
+step of its range and drops each row once decided, and `&`, `|` and `->`
+evaluate their right side only on the rows the left leaves open.
 For the ubiquitous shapes `A h.(guard -> body)` / `E h.(guard & body)`
 whose guard mentions only the quantified variable, it restricts the
 quantifier range to the guard's extension first (for centralizer-style
@@ -342,37 +342,39 @@ def parse_formula(text: str):
 
 class _EvalCtx:
     """The group and parameters of one evaluation, and the representation
-    of its values, picked once: element numbers when the group has a
+    of its values, picked once from the element numbers of the parameters
+    and of the identity: the numbers themselves when the group has a
     multiplication table (`EnumeratedGroup.mul_table`), where a product is
     one gather from the table, an inverse one gather from `inv_idx` and an
-    equality an integer compare; else matrices, where a product is a
-    `gfmat.mat_mul` and an inverse an index lookup.  Either way a value is
-    one binding per row, and `domain` lists the group in element order."""
+    equality an integer compare; else the matrices `E.elements` holds for
+    them (so a parameter is read as its coset), where a product is the
+    group's own `E.mul` and an inverse an index lookup.  Either way a value
+    is one binding per row, and `domain` lists the group in element order."""
 
     def __init__(self, E: EnumeratedGroup, params):
         self.E = E
-        self.ring = E.ring
         d = E.elements.shape[-1]
-        self.params = [np.asarray(p, dtype=E.ring.dtype) for p in params]
         numbers = []
-        for k, p in enumerate(self.params, start=1):
+        for k, p in enumerate(params, start=1):
             try:
-                numbers.append(E.idx(p))
+                numbers.append(E.idx(np.asarray(p, dtype=E.ring.dtype)))
             except KeyError:
                 raise ValueError(f"parameter @{k} is not an element of the group") from None
-        self.one = gfmat.identity(E.ring, d)
-        self.domain = E.elements
+        numbers.append(E.idx(gfmat.identity(E.ring, d)))
         self.table = E.mul_table
-        if self.table is not None:
-            self.params, self.one = numbers, E.idx(self.one)
+        if self.table is None:
+            self.domain, values = E.elements, E.elements[numbers]
+        else:
             self.domain = np.arange(E.order, dtype=self.table.dtype)
             self.inv_idx = E.inv_idx.astype(self.table.dtype)
+            values = numbers
+        *self.params, self.one = values
         self.rows = max(1, 2**22 // (d * d))  # bindings one step may hold
-        self.guards = {}  # quantifier -> mask over E of its guard (see _eval_quant)
+        self.guards = {}  # id of a quantifier -> mask over E of its guard (see _eval_quant)
 
     def mul(self, a, b):
         if self.table is None:
-            return gfmat.mat_mul(self.ring, a, b)
+            return self.E.mul(a, b)
         # entry [a, b] of the table as one flat gather: half the time of a 2-D one
         return self.table.ravel().take(np.multiply(a, self.E.order, dtype=np.intp) + b)
 
@@ -438,10 +440,11 @@ def _eval_quant(f, env: dict, n: int, ctx: _EvalCtx) -> np.ndarray:
     elif not forall and isinstance(body, And):
         guard, rest = body.left, body.right
     if guard is not None and free_vars(guard) <= {f.var}:
-        # the mask depends on nothing that varies within one context
-        if f not in ctx.guards:
-            ctx.guards[f] = _guard_mask(f.var, guard, ctx)
-        domain = domain[ctx.guards[f]]
+        # the mask depends on nothing that varies within one context; keyed
+        # by the node's identity, since a frozen dataclass hashes recursively
+        if id(f) not in ctx.guards:
+            ctx.guards[id(f)] = _guard_mask(f.var, guard, ctx)
+        domain = domain[ctx.guards[id(f)]]
         body = rest
     # pair the live rows with a domain step that starts at 1 and doubles; a
     # row leaves once decided: a false Forall row, a true Exists row
@@ -463,8 +466,8 @@ def _eval_quant(f, env: dict, n: int, ctx: _EvalCtx) -> np.ndarray:
 
 
 def _guard_mask(var: str, guard, ctx: _EvalCtx) -> np.ndarray:
-    """Which elements of the group satisfy a guard whose only free variable
-    is `var`; one scan of the whole group."""
+    """Which elements of the group satisfy a formula whose only free
+    variable is `var`, such as a guard; one scan of the whole group."""
     domain = ctx.domain
     mask = np.empty(len(domain), dtype=bool)
     for lo in range(0, len(domain), ctx.rows):
@@ -481,12 +484,7 @@ def define_set(F, E: EnumeratedGroup, params) -> np.ndarray:
         raise ValueError(f"define_set needs one free variable, got {fv}")
     if max_param(F) > len(params):
         raise ValueError(f"parameter @{max_param(F)} not supplied")
-    ctx = _EvalCtx(E, params)
-    hits = []
-    for lo in range(0, E.order, ctx.rows):
-        block = ctx.domain[lo:lo + ctx.rows]
-        hits.append(np.flatnonzero(_eval(F, {fv[0]: block}, len(block), ctx)) + lo)
-    return np.concatenate(hits)
+    return np.flatnonzero(_guard_mask(fv[0], F, _EvalCtx(E, params)))
 
 
 def evaluate_sentence(F, E: EnumeratedGroup, params) -> bool:

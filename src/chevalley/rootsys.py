@@ -314,14 +314,15 @@ def structure_constants(type_label: str, rank: int) -> StructureConstants:
     return StructureConstants(build_root_system(type_label, rank))
 
 
+@lru_cache(maxsize=None)
 def commutator_template(sc: StructureConstants, a: int, b: int):
     """Integer template for [x_a(r), x_b(s)] with the convention
-    [g,h] = g^-1 h^-1 g h: a list of (root index, e_a, e_b, coeff) meaning
+    [g,h] = g^-1 h^-1 g h: a tuple of (root index, e_a, e_b, coeff) meaning
     the factor x_{e_a*a + e_b*b}(coeff * r^{e_a} * s^{e_b}), in increasing
-    e_a + e_b order.  Empty when a+b is not a root."""
+    e_a + e_b order.  Empty when a+b is not a root; memoised."""
     sys = sc.sys
     if sys.sum_root(a, b) is None:
-        return []
+        return ()
     out = []
     for i in range(1, 4):  # exponent of b
         for j in range(1, 4):  # exponent of a
@@ -331,7 +332,7 @@ def commutator_template(sc: StructureConstants, a: int, b: int):
             c = _carter_coeff(sc, b, a, i, j)
             out.append((g, j, i, c * (-1) ** i))
     out.sort(key=lambda t: (t[1] + t[2], t[2]))
-    return out
+    return tuple(out)
 
 
 def _carter_coeff(sc: StructureConstants, alpha: int, beta: int, i: int, j: int) -> int:

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks, one summary line each.
+"""Acceptance gate: eleven end-to-end checks, one summary line each.
 
 The gate asserts on the same reports that `chevalley run` prints: each
 suite runs once per test run through `run_suite`, and each test looks its
@@ -6,18 +6,36 @@ checks up by name and asserts their status and the sizes and counts in
 their data.  Each test prints a single pass/fail line before asserting, so
 the verdict survives in the log even when an assertion trips.  The tenth
 check is informational only: it reports the open characteristic-2
-symplectic case without gating on it.
+symplectic case without gating on it.  The eleventh holds each of those
+reports, rendered as `chevalley --format json --seed 0 run --suite <name>`
+prints it, to the bytes recorded below.
 """
 
+import hashlib
 from functools import cache
 
-from chevalley.cli import run_suite
+from chevalley.cli import _render, run_suite
+
+# sha256 of each gated suite's JSON report at seed 0; a change that alters
+# a report on purpose records the new digest and names the data it changed
+REPORT_SHA256 = {
+    "commutators": "5323763392744a2bf23fe1fc55628d1d4decbeabf4abc37bdad0db0f9c06da92",
+    "dc": "efbbe0146c1732bfc8e54d7f9c78bb0a96eaa2cce5ed2d5a0010655176bc6381",
+    "witnesses": "d27f280fafa279c8be2b58e2ef9073c470a2a816e6f6c23d36bdc97a565e9e5f",
+    "definability": "e76a2b82afcf886aab2c3ddacd36e5bccc769f160f1dc1fc33c62c7867d84e66",
+    "adelic": "9289d801aa1cdd57636177026c4b97182580f0d75868a5b7c59376e1abcb21b4",
+}
 
 
 @cache
+def _report(suite):
+    """One suite's report (empty config, seed 0), run once per test run."""
+    return run_suite(suite, {}, 0)
+
+
 def _checks(suite):
-    """The checks of one suite's report (empty config, seed 0), by name."""
-    return {c["name"]: c for c in run_suite(suite, {}, 0)["checks"]}
+    """The checks of one suite's report, by name."""
+    return {c["name"]: c for c in _report(suite)["checks"]}
 
 
 def _passed(check, **want):
@@ -135,3 +153,11 @@ def test_10_open_characteristic_two_case():
     _verdict(10, f"Sp4(F2) short-root Z(C(v)) reported: size {chk['data']['size']}, "
                  f"expected {chk['data']['expected']}", None)
     assert chk["status"] == "exploratory" and chk["data"]["size"] >= 1
+
+
+def test_11_reports_are_byte_identical():
+    got = {name: hashlib.sha256(_render(_report(name), "json").encode()).hexdigest()
+           for name in REPORT_SHA256}
+    changed = sorted(name for name in got if got[name] != REPORT_SHA256[name])
+    _verdict(11, f"JSON reports of {', '.join(REPORT_SHA256)} byte-identical to the "
+                 f"recorded digests; changed: {changed or 'none'}", not changed)

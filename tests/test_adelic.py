@@ -9,6 +9,7 @@ from chevalley.adelic import (
     u_set, v_set, w_correction,
 )
 from chevalley.chevgroup import EnumeratedGroup, classical_rep
+from chevalley.definability import define_set, parse_formula
 from chevalley.rings import GF, ProductRing, decompose_square_diff
 
 F7 = GF(7)
@@ -286,6 +287,24 @@ def test_formula_report_f7_by_matrices(monkeypatch):
     assert SL2Group(F7).mul_table is None
     rpt = sl2_formula_report(F7)
     assert sorted(rpt) == sorted(("H", "U", "AT", "W", "G1")) and all(v["match"] for v in rpt.values())
+
+
+@pytest.mark.parametrize("mode,squares", [("SL2", 2), ("SL2modZ", 22), ("PSL2", 22)])
+def test_evaluator_applies_the_group_product_in_every_mode(mode, squares, monkeypatch):
+    # with the table set aside the evaluator multiplies matrices by the
+    # group's own product, through canon, and reads a parameter as its coset:
+    # -u(1) is u(1) in a quotient mode
+    G = SL2Group(F7, mode)
+    minus_u = F7.neg_t[G.u(F7.one)]
+    cases = [("x*x=1", []), ("x=@1", [minus_u]), ("x1*@1=@1*x1", [G.h(make_tau(F7))])]
+    by_table = [define_set(parse_formula(f), G, params).tolist() for f, params in cases]
+    monkeypatch.setattr(G, "mul_table", None)
+    by_matrices = [define_set(parse_formula(f), G, params).tolist() for f, params in cases]
+    assert by_matrices == by_table
+    squares_got, minus_u_got, h_got = by_matrices
+    assert len(squares_got) == squares
+    assert minus_u_got == [G.idx(minus_u)]
+    assert h_got == G.idx(centralizer_H(G)).tolist()
 
 
 def test_formula_report_product_h_w(g7x11):

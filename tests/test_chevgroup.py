@@ -81,7 +81,7 @@ def test_commutator_template_empty_for_orthogonal_a1xa1():
     pairs = [(a, b) for a in range(sys.n_pos) for b in range(sys.n_pos)
              if a != b and sys.sum_root(a, b) is None and sys.cartan_integer(a, b) == 0]
     a, b = pairs[0]
-    assert commutator_template(sc, a, b) == []
+    assert commutator_template(sc, a, b) == ()
 
 
 def test_membership_forms(group_of):
@@ -108,6 +108,19 @@ def test_inverses_and_words(group_of):
             a, code = E.gens_meta[gi]
             prod = gfmat.mat_mul(E.ring, prod, E.rep.x(E.ring, a, code))
         assert E.idx(prod) == i
+
+
+@pytest.mark.parametrize("rep,q", [(classical_rep("A", 2), q) for q in (2, 3, 4, 5)]
+                         + [(classical_rep("C", 2), 3), (adjoint_rep("G", 2), 2)],
+                         ids=["SL3(F2)", "SL3(F3)", "SL3(F4)", "SL3(F5)", "Sp4(F3)", "G2adj(F2)"])
+def test_torus_is_the_bfs_closure_of_its_generators(rep, q):
+    # the product of the rank-one tori against the BFS closure of all h_a(t)
+    ring = GF(q)
+    gens = np.stack([rep.h(ring, a, t) for a in rep.sys.fundamental for t in ring.units()])
+    want = chevgroup._bfs(rep, ring, gens)[0]
+    got = torus_set(rep, ring)
+    assert len(got) == len(want)
+    assert np.array_equal(gfmat.MatSet(ring, got).sorted(), gfmat.MatSet(ring, want).sorted())
 
 
 def test_torus_and_center_sizes(group_of):

@@ -98,10 +98,26 @@ def test_define_set_scans_each_guard_once(group_of, monkeypatch):
     scans = []
     guard_mask = definability._guard_mask
     monkeypatch.setattr(definability, "_guard_mask", lambda *a: scans.append(a) or guard_mask(*a))
-    got = define_set(parse_formula(DC_TEXT), E, [u])
-    assert len(scans) == 1
+    F = parse_formula(DC_TEXT)
+    got = define_set(F, E, [u])
+    # each formula is scanned once: define_set's own scan, then its guard's
+    assert len(scans) == 2 and scans[0][1] is F and scans[1][1] is F.body.left
     C = centralizer_indices(E.ring, E.elements, [u])
     assert got.tolist() == centralizer_indices(E.ring, E.elements, E.elements[C]).tolist()
+
+
+@pytest.mark.parametrize("by_matrices", [False, True], ids=["numbers", "matrices"])
+def test_define_set_keeps_the_order_of_a_product(group_of, by_matrices):
+    # x_a(1) and x_-a(1) do not commute in SL3(F2): x=@1*@2 holds at the
+    # number of @1 @2 alone, taken here by integer matrix products
+    E = group_of("classical", "A", 2, 2)
+    ring, a = E.ring, 0
+    p1, p2 = E.rep.x(ring, a, ring.one), E.rep.x(ring, E.rep.sys.neg(a), ring.one)
+    p12, p21 = ((x.astype(np.int64) @ y.astype(np.int64) % 2).astype(ring.dtype) for x, y in ((p1, p2), (p2, p1)))
+    assert not np.array_equal(p12, p21)
+    with _by_matrices(E, by_matrices):
+        got = define_set(parse_formula("x=@1*@2"), E, [p1, p2])
+    assert got.tolist() == [E.idx(p12)]
 
 
 def test_define_set_skips_decided_rows(group_of, monkeypatch):
