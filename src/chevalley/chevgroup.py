@@ -19,7 +19,8 @@ given inverses by a sort; group enumeration, over a field from the Bruhat
 cells u t n_w v and over any ring by BFS closure, which is also the oracle
 the cells are checked against (the BFS word data used for theta and width
 are the closure's, carried over to key order); centralizers as the
-elements of a stack inside the linear commutant of the conditions; the
+elements of a stack inside the linear commutant of the conditions, found
+in a group by looking the commutant's span up when it is small; the
 bound U_{a_1}...U_{a_k}Z as an explicit set; and the Bruhat factorization
 check.
 """
@@ -405,9 +406,10 @@ class EnumeratedGroup:
     each product as its coset).  A group of a representation keeps its
     generators; its word data (each element's BFS distance, parent and
     generator) are the BFS closure's, carried over to key order, and its
-    center is scanned once, both on first use.  So is the multiplication
+    center is found once, both on first use.  So is the multiplication
     table of a group small enough to have one (`mul_table`), on which the
-    formula evaluator multiplies element numbers."""
+    formula evaluator multiplies element numbers.  Its centralizers
+    (`centralizer`) look a small commutant's span up in the index."""
 
     def __init__(self, ring: FiniteRing, elements, inverses, rep: MatrixRep | None = None,
                  gens_meta=None, gens=None):
@@ -493,8 +495,23 @@ class EnumeratedGroup:
     @cached_property
     def center(self) -> np.ndarray:
         """Indices of Z(G): the elements commuting with every generator,
-        scanned once per group."""
-        return centralizer_indices(self.ring, self.elements, self.gens)
+        found once per group."""
+        return self.centralizer(self.gens)
+
+    def centralizer(self, mats) -> np.ndarray:
+        """Ascending indices of C(mats) = {g : gs = sg for all s in mats}
+        over a field: the elements inside the linear commutant of mats, k
+        basis matrices.  When its span has no more matrices than the group
+        (q^k <= |G|), the span is listed and looked up in the index, where
+        the matrices that are not elements drop out (subgroup membership
+        by lookup, Holt, Eick and O'Brien, 2005, ch. 4); else every element
+        is tested against the basis (`commutant_indices`)."""
+        d = self.elements.shape[-1]
+        basis = linear_commutant(self.ring, np.asarray(mats, dtype=self.ring.dtype).reshape(-1, d, d))
+        if self.ring.size ** len(basis) > self.order:
+            return commutant_indices(self.ring, self.elements, basis)
+        span = gfmat.span_elements(self.ring, basis).reshape(-1, d, d)
+        return np.sort(self.index.index(span[self.index.contains(span)]))
 
     def canon(self, mats: np.ndarray) -> np.ndarray:
         """The matrices that stand for a stack in this group: the matrices
@@ -640,7 +657,9 @@ def _bfs(rep: MatrixRep, ring: FiniteRing, gmats: np.ndarray):
 
 def centralizer_indices(ring: FiniteRing, elements: np.ndarray, mats) -> np.ndarray:
     """Indices of {g in elements : gs = sg for all s in mats} over a field:
-    the elements inside the linear commutant of mats."""
+    the elements inside the linear commutant of mats, for any stack, by a
+    scan of the stack (`commutant_indices`); `EnumeratedGroup.centralizer`
+    gives the same indices in a group."""
     d = elements.shape[-1]
     basis = linear_commutant(ring, np.asarray(mats, dtype=ring.dtype).reshape(-1, d, d))
     return commutant_indices(ring, elements, basis)
@@ -651,21 +670,26 @@ def linear_commutant(ring: FiniteRing, mats: np.ndarray) -> np.ndarray:
     {m : ms = sm for all s in mats} over a field, for a (n, d, d) stack;
     rows are flattened d x d matrices.  The commutant of mats is that of a
     basis of their span, so it shrinks from the full space one basis matrix
-    b at a time: c K commutes with b exactly when c (K b - b K) = 0."""
+    b at a time: c K commutes with b exactly when c (K b - b K) = 0, and a
+    b that all of K commutes with leaves K as it is, with no nullspace."""
     d = mats.shape[-1]
     _, span = gfmat.rref(ring, mats.reshape(-1, d * d).T)  # the pivot columns: a basis of the span
     K = gfmat.identity(ring, d * d)
     for b in mats[span]:
         Km = K.reshape(-1, d, d)
         D = ring.add_t[gfmat.mat_mul(ring, Km, b), ring.neg_t[gfmat.mat_mul(ring, b, Km)]]
+        if (D == ring.zero).all():  # all of K commutes with b
+            continue
         K = gfmat.mat_mul(ring, gfmat.nullspace(ring, D.reshape(len(K), -1).T), K)
     return gfmat.rref(ring, K)[0]
 
 
 def commutant_indices(ring: FiniteRing, elements: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Indices of the elements whose flattened matrix lies in the span of a
-    row-reduced basis.  With P the basis's pivot columns, v lies in the span
-    exactly when v = v[P] basis: one 2-D product per block of elements."""
+    row-reduced basis, by a scan of every element.  With P the basis's
+    pivot columns, v lies in the span exactly when v = v[P] basis: one 2-D
+    product per block of elements.  It serves stacks that are not groups,
+    and groups in which the span has more matrices than the group."""
     d = elements.shape[-1]
     pivots = np.argmax(basis != ring.zero, axis=1)
     rows = gfmat.block_rows(ring, d, 1)

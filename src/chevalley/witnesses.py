@@ -382,17 +382,20 @@ class DCReport:
 
 
 def verify_dc(E: EnumeratedGroup, alpha: int, r=None) -> DCReport:
-    """Compute C(u), C(C(u)) and Z(C(u)) for u = x_alpha(r) by centralizer
-    scans and compare with U_alpha(R) Z(R) (or the dc2 bound U U1 U2 Z(R)
-    in the exceptional symplectic short-root case)."""
+    """Compute C(u), C(C(u)) and Z(C(u)) = C(C(u)) & C(u) for u =
+    x_alpha(r) in the group (`EnumeratedGroup.centralizer`) and compare
+    with U_alpha(R) Z(R) (or the dc2 bound U U1 U2 Z(R) in the exceptional
+    symplectic short-root case)."""
     rep, ring = E.rep, E.ring
     sys = rep.sys
     if r is None:
         r = ring.one
     u = rep.x(ring, alpha, r)
-    C = centralizer_indices(ring, E.elements, [u])
-    CC = centralizer_indices(ring, E.elements, E.elements[C])
-    ZC = np.intersect1d(CC, C)
+    C = E.centralizer([u])
+    CC = E.centralizer(E.elements[C])
+    in_C = np.zeros(E.order, dtype=bool)
+    in_C[C] = True
+    ZC = CC[in_C[CC]]
     UZ = root_product_center(rep, ring, (alpha,), group=E)
     exceptional = (
         sys.type_label == "C"

@@ -7,8 +7,8 @@ their data.  Each test prints a single pass/fail line before asserting, so
 the verdict survives in the log even when an assertion trips.  The tenth
 check is informational only: it reports the open characteristic-2
 symplectic case without gating on it.  The eleventh holds each of those
-reports, rendered as `chevalley --format json --seed 0 run --suite <name>`
-prints it, to the bytes recorded below.
+reports, and the `roots` suite's, rendered as `chevalley --format json
+--seed 0 run --suite <name>` prints it, to the bytes recorded below.
 """
 
 import hashlib
@@ -16,14 +16,16 @@ from functools import cache
 
 from chevalley.cli import _render, run_suite
 
-# sha256 of each gated suite's JSON report at seed 0; a change that alters
-# a report on purpose records the new digest and names the data it changed
+# sha256 of each gated suite's JSON report, and of the roots suite's, at
+# seed 0; a change that alters a report on purpose records the new digest
+# and names the data it changed
 REPORT_SHA256 = {
     "commutators": "5323763392744a2bf23fe1fc55628d1d4decbeabf4abc37bdad0db0f9c06da92",
     "dc": "efbbe0146c1732bfc8e54d7f9c78bb0a96eaa2cce5ed2d5a0010655176bc6381",
     "witnesses": "d27f280fafa279c8be2b58e2ef9073c470a2a816e6f6c23d36bdc97a565e9e5f",
     "definability": "e76a2b82afcf886aab2c3ddacd36e5bccc769f160f1dc1fc33c62c7867d84e66",
     "adelic": "9289d801aa1cdd57636177026c4b97182580f0d75868a5b7c59376e1abcb21b4",
+    "roots": "3f54241f04074e24bbbbc028092e6e1548f2bdf7eda38fc9dbcfd34176501d9a",
 }
 
 

@@ -259,6 +259,68 @@ def test_centralizer_indices_in_blocks_against_pairwise_oracle(group_of, t, monk
             assert not scanned.contains(X.reshape(d, -1, d).transpose(1, 0, 2)).any()
 
 
+def _counting_branches(monkeypatch):
+    """Count the span and scan branches of `EnumeratedGroup.centralizer`."""
+    runs = Counter()
+    span_elements, commutant_indices = gfmat.span_elements, chevgroup.commutant_indices
+
+    def span(*args):
+        runs["span"] += 1
+        return span_elements(*args)
+
+    def scan(*args):
+        runs["scan"] += 1
+        return commutant_indices(*args)
+
+    monkeypatch.setattr(gfmat, "span_elements", span)
+    monkeypatch.setattr(chevgroup, "commutant_indices", scan)
+    return runs
+
+
+@pytest.mark.parametrize("form,t,q", [("classical", "A", 3), ("classical", "A", 4), ("classical", "C", 3),
+                                      ("adjoint", "G", 2)], ids=["SL3(F3)", "SL3(F4)", "Sp4(F3)", "G2adj(F2)"])
+def test_group_centralizer_is_the_scan(group_of, form, t, q, monkeypatch):
+    # C(u) for a root of each length, with the last code (outside the prime
+    # field over F4), C(C(u)), the center and C(1), which is the whole
+    # group: the span is looked up where q^k <= |G|, else the group is
+    # scanned, and both give the scan's indices
+    E = group_of(form, t, 2, q)
+    ring, sys = E.ring, E.rep.sys
+    r = ring.dtype(ring.size - 1)
+    roots = [0] + [a for a in range(len(sys.roots)) if sys.is_long(a) != sys.is_long(0)][:1]
+    inputs = [E.gens, E.rep.identity(ring)[None]]
+    for alpha in roots:
+        u = E.rep.x(ring, alpha, r)
+        inputs += [[u], E.elements[centralizer_indices(ring, E.elements, [u])]]
+    runs = _counting_branches(monkeypatch)
+    branches = []
+    for mats in inputs:
+        want = centralizer_indices(ring, E.elements, mats)
+        before = runs.copy()
+        assert np.array_equal(E.centralizer(mats), want)
+        k = len(linear_commutant(ring, np.asarray(mats)))
+        branch = "span" if ring.size ** k <= E.order else "scan"
+        assert runs - before == {branch: 1}
+        branches.append(branch)
+    assert branches[1] == "scan" and branches[3::2] == ["span"] * len(roots)  # C(1) and each C(C(u))
+
+
+def test_group_centralizer_from_a_basis_short_of_a_row_is_not_the_scan(group_of, monkeypatch):
+    # a commutant basis with one row dropped makes the span branch miss
+    # elements of C(u), whichever row it is
+    E = group_of("classical", "A", 2, 3)
+    u = E.rep.x(E.ring, 0, E.ring.one)
+    want = centralizer_indices(E.ring, E.elements, [u])
+    k = len(linear_commutant(E.ring, u[None]))
+    linear_commutant_ = chevgroup.linear_commutant
+    runs = _counting_branches(monkeypatch)
+    for drop in range(k):
+        monkeypatch.setattr(chevgroup, "linear_commutant",
+                            lambda ring, mats: np.delete(linear_commutant_(ring, mats), drop, axis=0))
+        assert not np.array_equal(E.centralizer([u]), want)
+    assert runs == {"span": k}
+
+
 @pytest.mark.parametrize("t,q", [("A", 3), ("A", 4), ("C", 3)], ids=["SL3(F3)", "SL3(F4)", "Sp4(F3)"])
 def test_enumeration_through_the_table_loop_is_the_same(group_of, t, q, monkeypatch):
     # the table loop in place of every product, and blocks of a few rows (a

@@ -139,16 +139,16 @@ def test_commutant_centralizer_is_the_enumerated_one(group_of, type_label, q, ro
 
 def test_center_is_scanned_once_per_group(group_of, monkeypatch):
     E = copy.copy(group_of("classical", "C", 2, 3))
-    E.__dict__.pop("center", None)  # a copy whose center is not yet scanned
+    E.__dict__.pop("center", None)  # a copy whose center is not yet found
     scans = []
-    scan = chevgroup.centralizer_indices
+    centralizer = chevgroup.EnumeratedGroup.centralizer
 
-    def counting(ring, elements, mats):
+    def counting(self, mats):
         if mats is E.gens:
-            scans.append(len(elements))
-        return scan(ring, elements, mats)
+            scans.append(self.order)
+        return centralizer(self, mats)
 
-    monkeypatch.setattr(chevgroup, "centralizer_indices", counting)
+    monkeypatch.setattr(chevgroup.EnumeratedGroup, "centralizer", counting)
     sys = E.rep.sys
     short, long_root = (next(a for a in range(len(sys.roots)) if sys.is_long(a) == long)
                         for long in (False, True))
