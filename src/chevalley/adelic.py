@@ -4,7 +4,7 @@ The groups SL2(A), SL2(A)/<-1> and PSL2(A) with A a product of odd finite
 fields, the generators u, v, h, w, the definable subsets H, U, V, W, A_T,
 Gamma_1, the group-word multiplication on U, the VHU factorization with
 W-correction, the entrywise theta map, and the 8-factor K_alpha / elementary
-width decompositions.
+width decompositions, grown as unions of cosets of their factors.
 
 `SL2Group` is a `chevgroup.EnumeratedGroup`, built by the same
 constructor as the Chevalley groups.  Quotient modes are realized by
@@ -506,58 +506,59 @@ def theta_report(G: SL2Group, sample: int = 500, pairs: int = 200, seed: int = 0
 # bounded generation: K_alpha in 8 factors, elementary width for higher rank
 
 
+def _coset_labels(E: EnumeratedGroup, X: np.ndarray) -> np.ndarray:
+    """Label each left coset gX of the subgroup X (a stack of its elements)
+    by its least element number, so that R X for a mask R of element numbers
+    is `np.isin(lab, lab[R])`, the cosets that meet R (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  The
+    cosets are the orbits of right multiplication by elements of X, taken in
+    order until the coset of 1 is X; pointer doubling spreads each orbit's
+    minimum.  RuntimeError when X is not a subgroup."""
+    inX = np.isin(np.arange(E.order), E.idx(X))
+    one = E.idx(gfmat.identity(E.ring, X.shape[-1]))
+    lab, perms = np.arange(E.order), []
+    for x in X:
+        if lab[E.idx(x)] == lab[one]:  # x is in the subgroup generated so far
+            continue
+        perms.append(E.idx(E.mul(E.elements, x)))
+        while not all(np.array_equal(lab, lab[p]) for p in perms):
+            for p in perms:
+                for _ in range(len(X).bit_length()):
+                    lab, p = np.minimum(lab, lab[p]), p[p]
+        if np.array_equal(lab == lab[one], inX):
+            return lab
+    raise RuntimeError(f"not a subgroup over {E.ring.name}")
+
+
 def k_alpha_product(G: SL2Group) -> dict:
-    """The alternating 8-factor product V U V U V U V U, grown stagewise;
-    covers the whole group.  U and V are subgroups and the factors
-    alternate, so R_{k-1} F_{k+1} = R_{k-1} F_{k-1} = R_{k-1} lies in R_k:
-    R_{k+1} = R_k | (R_k - R_{k-1}) F_{k+1}, and each stage multiplies only
-    the elements that were new at the stage before."""
-    V, U = v_set(G), u_set(G)
-    for name, F in (("V", V), ("U", U)):
-        if not np.array_equal(np.unique(G.idx(G.mul(F[:, None], F[None]))), np.sort(G.idx(F))):
-            raise RuntimeError(f"{name} {name} != {name} over {G.ring.name} [{G.mode}]")
-    mask = np.zeros(G.order, dtype=bool)
-    new = G.canon(gfmat.identity(G.ring, 2))[None]  # R_1 = 1 F_1
+    """The alternating 8-factor product V U V U V U V U, grown stagewise from
+    1 as unions of cosets (`_coset_labels`); covers the whole group."""
+    labs = [_coset_labels(G, F) for F in (v_set(G), u_set(G))]
+    mask = np.arange(G.order) == G.idx(gfmat.identity(G.ring, 2))
     sizes = []
-    for fac in [V, U] * 4:
-        before = mask.copy()
-        rows = gfmat.block_rows(G.ring, 2, len(fac))
-        for lo in range(0, len(new), rows):
-            mask[G.idx(gfmat.mat_mul(G.ring, new[lo:lo + rows, None], fac[None]))] = True
-        new = G.elements[mask & ~before]
+    for lab in labs * 4:
+        mask = np.isin(lab, lab[mask])
         sizes.append(int(mask.sum()))
-    covered = sizes[-1] == G.order
-    w_in = bool(mask[G.idx(G.w)])
-    h_in = bool(mask[G.idx(G.h(make_tau(G.ring)))])
-    return {"stage_sizes": sizes, "order": G.order, "covered": covered,
-            "w_reached": w_in, "h_reached": h_in}
+    return {"stage_sizes": sizes, "order": G.order, "covered": sizes[-1] == G.order,
+            "w_reached": bool(mask[G.idx(G.w)]), "h_reached": bool(mask[G.idx(G.h(make_tau(G.ring)))])}
 
 
-def higher_rank_width(rep, ring: FiniteRing) -> dict:
-    """A concrete sequence of root subgroups whose product set is all of
-    G(ring), with the measured number of factors."""
-    codes = np.arange(ring.size, dtype=ring.dtype)
-    subgroups = []
-    for a in range(len(rep.sys.roots)):
-        subgroups.append((a, rep.x_batch(ring, a, codes)))
-    cur = gfmat.identity(ring, rep.dim)[None]
-    sequence = []
-    sizes = []
-    stable_run = 0
-    while stable_run < len(subgroups):
-        for a, sub in subgroups:
-            # mat_mul works in at most int64
-            gfmat.check_budget("width product", (len(cur) * len(sub), rep.dim, rep.dim), np.int64)
-            grown = gfmat.mat_mul(ring, cur[:, None], sub[None]).reshape(-1, rep.dim, rep.dim)
-            new = gfmat.MatSet.unique(ring, grown)
+def higher_rank_width(E: EnumeratedGroup) -> dict:
+    """A concrete sequence of root subgroups X_a = x_a(R) whose product set
+    is all of G(R), with the measured number of factors: the product grows
+    from 1 by one X_a at a time, as unions of cosets (`_coset_labels`), the
+    roots taken in order until a full pass over them adds nothing."""
+    codes = np.arange(E.ring.size, dtype=E.ring.dtype)
+    labs = [_coset_labels(E, E.rep.x_batch(E.ring, a, codes)) for a in range(len(E.rep.sys.roots))]
+    mask = np.arange(E.order) == E.idx(E.rep.identity(E.ring))
+    sequence, sizes = [], [1]  # sizes[k] = |X_{a_1} ... X_{a_k}|
+    while len(sequence) < len(labs) or sizes[-1] > sizes[-1 - len(labs)]:
+        for a, lab in enumerate(labs):
+            mask = np.isin(lab, lab[mask])
             sequence.append(a)
-            sizes.append(len(new))
-            stable_run = stable_run + 1 if len(new) == len(cur) else 0
-            cur = new
-            if stable_run >= len(subgroups):
-                break
-    n = next(i for i, s in enumerate(sizes) if s == sizes[-1]) + 1
-    return {"order": sizes[-1], "N": n, "factors": sequence[:n], "sizes": sizes[:n]}
+            sizes.append(int(mask.sum()))
+    n = sizes.index(sizes[-1])
+    return {"order": sizes[-1], "N": n, "factors": sequence[:n], "sizes": sizes[1:n + 1]}
 
 
 # ---------------------------------------------------------------------------

@@ -410,9 +410,8 @@ def suite_adelic(config: dict, seed: int) -> dict:
 def suite_width(config: dict, seed: int) -> dict:
     s = Suite("width", config, seed)
     for q in (3, 5):
-        rep = classical_rep("A", 2)
-        rpt = adelic.higher_rank_width(rep, GF(q))
-        E = enumerate_group(rep, GF(q))
+        E = enumerate_group(classical_rep("A", 2), GF(q))
+        rpt = adelic.higher_rank_width(E)
         s.add(f"SL3(F{q}) product of root subgroups", "bounded-generation",
               rpt["order"] == E.order, N=rpt["N"], order=rpt["order"])
     return s.done()

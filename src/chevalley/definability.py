@@ -31,6 +31,7 @@ theta: G(R) -> G(R') built from root-element decompositions.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,6 +317,8 @@ class _Parser:
             return Var(v)
         if k == "param":
             self.take()
+            if int(v[1:]) == 0:
+                raise ParseError("parameters are numbered from @1", p)
             return Param(int(v[1:]))
         if k == "one":
             self.take()
@@ -328,11 +331,30 @@ class _Parser:
         raise ParseError(f"expected a term, got {v or k!r}", p)
 
 
+def _height(node) -> int:
+    """The height of a formula or term tree, walked with an explicit stack."""
+    height, todo = 0, [(node, 1)]
+    while todo:
+        node, h = todo.pop()
+        height = max(height, h)
+        todo += [(c, h + 1) for c in vars(node).values() if not isinstance(c, (str, int))]
+    return height
+
+
 def parse_formula(text: str):
+    """The formula the text spells.  ParseError for malformed text, and for
+    a formula nested too deeply for the recursive walks over it (the parser
+    itself, `free_vars`, the evaluator, which takes at most three frames a
+    level): taller than a quarter of `sys.getrecursionlimit()`."""
     p = _Parser(text)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", p.peek()[2]) from None
     if p.peek()[0] != "eof":
         raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
+    if _height(f) > sys.getrecursionlimit() // 4:
+        raise ParseError("formula nested too deeply", 0)
     return f
 
 

@@ -26,6 +26,7 @@ REPORT_SHA256 = {
     "definability": "e76a2b82afcf886aab2c3ddacd36e5bccc769f160f1dc1fc33c62c7867d84e66",
     "adelic": "9289d801aa1cdd57636177026c4b97182580f0d75868a5b7c59376e1abcb21b4",
     "roots": "3f54241f04074e24bbbbc028092e6e1548f2bdf7eda38fc9dbcfd34176501d9a",
+    "width": "98aa90da9ceb19076eda50bd97db8c96d90e34283903e07bbcf2b06b1965048c",
 }
 
 

@@ -3,12 +3,12 @@ import pytest
 
 from chevalley import adelic, gfmat
 from chevalley.adelic import (
-    SL2Group, adelic_report, centralizer_H, define_AT, define_U, define_W, gamma1_factor,
+    SL2Group, _coset_labels, adelic_report, centralizer_H, define_AT, define_U, define_W, gamma1_factor,
     gamma1_report, h_set, higher_rank_width, k_alpha_product, make_tau,
     mult_formula_P, sl2_formula_report, theta_report, theta_sl2, theta_decode,
     u_set, v_set, w_correction,
 )
-from chevalley.chevgroup import EnumeratedGroup, classical_rep
+from chevalley.chevgroup import EnumeratedGroup
 from chevalley.definability import define_set, parse_formula
 from chevalley.rings import GF, ProductRing, decompose_square_diff
 
@@ -249,15 +249,40 @@ def test_k_alpha_covers_sl2_f7(g7):
     assert res["covered"] and res["w_reached"] and res["h_reached"]
 
 
-@pytest.mark.parametrize("mode", SL2Group.MODES)
-def test_k_alpha_stage_sizes_are_the_stagewise_product(mode):
-    G = SL2Group(F7, mode)
-    reached = G.canon(np.eye(2, dtype=F7.dtype))[None]
+def _stagewise_k_alpha(G):
+    """The K_alpha stage sizes by matrix products.  U and V are subgroups
+    and the factors alternate, so R_{k-1} F_{k+1} = R_{k-1} lies in R_k:
+    R_{k+1} = R_k | (R_k - R_{k-1}) F_{k+1}, and each stage multiplies only
+    the elements that were new at the stage before, in blocks of rows."""
+    mask = np.zeros(G.order, dtype=bool)
+    new = G.canon(gfmat.identity(G.ring, 2))[None]  # R_1 = 1 F_1
     sizes = []
     for fac in [v_set(G), u_set(G)] * 4:
-        reached = G.elements[np.unique(G.idx(G.mul(reached[:, None], fac[None])))]
-        sizes.append(len(reached))
-    assert k_alpha_product(G)["stage_sizes"] == sizes
+        before = mask.copy()
+        rows = gfmat.block_rows(G.ring, 2, len(fac))
+        for lo in range(0, len(new), rows):
+            mask[G.idx(G.mul(new[lo:lo + rows, None], fac[None]))] = True
+        new = G.elements[mask & ~before]
+        sizes.append(int(mask.sum()))
+    return sizes
+
+
+F7xF7 = ProductRing([GF(7), GF(7)])  # (A, +) is not cyclic
+
+
+@pytest.mark.parametrize("ring, mode", [(F7, m) for m in SL2Group.MODES] + [(GF(11), m) for m in SL2Group.MODES]
+                         + [(F7xF7, "PSL2")],
+                         ids=list(SL2Group.MODES) + [f"F11-{m}" for m in SL2Group.MODES] + ["F7xF7-PSL2"])
+def test_k_alpha_stage_sizes_are_the_stagewise_product(ring, mode):
+    G = SL2Group(ring, mode)
+    assert k_alpha_product(G)["stage_sizes"] == _stagewise_k_alpha(G)
+
+
+@pytest.mark.parametrize("mode", SL2Group.MODES)
+def test_coset_labels_are_the_least_number_in_each_coset(mode):
+    G = SL2Group(F7, mode)
+    for X in (u_set(G), v_set(G)):
+        assert np.array_equal(_coset_labels(G, X), G.idx(G.mul(G.elements[:, None], X[None])).min(axis=1))
 
 
 @pytest.mark.parametrize("mode", SL2Group.MODES)
@@ -318,9 +343,53 @@ def test_quotient_modes_canonical(g7):
     assert (gm.canon(minus) == gm.elements[5]).all()
 
 
-def test_higher_rank_width_sl3_f3():
-    res = higher_rank_width(classical_rep("A", 2), GF(3))
+def test_higher_rank_width_sl3_f3(group_of):
+    res = higher_rank_width(group_of("classical", "A", 2, 3))
     assert res["order"] == 5616 and res["N"] == 11
+
+
+def _width_by_products(rep, ring):
+    """The width report by matrix products: each product set times the next
+    root subgroup, deduplicated by `MatSet.unique`, the roots taken in order
+    until as many steps in a row as there are roots add nothing."""
+    codes = np.arange(ring.size, dtype=ring.dtype)
+    subgroups = [(a, rep.x_batch(ring, a, codes)) for a in range(len(rep.sys.roots))]
+    cur = gfmat.identity(ring, rep.dim)[None]
+    sequence, sizes, stable_run = [], [], 0
+    while stable_run < len(subgroups):
+        for a, sub in subgroups:
+            new = gfmat.MatSet.unique(ring, gfmat.mat_mul(ring, cur[:, None], sub[None]).reshape(-1, rep.dim, rep.dim))
+            sequence.append(a)
+            sizes.append(len(new))
+            stable_run = stable_run + 1 if len(new) == len(cur) else 0
+            cur = new
+            if stable_run >= len(subgroups):
+                break
+    n = next(i for i, s in enumerate(sizes) if s == sizes[-1]) + 1
+    return {"order": sizes[-1], "N": n, "factors": sequence[:n], "sizes": sizes[:n]}
+
+
+@pytest.mark.parametrize("spec", [("A", 2, 3), ("A", 2, 4), ("C", 2, 3)], ids=["SL3(F3)", "SL3(F4)", "Sp4(F3)"])
+def test_higher_rank_width_is_the_product_of_root_subgroups(spec, group_of):
+    E = group_of("classical", *spec)
+    assert higher_rank_width(E) == _width_by_products(E.rep, E.ring)
+
+
+def test_width_builds_no_product_larger_than_the_group(group_of, monkeypatch):
+    # the product sets are unions of cosets: the largest product is the
+    # group times one element of a root subgroup, not a product set times X_a
+    E = group_of("classical", "A", 2, 3)
+    built = []
+    mat_mul = gfmat.mat_mul
+
+    def recording_mat_mul(ring, A, B):
+        out = mat_mul(ring, A, B)
+        built.append(out.size)
+        return out
+
+    monkeypatch.setattr(gfmat, "mat_mul", recording_mat_mul)
+    assert higher_rank_width(E)["order"] == E.order
+    assert built and max(built) <= E.elements.size
 
 
 def test_idx_raises_key_error_off_group(g7):

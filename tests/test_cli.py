@@ -152,8 +152,16 @@ def test_run_prints_the_rendered_suite_report(capsys):
      "root index 99 out of range"),
     (["eval-formula", "--group", "SL3", "--field", "2", "--formula", "x=@1", "--params", "h(0,0)"],
      "needs a unit"),
+    (["eval-formula", "--group", "SL3", "--field", "2", "--formula", "(" * 3000 + "x=1" + ")" * 3000],
+     "nested too deeply"),
+    (["eval-formula", "--group", "SL3", "--field", "2", "--formula", "!" * 3000 + "x=1"], "nested too deeply"),
+    (["eval-formula", "--group", "SL3", "--field", "2", "--formula", "*".join(["x"] * 3000) + "=1"],
+     "nested too deeply"),
+    (["eval-formula", "--group", "SL3", "--field", "2", "--formula", "x=@0", "--params", "x(0,1)"],
+     "numbered from @1"),
 ], ids=["over-budget", "malformed-formula", "unknown-group", "auto-set-G", "auto-set-E", "auto-set-F",
-        "set-for-another-type", "no-primes", "no-primes-comma", "no-short-root", "root-out-of-range", "h-of-non-unit"])
+        "set-for-another-type", "no-primes", "no-primes-comma", "no-short-root", "root-out-of-range", "h-of-non-unit",
+        "deep-parentheses", "deep-negation", "long-product", "param-zero"])
 def test_refused_input_exits_2_with_one_line(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevalley import chevgroup, gfmat
-from chevalley.adelic import SL2Group, higher_rank_width
+from chevalley.adelic import SL2Group
 from chevalley.chevgroup import bfs_closure, classical_rep, enumerate_group
 from chevalley.gfmat import BudgetExceeded, MatSet, span_elements
 from chevalley.rings import GF, ProductRing, Zmod
@@ -427,20 +427,3 @@ def test_mat_mul_stacks_agree_on_both_sides_of_the_division_cutoff(name):
             A[0] = B[0] = ring.size - 1
             for X, Y in ((A, B), (A, B[0]), (A.reshape(-1, d), B[0])):
                 assert np.array_equal(gfmat.mat_mul(ring, X, Y), gfmat._mat_mul_tables(ring, X, Y)), (d, n)
-
-
-def test_width_refused_before_the_product_is_built(monkeypatch):
-    budget = 100_000  # SL3(F3) grows to 16 848 int64 3 x 3 products
-    monkeypatch.setattr(gfmat, "BUDGET_BYTES", budget)
-    built = []
-    mat_mul = gfmat.mat_mul
-
-    def recording_mat_mul(ring, A, B):
-        out = mat_mul(ring, A, B)
-        built.append(out.size * 8)  # mat_mul works in at most int64
-        return out
-
-    monkeypatch.setattr(gfmat, "mat_mul", recording_mat_mul)
-    with pytest.raises(BudgetExceeded, match="width product"):
-        higher_rank_width(classical_rep("A", 2), GF(3))
-    assert built and max(built) <= budget
