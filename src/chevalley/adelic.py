@@ -266,10 +266,8 @@ def h_set(G: SL2Group) -> np.ndarray:
     return G.elements[np.unique(G.idx(G.h(np.nonzero(G.ring.unit_mask)[0])))]
 
 
-def centralizer_H(G: SL2Group, tau=None) -> np.ndarray:
+def centralizer_H(G: SL2Group, tau) -> np.ndarray:
     """C(h(tau)), scanned; must equal h(A*) exactly."""
-    if tau is None:
-        tau = make_tau(G.ring)
     ht = G.h(tau)
     left = G.mul(G.elements, ht)
     right = G.mul(ht, G.elements)
@@ -704,13 +702,12 @@ def gamma1_formula(G: SL2Group, bag: _ParamBag, S, fresh: _Fresh):
                   Exists(cv.name, And(u_guard, body))))))
 
 
-def sl2_formula_report(ring: FiniteRing, sets=("H", "U", "AT", "W", "G1"),
-                       S=None, T=(0, 1)) -> dict:
+def sl2_formula_report(ring: FiniteRing, sets=("H", "U", "AT", "W", "G1")) -> dict:
     """Evaluate the first-order definitions with the formula evaluator and
-    compare with the direct constructions, set by set."""
+    compare with the direct constructions, set by set; U is defined with
+    S = {0} and A_T with T = {0, 1}."""
     G = SL2Group(ring, "SL2")
-    if S is None:
-        S = [ring.zero]
+    S, T = [ring.zero], (0, 1)
     out = {}
     units = ring.unit_mask
     expected = {  # element indices; define_set returns them ascending
@@ -743,14 +740,11 @@ def sl2_formula_report(ring: FiniteRing, sets=("H", "U", "AT", "W", "G1"),
 # aggregate report
 
 
-def adelic_report(ring: FiniteRing, modes=SL2Group.MODES, seed: int = 0,
-                  formula_sets=None) -> dict:
+def adelic_report(ring: FiniteRing, modes=SL2Group.MODES, seed: int = 0) -> dict:
     """Everything the check-adelic suite verifies for one ring."""
-    single = not isinstance(ring, ProductRing)
-    if formula_sets is None:
-        # nested quantifiers priced for a single field; big product groups
-        # get the cheap formulas plus direct-construction checks
-        formula_sets = ("H", "U", "AT", "W", "G1") if single else ("H", "W")
+    # nested quantifiers priced for a single field; big product groups get
+    # the cheap formulas plus direct-construction checks
+    formula_sets = ("H", "W") if isinstance(ring, ProductRing) else ("H", "U", "AT", "W", "G1")
     tau = make_tau(ring)
     report = {"ring": ring.name, "tau": ring.elem_str(tau), "modes": {}}
     for mode in modes:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import gfmat
 from .rings import FiniteRing
-from .rootsys import RootSystem, StructureConstants, build_root_system, commutator_template, structure_constants
+from .rootsys import RootSystem, build_root_system, structure_constants
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +218,6 @@ class MatrixRep:
         gt = np.swapaxes(mats, -1, -2)
         prod = gfmat.mat_mul(ring, gt, gfmat.mat_mul(ring, J[None], mats))
         return (prod == J).reshape(mats.shape[0], -1).all(axis=1)
-
-
-def commutator_word(sc: StructureConstants, ring: FiniteRing, a: int, b: int, r, s):
-    """[x_a(r), x_b(s)] (convention g^-1 h^-1 g h) as a list of
-    (root index, ring element), empty when a+b is not a root."""
-    return [(g, ring.mul(ring.from_int(c), ring.mul(ring.pow(r, ea), ring.pow(s, eb))))
-            for g, ea, eb, c in commutator_template(sc, a, b)]
 
 
 @lru_cache(maxsize=None)

@@ -23,15 +23,16 @@ On top of that: the double-centralizer definition of U(R)Z(R) including
 the symplectic short-root patch, the projection pi_1 from a product of
 root subgroups to its first factor, the parameter-transport maps
 c: x_alpha(r) -> x_beta(r) and m: (x_alpha(r), x_beta(s)) -> x_gamma(rs),
-the ring structure these induce on a fixed root subgroup, integer
-polynomial evaluation inside the group, and the entrywise isomorphism
-theta: G(R) -> G(R') built from root-element decompositions.
+the ring structure these induce on a fixed root subgroup, and the
+entrywise isomorphism theta: G(R) -> G(R') built from root-element
+decompositions.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,85 +114,34 @@ class Exists:
     body: object
 
 
-def term_vars(t) -> set:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Mul):
-        return term_vars(t.left) | term_vars(t.right)
-    if isinstance(t, Inv):
-        return term_vars(t.arg)
-    return set()
+def _walk(node):
+    """Each node of a formula or term tree, with the variables bound above
+    it and its depth (the root's is 1), by an explicit stack, so no tree is
+    too deep to walk.  The bound variables are one live count per name,
+    kept up to date as the walk enters and leaves each quantifier: read it
+    before the walk moves on."""
+    bound = Counter()
+    todo = [(node, 1)]
+    while todo:
+        node, depth = todo.pop()
+        if isinstance(node, str):  # the end of the scope of a quantifier over this name
+            bound[node] -= 1
+            continue
+        yield node, bound, depth
+        if isinstance(node, (Forall, Exists)):
+            bound[node.var] += 1
+            todo.append((node.var, depth))  # popped once the body is walked
+        for child in vars(node).values():
+            if not isinstance(child, (str, int)):  # a name or a parameter number
+                todo.append((child, depth + 1))
 
 
 def free_vars(f) -> set:
-    if isinstance(f, Eq):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.arg)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return {n.name for n, bound, _ in _walk(f) if isinstance(n, Var) and not bound[n.name]}
 
 
 def max_param(f) -> int:
-    def tp(t):
-        if isinstance(t, Param):
-            return t.k
-        if isinstance(t, Mul):
-            return max(tp(t.left), tp(t.right))
-        if isinstance(t, Inv):
-            return tp(t.arg)
-        return 0
-
-    if isinstance(f, Eq):
-        return max(tp(f.left), tp(f.right))
-    if isinstance(f, Not):
-        return max_param(f.arg)
-    if isinstance(f, (And, Or, Implies)):
-        return max(max_param(f.left), max_param(f.right))
-    if isinstance(f, (Forall, Exists)):
-        return max_param(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# -- printing ----------------------------------------------------------------
-
-
-def format_term(t) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Param):
-        return f"@{t.k}"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Mul):
-        return f"{format_term(t.left)}*{format_term(t.right)}"
-    if isinstance(t, Inv):
-        inner = format_term(t.arg)
-        if isinstance(t.arg, Mul):
-            inner = f"({inner})"
-        return f"{inner}^-1"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def format_formula(f) -> str:
-    if isinstance(f, Eq):
-        return f"{format_term(f.left)}={format_term(f.right)}"
-    if isinstance(f, Not):
-        return f"!({format_formula(f.arg)})"
-    if isinstance(f, And):
-        return f"({format_formula(f.left)} & {format_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({format_formula(f.left)} | {format_formula(f.right)})"
-    if isinstance(f, Implies):
-        return f"({format_formula(f.left)} -> {format_formula(f.right)})"
-    if isinstance(f, Forall):
-        return f"A {f.var}. {format_formula(f.body)}"
-    if isinstance(f, Exists):
-        return f"E {f.var}. {format_formula(f.body)}"
-    raise TypeError(f"not a formula: {f!r}")
+    return max((n.k for n, _, _ in _walk(f) if isinstance(n, Param)), default=0)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -331,20 +281,10 @@ class _Parser:
         raise ParseError(f"expected a term, got {v or k!r}", p)
 
 
-def _height(node) -> int:
-    """The height of a formula or term tree, walked with an explicit stack."""
-    height, todo = 0, [(node, 1)]
-    while todo:
-        node, h = todo.pop()
-        height = max(height, h)
-        todo += [(c, h + 1) for c in vars(node).values() if not isinstance(c, (str, int))]
-    return height
-
-
 def parse_formula(text: str):
     """The formula the text spells.  ParseError for malformed text, and for
-    a formula nested too deeply for the recursive walks over it (the parser
-    itself, `free_vars`, the evaluator, which takes at most three frames a
+    a formula nested too deeply for the two recursive readers of it (the
+    parser itself, and the evaluator, which takes at most three frames a
     level): taller than a quarter of `sys.getrecursionlimit()`."""
     p = _Parser(text)
     try:
@@ -353,7 +293,7 @@ def parse_formula(text: str):
         raise ParseError("formula nested too deeply", p.peek()[2]) from None
     if p.peek()[0] != "eof":
         raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
-    if _height(f) > sys.getrecursionlimit() // 4:
+    if max(depth for _, _, depth in _walk(f)) > sys.getrecursionlimit() // 4:
         raise ParseError("formula nested too deeply", 0)
     return f
 
@@ -392,7 +332,7 @@ class _EvalCtx:
             values = numbers
         *self.params, self.one = values
         self.rows = max(1, 2**22 // (d * d))  # bindings one step may hold
-        self.guards = {}  # id of a quantifier -> mask over E of its guard (see _eval_quant)
+        self.guards = {}  # id of a quantifier -> mask over E of its guard, or None (see _eval_quant)
 
     def mul(self, a, b):
         if self.table is None:
@@ -461,13 +401,15 @@ def _eval_quant(f, env: dict, n: int, ctx: _EvalCtx) -> np.ndarray:
         guard, rest = body.left, body.right
     elif not forall and isinstance(body, And):
         guard, rest = body.left, body.right
-    if guard is not None and free_vars(guard) <= {f.var}:
+    if guard is not None:
         # the mask depends on nothing that varies within one context; keyed
-        # by the node's identity, since a frozen dataclass hashes recursively
+        # by the node's identity, since a frozen dataclass hashes recursively,
+        # and None where the guard mentions another variable
         if id(f) not in ctx.guards:
-            ctx.guards[id(f)] = _guard_mask(f.var, guard, ctx)
-        domain = domain[ctx.guards[id(f)]]
-        body = rest
+            ctx.guards[id(f)] = _guard_mask(f.var, guard, ctx) if free_vars(guard) <= {f.var} else None
+        if ctx.guards[id(f)] is not None:
+            domain = domain[ctx.guards[id(f)]]
+            body = rest
     # pair the live rows with a domain step that starts at 1 and doubles; a
     # row leaves once decided: a false Forall row, a true Exists row
     out = np.full(n, forall)
@@ -721,17 +663,16 @@ def _mult_triple(sys):
 
 
 class RingInGroup:
-    """The ring R carried by the root subgroup U_{a0}(R): addition is the
-    group operation, multiplication is the transported map m.  Both are
-    evaluated once on all pairs of the carrier and kept as the code tables
-    of `table`, whose code r stands for x_{a0}(r)."""
+    """The ring R carried by the root subgroup U_{a0}(R), a0 the first
+    fundamental root: addition is the group operation, multiplication is
+    the transported map m.  Both are evaluated once on all pairs of the
+    carrier and kept as the code tables of `table`, whose code r stands for
+    x_{a0}(r)."""
 
-    def __init__(self, rep: MatrixRep, ring: FiniteRing, a0: int | None = None):
+    def __init__(self, rep: MatrixRep, ring: FiniteRing):
         self.rep = rep
         self.ring = ring
-        if a0 is None:
-            a0 = rep.sys.fundamental[0]
-        self.a0 = a0
+        a0 = self.a0 = rep.sys.fundamental[0]
         codes = np.arange(ring.size, dtype=ring.dtype)
         C = self.carrier = rep.x_batch(ring, a0, codes)
         self._decode = gfmat.MatSet(ring, C)  # numbers the carrier by code
@@ -740,9 +681,6 @@ class RingInGroup:
         # the unit is the parameter x_{a0}(1), the zero the group identity
         self.table = TableRing(f"U{a0}({ring.name})", add_t, mul_t,
                                zero=self.decode(rep.identity(ring)), one=ring.one)
-
-    def encode(self, r) -> np.ndarray:
-        return self.rep.x(self.ring, self.a0, r)
 
     def decode(self, m: np.ndarray):
         """The code r of x_{a0}(r), or the codes of a stack; KeyError off the carrier."""
@@ -774,13 +712,6 @@ def _horner(rig: RingInGroup, coeffs, r) -> np.ndarray:
     return out
 
 
-def eval_poly_in_group(rig: RingInGroup, coeffs, relt: np.ndarray) -> np.ndarray:
-    """f(r)' built from the group operation and the transported
-    multiplication only (Horner); coeffs[i] is the integer coefficient of
-    X^i."""
-    return rig.encode(_horner(rig, [int(c) for c in coeffs], rig.decode(relt)))
-
-
 # ---------------------------------------------------------------------------
 # theta
 
@@ -803,11 +734,11 @@ class ThetaMap:
     the generators in its witnessing word.  Since code r' stands for
     x_{a0}(r'), theta(g) read as a matrix over R is g itself."""
 
-    def __init__(self, E: EnumeratedGroup, rig: RingInGroup | None = None):
+    def __init__(self, E: EnumeratedGroup):
         self.E = E
         self.rep = E.rep
         self.ring = E.ring
-        self.rig = rig if rig is not None else RingInGroup(E.rep, E.ring)
+        self.rig = RingInGroup(E.rep, E.ring)
         self._gen_theta = {}
 
     def _root_elt_theta(self, a: int, relt_code) -> np.ndarray:
@@ -830,17 +761,3 @@ class ThetaMap:
 
     def round_trip(self, idx: int) -> bool:
         return bool((self.theta(idx) == self.E.elements[idx]).all())
-
-
-def psi_matrix(rep: MatrixRep, ring: FiniteRing, a0: int, r) -> np.ndarray:
-    """The ring-side image of r: the matrix of x_{a0}(r) with entries given
-    by the divided-power polynomials evaluated in R."""
-    d = rep.dim
-    out = gfmat.identity(ring, d)
-    powers = rep.divpow[a0]
-    rp = ring.one
-    for l in range(1, len(powers)):
-        rp = ring.mul(rp, r)
-        term = ring.mul_t[np.asarray(rp, dtype=ring.dtype), ring.from_int_array(powers[l])]
-        out = ring.add_t[out, term]
-    return out

@@ -121,9 +121,6 @@ class RootSystem:
     def height(self, i: int) -> int:
         return sum(self.roots[i])
 
-    def is_positive(self, i: int) -> bool:
-        return i < self.n_pos
-
     def neg(self, i: int) -> int:
         return i + self.n_pos if i < self.n_pos else i - self.n_pos
 

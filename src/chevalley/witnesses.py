@@ -468,12 +468,6 @@ def sp4_xi_matrix(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
     return gfmat.from_int_matrix(ring, M)
 
 
-def centralizer_by_commutant(rep: MatrixRep, ring: FiniteRing, mats) -> np.ndarray:
-    """C_{G(R)}(mats) as an explicit set, without enumerating G(R):
-    linear commutant followed by the membership filter."""
-    return commutant_group_points(rep, ring, linear_commutant(ring, np.stack(mats)))
-
-
 def verify_dc_exceptional_sp4(ring: FiniteRing) -> dict:
     """Z(C(v)) for the short root element v in Sp4(R): equals
     +-U.phi(R) when R* = {+-1} and char != 2, and +-U when R* != {+-1}.
@@ -484,7 +478,7 @@ def verify_dc_exceptional_sp4(ring: FiniteRing) -> dict:
     if sys.is_long(alpha):
         raise RuntimeError("the first fundamental root of C2 is not short")
     v = rep.x(ring, alpha, ring.one)
-    Cv = centralizer_by_commutant(rep, ring, [v])
+    Cv = commutant_group_points(rep, ring, linear_commutant(ring, v[None]))
     ZC = Cv[centralizer_indices(ring, Cv, Cv)]
     codes = np.arange(ring.size, dtype=ring.dtype)
     U = rep.x_batch(ring, alpha, codes)
@@ -543,7 +537,7 @@ def verify_witness_centralizer(rep: MatrixRep, ring: FiniteRing, alpha: int) -> 
             continue
         if sys.sum_root(alpha, delta) is None and not commutator_template(sc, alpha, delta):
             Y.extend(rep.x_batch(ring, delta, codes[codes != ring.zero]))
-    CY = centralizer_by_commutant(rep, ring, Y)
+    CY = commutant_group_points(rep, ring, linear_commutant(ring, np.stack(Y)))
     UZ = root_product_center(rep, ring, (alpha,))
     contained = gfmat.MatSet(ring, UZ).contains(CY).all()
     return {

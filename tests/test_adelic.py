@@ -53,7 +53,7 @@ def test_tau_has_order_above_two(g7):
 
 
 def test_centralizer_of_h_tau_is_torus(g7):
-    H = centralizer_H(g7)
+    H = centralizer_H(g7, make_tau(F7))
     hs = h_set(g7)
     assert {m.tobytes() for m in H} == {m.tobytes() for m in hs}
     assert len(H) == 6
@@ -126,9 +126,9 @@ def test_corrupted_p_table_fails_the_all_pairs_check(monkeypatch):
         return P
 
     p_word = adelic._p_word
-    assert adelic_report(F7, modes=("SL2",), formula_sets=("H",))["P_all_pairs"]
+    assert adelic_report(F7, modes=("SL2",))["P_all_pairs"]
     monkeypatch.setattr(adelic, "_p_word", corrupted)
-    rpt = adelic_report(F7, modes=("SL2",), formula_sets=("H",))
+    rpt = adelic_report(F7, modes=("SL2",))
     assert not rpt["P_all_pairs"] and not rpt["ok"]
 
 
@@ -329,7 +329,7 @@ def test_evaluator_applies_the_group_product_in_every_mode(mode, squares, monkey
     squares_got, minus_u_got, h_got = by_matrices
     assert len(squares_got) == squares
     assert minus_u_got == [G.idx(minus_u)]
-    assert h_got == G.idx(centralizer_H(G)).tolist()
+    assert h_got == G.idx(centralizer_H(G, make_tau(F7))).tolist()
 
 
 def test_formula_report_product_h_w(g7x11):

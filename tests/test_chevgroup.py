@@ -9,7 +9,7 @@ from chevalley import chevgroup, gfmat
 from chevalley.adelic import SL2Group
 from chevalley.chevgroup import (
     adjoint_rep, bfs_closure, center_set, centralizer_indices, classical_rep, commutant_group_points,
-    commutator_word, enumerate_group, linear_commutant, root_element_generators, torus_set, verify_bruhat,
+    enumerate_group, linear_commutant, root_element_generators, torus_set, verify_bruhat,
     weyl_elements,
 )
 from chevalley.rings import GF, ProductRing, Zmod
@@ -54,6 +54,14 @@ def test_torus_action_character():
                 conj = gfmat.mat_mul_many(ring, [hinv, x, h])
                 scaled = rep.x(ring, b, ring.pow(ring.dtype(t), -sys.cartan_integer(g, b)))
                 assert (conj == scaled).all()
+
+
+def commutator_word(sc, ring, a, b, r, s):
+    """[x_a(r), x_b(s)] (convention g^-1 h^-1 g h) as a list of (root index,
+    ring element), one scalar product at a time: the oracle for the power
+    tables of the commutator suite."""
+    return [(g, ring.mul(ring.from_int(c), ring.mul(ring.pow(r, ea), ring.pow(s, eb))))
+            for g, ea, eb, c in commutator_template(sc, a, b)]
 
 
 @settings(deadline=None, max_examples=60)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from chevalley.chevgroup import enumerate_group
-from chevalley.cli import _render, main, parse_element, parse_group, run_suite
+from chevalley import cli
+from chevalley.chevgroup import adjoint_rep, classical_rep, enumerate_group
+from chevalley.cli import Suite, _commutator_check, _render, main, parse_element, parse_group, run_suite
 from chevalley.rings import GF
 
 
@@ -159,15 +160,55 @@ def test_run_prints_the_rendered_suite_report(capsys):
      "nested too deeply"),
     (["eval-formula", "--group", "SL3", "--field", "2", "--formula", "x=@0", "--params", "x(0,1)"],
      "numbered from @1"),
+    (["enumerate", "--group", "XYZ", "--field", "2"], "bad group spec"),
+    (["check-dc", "--group", "XYZ", "--field", "2"], "bad group spec"),
+    (["eval-formula", "--group", "XYZ", "--field", "2", "--formula", "x=1"], "bad group spec"),
 ], ids=["over-budget", "malformed-formula", "unknown-group", "auto-set-G", "auto-set-E", "auto-set-F",
         "set-for-another-type", "no-primes", "no-primes-comma", "no-short-root", "root-out-of-range", "h-of-non-unit",
-        "deep-parentheses", "deep-negation", "long-product", "param-zero"])
+        "deep-parentheses", "deep-negation", "long-product", "param-zero",
+        "group-XYZ-enumerate", "group-XYZ-check-dc", "group-XYZ-eval-formula"])
 def test_refused_input_exits_2_with_one_line(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("chevalley: error: ") and message in line
+
+
+def test_no_check_definability_subcommand(capsys):
+    # the definability suite runs through `run --suite definability` only
+    with pytest.raises(SystemExit) as exc:
+        main(["check-definability", "--group", "XYZ", "--field", "99"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [None, 7], ids=["one-block", "blocks-of-7"])
+def test_commutator_check_fails_on_a_corrupted_template(rows, monkeypatch):
+    # one more in one coefficient of the pair (0, 1) moves that factor's value
+    # by r^ea t^eb, so the word is wrong exactly where r and t are nonzero:
+    # (5 - 1)^2 of the 25 pairs over F5, however the pairs are blocked
+    template = cli.commutator_template
+    if rows:
+        monkeypatch.setattr(cli.gfmat, "block_rows", lambda ring, d, per_row: rows)
+
+    def corrupted(sc, a, b):
+        out = template(sc, a, b)
+        if (a, b) == (0, 1):
+            g, ea, eb, c = out[0]
+            out = ((g, ea, eb, c + 1),) + out[1:]
+        return out
+
+    for patched, want in ((False, 0), (True, 16)):
+        if patched:
+            monkeypatch.setattr(cli, "commutator_template", corrupted)
+        for rep in (classical_rep("A", 2), adjoint_rep("G", 2)):
+            s = Suite("commutators", {}, 0)
+            _commutator_check(s, rep, GF(5))
+            (check,) = s.report["checks"]
+            assert check["data"]["mismatches"] == want
+            n = len(rep.sys.roots)
+            assert check["data"]["checked"] == 25 * n * (n - 2)  # every (r, t) of every ordered pair
+            assert check["status"] == ("fail" if want else "pass")
 
 
 def test_dc_suite_is_the_same_under_python_O():

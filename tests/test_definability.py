@@ -10,19 +10,19 @@ from chevalley import definability, gfmat
 from chevalley.chevgroup import centralizer_indices, classical_rep
 from chevalley.definability import (
     DC_TEXT, And, Eq, Exists, Forall, Implies, Inv, Mul, Not, One, Or, Param, ParseError,
-    RingInGroup, ThetaMap, Var, check_ring_axioms, define_set, eval_poly_in_group,
-    evaluate_sentence, format_formula, free_vars, map_c, map_m, parse_formula,
-    psi_matrix, verify_dc_formula, width_probe,
+    RingInGroup, ThetaMap, Var, check_ring_axioms, define_set, evaluate_sentence, free_vars,
+    map_c, map_m, max_param, parse_formula, verify_dc_formula, width_probe,
 )
 from chevalley.rings import GF
 
 
-def test_parse_format_round_trip():
-    for text in ("A g. g*g^-1=1",
-                 "E h. (x*h=h*x & !h=1)",
-                 "A a. (a*@1=@1*a -> a*x=x*a)"):
-        f = parse_formula(text)
-        assert parse_formula(format_formula(f)) == f
+def test_parse_to_explicit_ast():
+    g, h, x, a, p1 = Var("g"), Var("h"), Var("x"), Var("a"), Param(1)
+    assert parse_formula("A g. g*g^-1=1") == Forall("g", Eq(Mul(g, Inv(g)), One()))
+    assert parse_formula("E h. (x*h=h*x & !h=1)") == Exists("h", And(
+        Eq(Mul(x, h), Mul(h, x)), Not(Eq(h, One()))))
+    assert parse_formula("A a. (a*@1=@1*a -> a*x=x*a)") == Forall("a", Implies(
+        Eq(Mul(a, p1), Mul(p1, a)), Eq(Mul(a, x), Mul(x, a))))
 
 
 def test_parse_errors():
@@ -34,6 +34,18 @@ def test_parse_errors():
 def test_free_vars():
     f = parse_formula("A g. (g*h=h*g & E k. k=x)")
     assert free_vars(f) == {"h", "x"}
+    # a quantifier binds its body only, whichever side of it the walk meets first
+    for text in ("(A g. g=1) & g*h=x", "g*h=x & A g. g=1"):
+        assert free_vars(parse_formula(text)) == {"g", "h", "x"}
+
+
+def test_walks_of_a_formula_built_10000_levels_deep():
+    # too deep for any recursive walk; the walk behind both keeps its own stack
+    f = Eq(Var("x"), Param(2))
+    for i in range(10_000):
+        f = Forall(f"v{i}", And(Eq(Mul(Var(f"v{i}"), Var("y")), Param(1)), f))
+    assert free_vars(f) == {"x", "y"}
+    assert max_param(f) == 2
 
 
 def test_sentences(group_of):
@@ -325,20 +337,6 @@ def test_ring_in_group_tables_are_the_group_words(spec, q):
     assert not check_ring_axioms(rig)
 
 
-def test_poly_evaluation_in_group():
-    rep = classical_rep("A", 2)
-    ring = GF(7)
-    rig = RingInGroup(rep, ring)
-    # p(r) = r^2 + 3r + 2 evaluated through the group encoding
-    coeffs = [ring.dtype(2), ring.dtype(3), ring.one]
-    for r in range(7):
-        relt = rep.x(ring, rig.a0, ring.dtype(r))
-        got = eval_poly_in_group(rig, coeffs, relt)
-        val = ring.add(ring.add(ring.mul(ring.dtype(r), ring.dtype(r)),
-                                ring.mul(ring.dtype(3), ring.dtype(r))), ring.dtype(2))
-        assert (got == rep.x(ring, rig.a0, val)).all()
-
-
 def test_theta_round_trip_sl3_f2(group_of):
     E = group_of("classical", "A", 2, 2)
     tm = ThetaMap(E)
@@ -351,14 +349,6 @@ def test_theta_round_trip_sample_sl3_f3(group_of):
     rng = np.random.default_rng(0)
     for i in rng.choice(E.order, size=100, replace=False):
         assert tm.round_trip(int(i))
-
-
-def test_psi_matrix_on_root_elements():
-    rep = classical_rep("A", 2)
-    ring = GF(5)
-    for r in range(5):
-        m = psi_matrix(rep, ring, 0, ring.dtype(r))
-        assert (m == rep.x(ring, 0, ring.dtype(r))).all()
 
 
 def test_width_probe(group_of):

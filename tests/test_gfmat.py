@@ -347,6 +347,37 @@ def test_one_size_budget_outside_gfmat():
     assert offenders == []
 
 
+def _unreferenced_definitions(src: Path, bench: Path) -> list:
+    """The functions, methods and classes defined in src that no code in src
+    or bench names outside their own body, by a Name, an attribute or an
+    identifier string (bench/spans.py looks its targets up with getattr);
+    dunder methods, which Python calls by itself, are left out."""
+    defined, referenced = {}, set()
+
+    def scan(node, enclosing, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if path.parent == src and not (node.name.startswith("__") and node.name.endswith("__")):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            enclosing = enclosing | {node.name}
+        name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.isidentifier() else None)
+        if name is not None and name not in enclosing:
+            referenced.add(name)
+        for child in ast.iter_child_nodes(node):
+            scan(child, enclosing, path)
+
+    for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py")):
+        scan(ast.parse(path.read_text()), frozenset(), path)
+    return sorted(f"{where} {name}" for name, where in defined.items() if name not in referenced)
+
+
+def test_every_definition_is_referenced():
+    """Code that nothing in the program or the bench harness reaches is
+    deleted, not kept for the tests alone."""
+    assert _unreferenced_definitions(SRC, SRC.parent.parent / "bench") == []
+
+
 @pytest.mark.parametrize("build", [
     lambda: ProductRing([GF(7), GF(11), GF(13), GF(17)]),  # two 17017^2 int64 tables
     lambda: GF(65521),
