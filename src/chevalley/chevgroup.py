@@ -15,10 +15,10 @@ structure-constant table and abort if any bracket disagrees.
 
 Also here: `EnumeratedGroup`, the one finite-group type, whose one
 constructor numbers given elements in key order and pairs them with their
-given inverses by a sort; group enumeration, over a field from the Bruhat
-cells u t n_w v and over any ring by BFS closure, which is also the oracle
-the cells are checked against (the BFS word data used for theta and width
-are the closure's, carried over to key order); centralizers as the
+given inverses by a sort; group enumeration over a field from the Bruhat
+cells u t n_w v; the BFS word data used for theta and width, found on the
+group's element numbers, which is also the check that the cells are the
+closure of the root elements; centralizers as the
 elements of a stack inside the linear commutant of the conditions, found
 in a group by looking the commutant's span up when it is small; the
 bound U_{a_1}...U_{a_k}Z as an explicit set; and the Bruhat factorization
@@ -392,14 +392,13 @@ class EnumeratedGroup:
     order (`gfmat.MatSet.keys`, the lexicographic order of the entries),
     with the index of its inverse.  The constructors differ only in how
     they produce the elements and their inverses: over a field from the
-    Bruhat cells (`enumerate_group`), over any ring from the BFS closure
-    of the root elements (`bfs_closure`), and SL2 over a product of fields
-    in its quotient modes (`adelic.SL2Group`, whose `canon` picks one
-    matrix per coset, so `mul`, the one group product on matrices, reads
-    each product as its coset).  A group of a representation keeps its
+    Bruhat cells (`enumerate_group`), and SL2 over a product of fields in
+    its quotient modes (`adelic.SL2Group`, whose `canon` picks one matrix
+    per coset, so `mul`, the one group product on matrices, reads each
+    product as its coset).  A group of a representation keeps its
     generators; its word data (each element's BFS distance, parent and
-    generator) are the BFS closure's, carried over to key order, and its
-    center is found once, both on first use.  So is the multiplication
+    generator, `_words`) come from a BFS on its own element numbers, and
+    its center is found once, both on first use.  So is the multiplication
     table of a group small enough to have one (`mul_table`), on which the
     formula evaluator multiplies element numbers.  Its centralizers
     (`centralizer`) look a small commutant's span up in the index."""
@@ -445,18 +444,52 @@ class EnumeratedGroup:
 
     @cached_property
     def _words(self):
-        return self._carry_words(*_bfs(self.rep, self.ring, self.gens))
-
-    def _carry_words(self, elements, dist, parent, genidx):
-        """(dist, parent, genidx) of a BFS from the identity (`_bfs`),
-        carried over to key order by one lookup of each BFS element."""
-        if len(elements) != self.order:
-            raise RuntimeError(f"the BFS closure has {len(elements)} elements, the group {self.order}")
-        m = self.idx(elements)  # BFS position -> index here
-        out = [np.empty(self.order, dtype=a.dtype) for a in (dist, parent, genidx)]
-        for a, b in zip(out, (dist, np.where(parent < 0, -1, m[parent]), genidx)):
-            a[m] = b
-        return tuple(out)
+        """(dist, parent, genidx) of the BFS from the identity over the
+        generators, on element numbers: each level multiplies its frontier's
+        matrices by the generators side by side, one 2-D product per block
+        of rows, numbers the products through `idx`, and keeps the numbers
+        not reached before (dist < 0) at their first (frontier position,
+        generator).  The word arrays pass `check_budget` before they are
+        allocated.  RuntimeError when a product is not an element, or when
+        the BFS reaches fewer elements than the group has: either way the
+        elements are not the closure of the generators."""
+        n, d, G = self.order, self.elements.shape[-1], len(self.gens)
+        gfmat.check_budget("word data", (n,), np.intp)  # each of the three
+        dist, parent, genidx = (np.full(n, -1, dtype=np.intp) for _ in range(3))
+        frontier = self.idx(gfmat.identity(self.ring, d)[None])
+        dist[frontier] = level = 0
+        reached = 1
+        gcat = self.gens.transpose(1, 0, 2).reshape(d, G * d)  # the generators side by side
+        rows = gfmat.block_rows(self.ring, d, G)
+        while len(frontier):
+            level += 1
+            new = []
+            for c0 in range(0, len(frontier), rows):
+                block = frontier[c0:c0 + rows]
+                # prods[i, :, g] is elements[block[i]] gens[g], numbered
+                # through the (i, g, d, d) view
+                prods = gfmat.mat_mul(self.ring, self.elements[block].reshape(-1, d), gcat)
+                try:
+                    nums = self.idx(prods.reshape(-1, d, G, d).transpose(0, 2, 1, 3)).ravel()
+                except KeyError:
+                    raise RuntimeError("a product of an element and a generator is not an element") from None
+                pos = np.flatnonzero(dist[nums] < 0)
+                hit = nums[pos]
+                # numbers are dense: genidx holds each new number's first
+                # position for a moment (ufunc.at is defined for repeats)
+                genidx[hit] = np.iinfo(np.intp).max
+                np.minimum.at(genidx, hit, pos)
+                first = genidx[hit] == pos
+                pos, found = pos[first], hit[first]
+                dist[found] = level
+                parent[found] = block[pos // G]
+                genidx[found] = pos % G
+                new.append(found)
+            frontier = np.concatenate(new)
+            reached += len(frontier)
+        if reached != n:
+            raise RuntimeError(f"the BFS from the identity reaches {reached} of the {n} elements")
+        return dist, parent, genidx
 
     @cached_property
     def mul_table(self) -> np.ndarray | None:
@@ -536,27 +569,21 @@ class EnumeratedGroup:
 
 def root_element_generators(rep: MatrixRep, ring: FiniteRing):
     """The full elementary generator set {x_alpha(r) : r != 0} as
-    (labels, matrices, inverse matrices)."""
-    labels, mats, invs = [], [], []
-    for a in range(len(rep.sys.roots)):
-        for r in ring.elements():
-            if r == ring.zero:
-                continue
-            labels.append((a, r))
-            mats.append(rep.x(ring, a, r))
-            invs.append(rep.x(ring, a, ring.neg(r)))
-    return labels, np.stack(mats), np.stack(invs)
+    (labels, matrices)."""
+    labels = [(a, r) for a in range(len(rep.sys.roots)) for r in ring.elements() if r != ring.zero]
+    return labels, np.stack([rep.x(ring, a, r) for a, r in labels])
 
 
 def enumerate_group(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
-    """The elements of G(R).  Over a field they are the products u t n_w v
-    of the Bruhat cells (`bruhat_cells`), one 2-D product (u t n_w) x v per
-    block of rows of a cell, and each inverse v^-1 n_w^-1 t^-1 u^-1 is built
-    in the same layout, so it lands at the place of its element.  Over
-    other rings, the BFS closure (`bfs_closure`)."""
+    """The elements of G(F) over a field F: the products u t n_w v of the
+    Bruhat cells (`bruhat_cells`), one 2-D product (u t n_w) x v per block
+    of rows of a cell, and each inverse v^-1 n_w^-1 t^-1 u^-1 is built in
+    the same layout, so it lands at the place of its element.  ValueError
+    for a ring that is not a field: the paper's R is an integral domain,
+    and a finite one is a field."""
     if not ring.is_field:
-        return bfs_closure(rep, ring)
-    labels, gmats, _ = root_element_generators(rep, ring)
+        raise ValueError(f"enumeration needs a field, not {ring.name}")
+    labels, gmats = root_element_generators(rep, ring)
     d = rep.dim
     cells = bruhat_cells(rep, ring, inverses=True)
     order = sum(len(A) * len(V) for A, V, _, _ in cells)
@@ -579,73 +606,6 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
                 gfmat.mat_mul(ring, V_inv.reshape(-1, d), bcat).reshape(n, d, k, d).transpose(2, 0, 1, 3))
             at += k * n
     return EnumeratedGroup(ring, elems, invs, rep, labels, gmats)
-
-
-def bfs_closure(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
-    """Deterministic BFS closure of the root elements (`_bfs`), over any
-    ring; the groups of `enumerate_group` over a field are tested against
-    it.  Each inverse is g^-1 inv(e) for the element's parent e and
-    generator g, built level by level; the BFS's word data are kept."""
-    labels, gmats, ginvs = root_element_generators(rep, ring)
-    elements, dist, parent, genidx = _bfs(rep, ring, gmats)
-    # inverses, level by level and block by block: inv(e g) = g^-1 inv(e),
-    # with e in an earlier level
-    inv_mats = np.empty_like(elements)
-    inv_mats[0] = rep.identity(ring)
-    rows = gfmat.block_rows(ring, rep.dim, 1)
-    ends = np.searchsorted(dist, np.arange(1, dist[-1] + 2))  # level lv ends at ends[lv]
-    for lv in range(1, len(ends)):
-        for b0 in range(ends[lv - 1], ends[lv], rows):
-            blk = slice(b0, min(b0 + rows, ends[lv]))
-            inv_mats[blk] = gfmat.mat_mul(ring, ginvs[genidx[blk]], inv_mats[parent[blk]])
-    E = EnumeratedGroup(ring, elements, inv_mats, rep, labels, gmats)
-    E._words = E._carry_words(elements, dist, parent, genidx)  # this BFS's, so none runs again
-    return E
-
-
-def _bfs(rep: MatrixRep, ring: FiniteRing, gmats: np.ndarray):
-    """The BFS from the identity over the generators gmats: (elements,
-    dist, parent, genidx), elements in BFS order.  Each level multiplies its
-    frontier by every generator, block by block, and keeps the products not
-    met before, in order of their first (frontier position, generator).
-    Whether a product was met is one bit of a bitmap over the key space
-    when that fits the block rule's 8 MiB, else a binary search in the
-    sorted keys met so far (`gfmat.SeenKeys`)."""
-    d = rep.dim
-    G = len(gmats)
-    ident = rep.identity(ring)[None]
-    seen = gfmat.SeenKeys(ring, d)
-    seen.fresh(gfmat.MatSet.keys(ring, ident))
-    elems, dist, parent, genidx = [ident], [[0]], [[-1]], [[-1]]
-    frontier, start, count = ident, 0, 1  # the last level, the index of its first element, all elements
-    gcat = gmats.transpose(1, 0, 2).reshape(d, G * d)  # the generators side by side
-    rows = gfmat.block_rows(ring, d, G)
-    while len(frontier):
-        level = len(elems)
-        new, par, gen = [], [], []
-        # deduplicate block by block against everything seen so far, so new
-        # elements come in order of their first (frontier position, generator)
-        for c0 in range(0, len(frontier), rows):
-            block = frontier[c0:c0 + rows]
-            gfmat.check_budget("group elements", (count + len(block) * G, d, d), ring.dtype)
-            # one 2-D product; cand[i, :, g] is frontier[c0 + i] gmats[g],
-            # keyed in place through the (i, g, d, d) view, and only the
-            # fresh products are copied out
-            cand = gfmat.mat_mul(ring, block.reshape(-1, d), gcat).reshape(-1, d, G, d)
-            fresh = seen.fresh(gfmat.MatSet.keys(ring, cand.transpose(0, 2, 1, 3)).ravel())
-            new.append(cand[fresh // G, :, fresh % G])
-            par.append(start + c0 + fresh // G)
-            gen.append(fresh % G)
-            count += len(fresh)
-        start += len(frontier)
-        frontier = np.concatenate(new)
-        elems.append(frontier)
-        dist.append(np.full(len(frontier), level))
-        parent += par
-        genidx += gen
-    elements = np.concatenate(elems)
-    del elems  # free the levels before the word arrays are joined
-    return elements, np.concatenate(dist), np.concatenate(parent), np.concatenate(genidx)
 
 
 def centralizer_indices(ring: FiniteRing, elements: np.ndarray, mats) -> np.ndarray:
@@ -826,21 +786,25 @@ def bruhat_cells(rep: MatrixRep, ring: FiniteRing, inverses: bool = False):
 
 def verify_bruhat(E: EnumeratedGroup) -> dict:
     """Check the factorization g = u t n_w v of `bruhat_cells` against the
-    BFS closure of the root elements (`_bfs`): every product must arise
-    exactly once, the tuple count must equal |E|, and the distinct
-    products must be the closure's elements.  Over a field E is built from
-    the same cells, so the tuple count equals |E| by construction there;
-    the comparison with the closure is the check that stands apart."""
+    closure of the root elements: every product must arise exactly once,
+    be an element of E, and the tuple count must equal |E|; and the BFS
+    over the root elements on E's element numbers (`EnumeratedGroup._words`)
+    must stay inside E and reach all of it.  `enumerate_group` builds E
+    from the same cells, so the counts agree by construction there; the
+    BFS is the check that stands apart."""
     rep, ring = E.rep, E.ring
-    prods = [gfmat.mat_mul(ring, A[:, None], V[None]).reshape(-1, rep.dim, rep.dim)
-             for A, V in bruhat_cells(rep, ring)]
-    total = sum(len(p) for p in prods)
-    distinct = gfmat.MatSet(ring, np.concatenate(prods))
-    same = np.array_equal(distinct.sorted(), gfmat.MatSet(ring, _bfs(rep, ring, E.gens)[0]).sorted())
+    prods = np.concatenate([gfmat.mat_mul(ring, A[:, None], V[None]).reshape(-1, rep.dim, rep.dim)
+                            for A, V in bruhat_cells(rep, ring)])
+    distinct = len(gfmat.MatSet(ring, prods))
+    try:
+        E.dist  # the BFS, on first use
+        closed = True
+    except RuntimeError:  # a product outside E, or elements the BFS does not reach
+        closed = False
     return {
         "order": E.order,
-        "tuple_count": total,
-        "distinct_products": len(distinct),
-        "unique": len(distinct) == total,
-        "ok": same and total == E.order == len(distinct),
+        "tuple_count": len(prods),
+        "distinct_products": distinct,
+        "unique": distinct == len(prods),
+        "ok": closed and len(prods) == E.order == distinct and bool(E.index.contains(prods).all()),
     }

@@ -19,9 +19,7 @@ import time
 import numpy as np
 
 from . import adelic
-from .chevgroup import (
-    _bfs, adjoint_rep, classical_rep, enumerate_group, root_element_generators, verify_bruhat,
-)
+from .chevgroup import adjoint_rep, classical_rep, enumerate_group, verify_bruhat
 from .definability import (
     ThetaMap, RingInGroup, check_ring_axioms, define_set, evaluate_sentence,
     free_vars, map_c, map_m, parse_formula, verify_dc_formula, width_probe,
@@ -546,9 +544,8 @@ def _dispatch(args) -> int:
             params = [parse_element(rep, ring, p) for p in args.params.split(";") if p]
         name = f"{args.group}({ring.name})"
         if args.cmd == "enumerate":
-            # |G| and the longest word are the BFS's: no index, no inverses
-            elements, dist, _, _ = _bfs(rep, ring, root_element_generators(rep, ring)[1])
-            s.add(name, "group-enumeration", None, order=len(elements), max_word_length=int(dist[-1]))
+            E = enumerate_group(rep, ring)
+            s.add(name, "group-enumeration", None, order=E.order, max_word_length=int(E.dist.max()))
         elif args.cmd == "check-dc":
             _dc_check(s, f"{name} {args.root} root", enumerate_group(rep, ring), alpha)
         else:

@@ -40,9 +40,7 @@ ring's lookup tables, one gather per inner index; that loop,
 `MatSet` is the one way to key, deduplicate and look up matrices.  A key
 reads the entries as the base-|R| digits of one integer, first entry most
 significant, computed by Horner's rule in place, so it reads any strided
-(..., d, d) view without copying it.  `SeenKeys` is the BFS's record of
-the keys met so far: a bitmap over the whole key space when that fits the
-block rule, else the sorted keys.
+(..., d, d) view without copying it.
 `check_budget` is the one size policy: every step that builds a large array
 asks it first, and `block_rows` the one rule that sizes the blocks of a loop.
 """
@@ -316,12 +314,13 @@ class MatSet:
     weights |R|^(w-1-i), one call for the single matrices and small stacks
     of the formula evaluator, and any other view by Horner's rule in place,
     one entry at a time, which copies nothing (the BFS keys each block's
-    product as a transposed view).  Deduplication is one unstable argsort of the keys
-    (`_first_unique`), lookups a ``searchsorted`` over the sorted keys.  A
-    set made from sorted keys (every group's index) whose key space,
-    |R|^(h w) positions, fits the block rule's BUDGET_BYTES >> 5 bytes
-    answers lookups from a position array over that space instead, built on
-    its first lookup: entry k is the number of key k, or -1 off the set.
+    product as a transposed view).  Deduplication is one unstable argsort
+    of the keys (`_first_unique`), lookups one ``searchsorted`` of the
+    sorted queries over the sorted keys.  A set made from sorted keys
+    (every group's index) whose key space, |R|^(h w) positions, fits the
+    block rule's BUDGET_BYTES >> 5 bytes answers lookups from a position
+    array over that space instead, built on its first lookup: entry k is
+    the number of key k, or -1 off the set.
     The matrices a set is fed come from `mat_mul`, which multiplies blocks
     of products in float32 or float64 BLAS, exactly by the bound in the
     module docstring, so a BFS block and a single product of the same
@@ -402,8 +401,15 @@ class MatSet:
         if table is not None:
             pos = table[keys]
             return pos, pos >= 0
-        pos = np.asarray(self._keys.searchsorted(keys))
-        np.minimum(pos, len(self._keys) - 1, out=pos)  # in place: a lookup of a whole group builds one intp array
+        # sorted queries walk the sorted keys in one direction, which a
+        # large batch of random queries would not; positions are scattered back
+        flat = keys.reshape(-1)
+        perm = np.argsort(flat)
+        pos = np.empty(len(flat), dtype=np.intp)
+        pos[perm] = self._keys.searchsorted(flat[perm])
+        del perm
+        np.minimum(pos, len(self._keys) - 1, out=pos)
+        pos = pos.reshape(keys.shape)
         return pos, self._keys[pos] == keys
 
     def contains(self, mats) -> np.ndarray:
@@ -417,55 +423,6 @@ class MatSet:
         if not hit.all():
             raise KeyError("matrix is not in the set")
         return pos if self._num is None else self._num[pos]
-
-    def sorted(self) -> np.ndarray:
-        """The matrices of the set in key order, i.e. lexicographic entry order."""
-        dtype = self.ring.dtype
-        w = self.shape[0] * self.shape[1]
-        weights = _key_weights(self.ring.size, w)
-        if weights is None:
-            return self._keys.view(np.dtype(dtype).newbyteorder(">")).reshape(-1, *self.shape).astype(dtype)
-        flat = np.empty((len(self), w), dtype=dtype)
-        for i, weight in enumerate(weights):  # one entry at a time, to build no (n, w) keys
-            flat[:, i] = self._keys // weight % self.ring.size
-        return flat.reshape(-1, *self.shape)
-
-
-class SeenKeys:
-    """The keys (`MatSet.keys`) of the d x d matrices over a ring met so
-    far.  When the key space, |R|^(d^2) keys, fits in BUDGET_BYTES >> 5
-    bytes of bits (the block rule's 8 MiB), it is a bitmap over that space,
-    and a key is tested by reading its bit (Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 2005, 4.1); else, and for
-    ``np.void`` keys, it is the sorted array of the keys met, and a key is
-    tested by binary search."""
-
-    def __init__(self, ring: FiniteRing, d: int):
-        nbytes = (ring.size ** (d * d) + 7) >> 3  # within the budget, keys are u32 or u64
-        if nbytes <= BUDGET_BYTES >> 5:
-            check_budget("bitmap of seen keys", (nbytes,), np.uint8)
-            self.bits = np.zeros(nbytes, dtype=np.uint8)
-        else:
-            self.bits = None
-            self._keys = MatSet.keys(ring, np.zeros((0, d, d), dtype=ring.dtype))
-
-    def fresh(self, keys: np.ndarray) -> np.ndarray:
-        """Positions of the keys not met before, each at its first
-        occurrence, ascending; they are met from now on."""
-        if self.bits is None:
-            uniq, first = _first_unique(keys)
-            if len(self._keys):
-                new = self._keys.take(self._keys.searchsorted(uniq), mode="clip") != uniq
-                uniq, first = uniq[new], first[new]
-            self._keys = np.insert(self._keys, self._keys.searchsorted(uniq), uniq)
-            return np.sort(first)
-        # only the misses are sorted; most keys of a BFS block were met at
-        # the level before or earlier in this one
-        miss = np.flatnonzero((self.bits[keys >> 3] >> (keys & 7) & 1) == 0)
-        uniq, first = _first_unique(keys[miss])
-        # bitwise_or.at sets every bit; a fancy |= keeps one write per byte
-        np.bitwise_or.at(self.bits, uniq >> 3, np.left_shift(1, uniq & 7).astype(np.uint8))
-        return miss[np.sort(first)]
 
 
 def _first_unique(keys: np.ndarray):

@@ -48,9 +48,9 @@ _POW_CACHE: dict = {}
 
 
 def _unit_pow_tables(ring: FiniteRing):
-    """pow[t][e+3] = t^e for units t and exponents -3..3, plus the mask of
-    'effective' multipliers mu (mu*r != r for every r != 0, i.e. mu-1 is
-    not a zero divisor)."""
+    """pow[t][e+3] = t^e for units t, in the order of ring.units(), and
+    exponents -3..3, plus the mask of 'effective' multipliers mu (mu*r != r
+    for every r != 0, i.e. mu-1 is not a zero divisor)."""
     if ring.name in _POW_CACHE:
         return _POW_CACHE[ring.name]
     pows = {}
@@ -86,7 +86,7 @@ def torus_witness(sys: RootSystem, alpha: int, beta: int, ring: FiniteRing):
     pows, eff = _unit_pow_tables(ring)
     Aa = sys.cartan_all[:, alpha]  # A_{gamma alpha} over all gamma
     Ab = sys.cartan_all[:, beta]
-    units = ring.units()
+    units = list(pows)  # ring.units(), in its order
     # single factor h_gamma(t): t^-A(g,a) = 1, t^-A(g,b) effective
     for t in units:
         if t == ring.one:

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from chevalley import chevgroup, gfmat
 from chevalley.adelic import SL2Group
 from chevalley.chevgroup import (
-    adjoint_rep, bfs_closure, center_set, centralizer_indices, classical_rep, commutant_group_points,
+    adjoint_rep, center_set, centralizer_indices, classical_rep, commutant_group_points,
     enumerate_group, linear_commutant, root_element_generators, torus_set, verify_bruhat,
     weyl_elements,
 )
 from chevalley.rings import GF, ProductRing, Zmod
 from chevalley.rootsys import commutator_template, structure_constants
+
+from oracles import bfs, bfs_closure, sorted_matrices
 
 ORDERS = {
     ("A", 2, 2): 168,
@@ -125,10 +127,10 @@ def test_torus_is_the_bfs_closure_of_its_generators(rep, q):
     # the product of the rank-one tori against the BFS closure of all h_a(t)
     ring = GF(q)
     gens = np.stack([rep.h(ring, a, t) for a in rep.sys.fundamental for t in ring.units()])
-    want = chevgroup._bfs(rep, ring, gens)[0]
+    want = bfs(rep, ring, gens)[0]
     got = torus_set(rep, ring)
     assert len(got) == len(want)
-    assert np.array_equal(gfmat.MatSet(ring, got).sorted(), gfmat.MatSet(ring, want).sorted())
+    assert np.array_equal(sorted_matrices(gfmat.MatSet(ring, got)), sorted_matrices(gfmat.MatSet(ring, want)))
 
 
 def test_torus_and_center_sizes(group_of):
@@ -332,43 +334,37 @@ def test_group_centralizer_from_a_basis_short_of_a_row_is_not_the_scan(group_of,
 @pytest.mark.parametrize("t,q", [("A", 3), ("A", 4), ("C", 3)], ids=["SL3(F3)", "SL3(F4)", "Sp4(F3)"])
 def test_enumeration_through_the_table_loop_is_the_same(group_of, t, q, monkeypatch):
     # the table loop in place of every product, and blocks of a few rows (a
-    # 1 MiB budget), give the BFS closure of the float products in full
-    # blocks, and the group built from the Bruhat cells
+    # 1 MiB budget, so that a BFS level spans several blocks), give the
+    # group built from the float products in full blocks, and its words
     rep = classical_rep(t, 2)
-    E, Y = bfs_closure(rep, GF(q)), group_of("classical", t, 2, q)
+    Y = group_of("classical", t, 2, q)
+    Y.dist  # the words, from full blocks
     monkeypatch.setattr(gfmat, "mat_mul", gfmat._mat_mul_tables)
     monkeypatch.setattr(gfmat, "BUDGET_BYTES", 1 << 20)
-    F = bfs_closure(rep, GF(q))
-    widest = np.bincount(F.dist).max()
-    assert gfmat.block_rows(F.ring, F.rep.dim, len(F.gens)) < gfmat.block_rows(F.ring, F.rep.dim, 1) < widest
-    for attr in ("elements", "dist", "parent", "genidx", "inv_idx"):
-        assert np.array_equal(getattr(F, attr), getattr(E, attr)), attr
     Z = enumerate_group(rep, GF(q))
-    for attr in ("elements", "inv_idx"):
+    widest = np.bincount(Z.dist).max()
+    assert gfmat.block_rows(Z.ring, Z.rep.dim, len(Z.gens)) < gfmat.block_rows(Z.ring, Z.rep.dim, 1) < widest
+    for attr in ("elements", "inv_idx", "dist", "parent", "genidx"):
         assert np.array_equal(getattr(Z, attr), getattr(Y, attr)), attr
 
 
 @pytest.mark.parametrize("t,q,order", [("A", 3, 5616), ("A", 4, 60480), ("C", 3, 51840)],
                          ids=["SL3(F3)", "SL3(F4)", "Sp4(F3)"])
-def test_enumeration_with_sorted_seen_keys_is_the_same(t, q, order, monkeypatch):
-    # the bitmap of seen keys, which these groups get, and the sorted keys,
-    # which a budget one byte short of the bitmap's 32 times gives them, make
-    # the same BFS of distinct elements and the same numbering; the index
-    # looks up from its position array where the key space fits the block
-    # rule (SL3), and the lowered budget sends it to searchsorted
-    E = bfs_closure(classical_rep(t, 2), GF(q))
-    ring, d = E.ring, E.rep.dim
-    assert gfmat.SeenKeys(ring, d).bits is not None
-    monkeypatch.setattr(gfmat, "BUDGET_BYTES", (((q ** (d * d) + 7) >> 3) << 5) - 1)
-    assert gfmat.SeenKeys(ring, d).bits is None
-    F = bfs_closure(E.rep, ring)
-    assert E.order == F.order == order == len(gfmat.MatSet(ring, E.elements))
-    for attr in ("elements", "dist", "parent", "genidx", "inv_idx"):
-        assert np.array_equal(getattr(F, attr), getattr(E, attr)), attr
-    assert np.array_equal(F.index._keys, E.index._keys)
+def test_enumeration_with_sorted_seen_keys_is_the_same(group_of, t, q, order, monkeypatch):
+    # the BFS oracle, which keeps the sorted keys it has seen, and the BFS on
+    # element numbers give the same elements and words, whether the group's
+    # index looks up from its position array, where the key space fits the
+    # block rule (SL3), or searches its sorted keys, where it does not
+    # (Sp4) or the position array is withheld
+    E = group_of("classical", t, 2, q)
+    B = bfs_closure(E.rep, E.ring)
+    F = chevgroup.EnumeratedGroup(E.ring, E.elements.copy(), E.elements[E.inv_idx], E.rep, E.gens_meta, E.gens)
+    monkeypatch.setattr(F.index, "_positions", lambda: None)
+    assert E.order == B.order == F.order == order
+    for attr in ("elements", "inv_idx", "dist", "parent", "genidx"):
+        assert np.array_equal(getattr(E, attr), getattr(B, attr)), attr
+        assert np.array_equal(getattr(F, attr), getattr(B, attr)), attr
     assert (E.index._pos is not None) == (t == "A") and F.index._pos is None
-    for G in (E, F):
-        assert np.array_equal(G.idx(E.elements), np.arange(order))
 
 
 @pytest.mark.parametrize("form,t,q", [("classical", "A", q) for q in (2, 3, 4, 5)]
@@ -415,7 +411,7 @@ def test_bruhat_enumeration_against_the_bfs_closure(group_of, form, t, q):
         assert (gfmat.mat_mul(ring, E.elements[blk], E.elements[E.inv_idx[blk]]) == ident).all()
     assert np.array_equal(E.center, B.center)
     if E.order > 500_000:
-        return  # Sp4(F4): the word data would run its 6 s BFS again; SL3(F5) checks them at scale
+        return  # Sp4(F4): its words take 3 s more; Sp4(F3) and G2adj(F2) check them on searched lookups
     for attr in ("dist", "parent", "genidx"):
         assert np.array_equal(getattr(E, attr), getattr(B, attr)), attr
     for j in range(0, B.order, max(1, B.order // 50)):
@@ -447,18 +443,51 @@ def test_bruhat_enumeration_refuses_a_corrupted_weyl_representative(which, monke
         enumerate_group(rep, ring)
 
 
+def _regrouped(E, elements, inverses, gens=None):
+    """A group numbered from the given elements and inverses, with E's
+    representation and the generators of E numbered gens (all of them)."""
+    gens = range(len(E.gens)) if gens is None else gens
+    return chevgroup.EnumeratedGroup(E.ring, np.ascontiguousarray(elements), np.ascontiguousarray(inverses),
+                                     E.rep, [E.gens_meta[i] for i in gens], E.gens[list(gens)])
+
+
 def test_bruhat_check_compares_the_products_with_the_bfs_closure(group_of, monkeypatch):
-    # a closure with one element swapped for a matrix outside the group has
-    # the right size, so the counts still agree with |E|; the check fails
+    # SL3(F2) from its cells with one involution dropped, with a singular
+    # stranger added as its own inverse, or with the root elements of the
+    # positive roots alone as generators: the BFS on element numbers meets
+    # a product that is not an element, or reaches fewer elements than the
+    # group has, and the check fails; in the last case it alone fails
     E = group_of("classical", "A", 2, 2)
-    bfs = chevgroup._bfs
-    elements, *words = bfs(E.rep, E.ring, E.gens)
-    elements[-1] = gfmat.scalar_mat(E.ring, 3, E.ring.zero)
-    # the closure of the root elements only: the torus is a BFS too
-    monkeypatch.setattr(chevgroup, "_bfs", lambda rep, ring, gens: (elements, *words) if gens is E.gens
-                        else bfs(rep, ring, gens))
-    rpt = verify_bruhat(E)
-    assert not rpt["ok"] and rpt["order"] == rpt["tuple_count"] == rpt["distinct_products"] == 168
+    assert verify_bruhat(E)["ok"]
+    ident = E.idx(E.rep.identity(E.ring))
+    drop = np.flatnonzero((E.inv_idx == np.arange(E.order)) & (np.arange(E.order) != ident))[0]
+    keep = np.delete(np.arange(E.order), drop)
+    zero = np.zeros((1, 3, 3), dtype=E.ring.dtype)
+    upper = [i for i, (a, _) in enumerate(E.gens_meta) if a < E.rep.sys.n_pos]
+    cases = [
+        (_regrouped(E, E.elements[keep], E.elements[E.inv_idx[keep]]), 167, "not an element"),
+        (_regrouped(E, np.concatenate([E.elements, zero]), np.concatenate([E.elements[E.inv_idx], zero])),
+         169, "reaches 168 of the 169"),
+        (_regrouped(E, E.elements, E.elements[E.inv_idx], upper), 168, "reaches 8 of the 168"),
+    ]
+    for G, order, message in cases:
+        rpt = verify_bruhat(G)
+        assert not rpt["ok"]
+        assert (rpt["order"], rpt["tuple_count"], rpt["distinct_products"], rpt["unique"]) == (order, 168, 168, True)
+        with pytest.raises(RuntimeError, match=message):
+            G.dist
+    # cells that give one product off the group, det 2 in SL3(F3), in place
+    # of an element: the counts and the BFS agree with |E|, the lookup of the
+    # products does not
+    E3 = group_of("classical", "A", 2, 3)
+    cells = chevgroup.bruhat_cells(E3.rep, E3.ring)
+    A, V = cells[0]
+    A = A.copy()
+    A[0, 0] = E3.ring.mul_t[A[0, 0], 2]
+    monkeypatch.setattr(chevgroup, "bruhat_cells", lambda rep, ring: [(A, V)] + cells[1:])
+    rpt = verify_bruhat(E3)
+    assert not rpt["ok"] and rpt["order"] == rpt["tuple_count"] == rpt["distinct_products"] == 5616
+    assert len(E3.dist) == 5616
 
 
 def test_adjoint_g2_order(group_of):
@@ -469,30 +498,30 @@ def test_adjoint_g2_order(group_of):
 def test_bfs_order_oracle(t, r, q):
     # every element's (parent, genidx) is the first (frontier position,
     # generator) pair of the previous level whose product gives it, and each
-    # level lists its new elements in that order
-    rep, ring = classical_rep(t, r), GF(q)
-    _, gens, _ = root_element_generators(rep, ring)
-    elements, dist, parent, genidx = chevgroup._bfs(rep, ring, gens)
-    seen = {elements[0].tobytes()}
-    assert (dist[0], parent[0], genidx[0]) == (0, -1, -1)
-    level = 0
-    while True:
-        frontier = np.nonzero(dist == level)[0]
+    # level lists its new elements in that order: a BFS over the entries'
+    # bytes, against the words the group finds on its element numbers
+    E = enumerate_group(classical_rep(t, r), GF(q))
+    ring, gens = E.ring, E.gens
+    number = {m.tobytes(): i for i, m in enumerate(E.elements)}
+    level, frontier = 0, [E.rep.identity(ring).tobytes()]
+    seen = set(frontier)
+    one = number[frontier[0]]
+    assert (E.dist[one], E.parent[one], E.genidx[one]) == (0, -1, -1)
+    while frontier:
         first = {}
-        for p in frontier:
+        for key in frontier:
+            m = np.frombuffer(key, dtype=ring.dtype).reshape(E.elements.shape[1:])
             for g in range(len(gens)):
-                key = gfmat.mat_mul(ring, elements[p], gens[g]).tobytes()
-                if key not in seen and key not in first:
-                    first[key] = (int(p), g)
-        nxt = np.nonzero(dist == level + 1)[0]
-        assert [elements[i].tobytes() for i in nxt] == list(first)
-        assert [(int(parent[i]), int(genidx[i])) for i in nxt] == list(first.values())
-        if not len(nxt):
-            break
-        seen.update(first)
+                prod = gfmat.mat_mul(ring, m, gens[g]).tobytes()
+                if prod not in seen and prod not in first:
+                    first[prod] = (number[key], g)
         level += 1
-    assert len(seen) == len(elements)
-    assert np.array_equal(np.nonzero(dist <= level)[0], np.arange(len(elements)))
+        for prod, (p, g) in first.items():
+            i = number[prod]
+            assert (E.dist[i], E.parent[i], E.genidx[i]) == (level, p, g)
+        seen.update(first)
+        frontier = list(first)
+    assert len(seen) == E.order and E.dist.max() == level - 1
 
 
 @pytest.mark.parametrize("rep", [classical_rep("A", 2), classical_rep("C", 2), adjoint_rep("G", 2)],
@@ -518,14 +547,13 @@ def test_idx_raises_key_error_off_group(group_of):
     assert E.idx(E.elements[[7, 3]]).tolist() == [7, 3]
 
 
-def test_enumeration_over_a_ring_that_is_not_a_field_is_the_bfs_closure():
-    # SL3(F2 x F2) = SL3(F2)^2: no Bruhat cells, the closure with its own
-    # word data
+def test_enumeration_refuses_a_ring_that_is_not_a_field():
+    # SL3(F2 x F2) = SL3(F2)^2 has no Bruhat cells: refused with the
+    # ValueError of rref, though the BFS oracle closes it
     rep, ring = classical_rep("A", 2), ProductRing([GF(2), GF(2)])
-    E, B = enumerate_group(rep, ring), bfs_closure(rep, ring)
-    assert E.order == 168**2
-    for attr in ("elements", "dist", "parent", "genidx", "inv_idx"):
-        assert np.array_equal(getattr(E, attr), getattr(B, attr)), attr
+    with pytest.raises(ValueError, match="needs a field"):
+        enumerate_group(rep, ring)
+    assert bfs_closure(rep, ring).order == 168**2
 
 
 CONSTRUCTED = {
@@ -589,8 +617,8 @@ def test_index_from_the_sorted_keys_is_the_index_of_the_elements(group_of, form,
     assert len(E.index) == len(built) == E.order
     assert np.array_equal(E.index.index(E.elements), np.arange(E.order))
     assert np.array_equal(E.index.index(sample), built.index(sample))
-    assert np.array_equal(E.index.sorted(), built.sorted())
-    assert np.array_equal(E.index.sorted(), E.elements)
+    assert np.array_equal(sorted_matrices(E.index), sorted_matrices(built))
+    assert np.array_equal(sorted_matrices(E.index), E.elements)
 
 
 @pytest.mark.parametrize("name", ["SL2(F7)", "SL2modZ(F7)", "PSL2(F7)", "SL3(F2)"])

@@ -1,9 +1,9 @@
 import ast
+import builtins
 import re
 import time
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from chevalley import chevgroup, gfmat
 from chevalley.adelic import SL2Group
-from chevalley.chevgroup import bfs_closure, classical_rep, enumerate_group
+from chevalley.chevgroup import classical_rep, enumerate_group
 from chevalley.gfmat import BudgetExceeded, MatSet, span_elements
 from chevalley.rings import GF, ProductRing, Zmod
+
+from oracles import SeenKeys, bfs_closure, sorted_matrices
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chevalley"
 
@@ -68,24 +70,21 @@ def test_matset_against_bytes_oracle(name, d, n, seed):
     with pytest.raises(KeyError):
         s.index(np.concatenate([mats[:1], other[:1]]))
 
-    # the keys seen so far, as a bitmap (when the key space fits) and as
-    # sorted keys (a budget too small for any bitmap), report each matrix
-    # not met before at its first occurrence, once
+    # the sorted keys seen so far, the BFS oracle's record, report each
+    # matrix not met before at its first occurrence, once
     both = np.concatenate([other, mats, other])
     want = [i for i, m in enumerate(both) if _oracle_key(m) not in number
             and all(_oracle_key(both[j]) != _oracle_key(m) for j in range(i))]
-    for budget in (gfmat.BUDGET_BYTES, 0):
-        with mock.patch.object(gfmat, "BUDGET_BYTES", budget):
-            seen = gfmat.SeenKeys(ring, d)
-        assert seen.fresh(MatSet.keys(ring, mats)).tolist() == first
-        assert seen.fresh(MatSet.keys(ring, both)).tolist() == want
-        assert seen.fresh(MatSet.keys(ring, both)).tolist() == []
+    seen = SeenKeys(ring, d)
+    assert seen.fresh(MatSet.keys(ring, mats)).tolist() == first
+    assert seen.fresh(MatSet.keys(ring, both)).tolist() == want
+    assert seen.fresh(MatSet.keys(ring, both)).tolist() == []
     s = MatSet(ring, np.concatenate([mats, both]))
     assert s.index(both[want]).tolist() == list(range(len(first), len(first) + len(want)))
 
     # sorted keys follow lexicographic entry order
     entries = sorted({tuple(int(v) for v in m.ravel()) for m in both})
-    srt = s.sorted()
+    srt = sorted_matrices(s)
     assert srt.dtype == ring.dtype
     assert [tuple(int(v) for v in m.ravel()) for m in srt] == entries
     assert np.array_equal(np.argsort(MatSet.keys(ring, srt), kind="stable"), np.arange(len(srt)))
@@ -97,7 +96,7 @@ def test_matset_keys_uint16_are_big_endian():
     b = np.array([[256, 0], [0, 0]], dtype=ring.dtype)
     # little-endian bytes would put b = (256, ...) before a = (1, ...)
     assert np.argsort(MatSet.keys(ring, np.stack([b, a]))).tolist() == [1, 0]
-    assert np.array_equal(MatSet(ring, np.stack([b, a])).sorted(), np.stack([a, b]))
+    assert np.array_equal(sorted_matrices(MatSet(ring, np.stack([b, a]))), np.stack([a, b]))
 
 
 KERNEL_RINGS = {
@@ -216,8 +215,8 @@ def test_packed_keys_follow_lexicographic_order(name, w):
     assert np.array_equal(MatSet.keys(ring, mats[::-1])[::-1], keys)
     rows = [tuple(int(v) for v in m.ravel()) for m in mats]
     assert [rows[i] for i in np.argsort(keys, kind="stable")] == sorted(rows)
-    # sorted() unpacks the keys back into the matrices, in that order
-    srt = MatSet(ring, mats).sorted()
+    # the sorted keys unpack back into the matrices, in that order
+    srt = sorted_matrices(MatSet(ring, mats))
     assert srt.dtype == ring.dtype and srt.shape[1:] == (1, w)
     assert [tuple(int(v) for v in m.ravel()) for m in srt] == sorted(set(rows))
 
@@ -279,7 +278,7 @@ def test_matset_from_the_identity_finds_every_later_code(name):
     for m in np.concatenate([ident, mats]):
         number.setdefault(_oracle_key(m), len(number))
     assert MatSet(ring, ident).contains(mats).tolist() == [number[_oracle_key(m)] == 0 for m in mats]
-    seen = gfmat.SeenKeys(ring, d)
+    seen = SeenKeys(ring, d)
     seen.fresh(MatSet.keys(ring, ident))
     fresh = seen.fresh(MatSet.keys(ring, mats))
     assert [number[_oracle_key(m)] for m in mats[fresh]] == list(range(1, len(number)))
@@ -351,7 +350,9 @@ def _unreferenced_definitions(src: Path, bench: Path) -> list:
     """The functions, methods and classes defined in src that no code in src
     or bench names outside their own body, by a Name, an attribute or an
     identifier string (bench/spans.py looks its targets up with getattr);
-    dunder methods, which Python calls by itself, are left out."""
+    dunder methods, which Python calls by itself, are left out.  A bare
+    Name of a builtin, such as sorted(...) or pow(...), calls the builtin,
+    so it is no reference to a method of that name."""
     defined, referenced = {}, set()
 
     def scan(node, enclosing, path):
@@ -359,7 +360,8 @@ def _unreferenced_definitions(src: Path, bench: Path) -> list:
             if path.parent == src and not (node.name.startswith("__") and node.name.endswith("__")):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
             enclosing = enclosing | {node.name}
-        name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+        name = (None if isinstance(node, ast.Name) and hasattr(builtins, node.id)
+                else node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
                 else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and node.value.isidentifier() else None)
         if name is not None and name not in enclosing:
@@ -402,19 +404,66 @@ def test_enumeration_refused_before_the_elements_outgrow_the_budget(monkeypatch)
     budget = 20_000  # SL3(F3) takes 5 616 x 9 bytes
     monkeypatch.setattr(gfmat, "BUDGET_BYTES", budget)
     stored = []  # bytes of the elements stored, after the identity and after each block
-    fresh = gfmat.SeenKeys.fresh
+    fresh = SeenKeys.fresh
 
     def recording_fresh(self, keys):
         out = fresh(self, keys)  # the positions of the elements the BFS stores
         stored.append((stored[-1] if stored else 0) + len(out) * 9)
         return out
 
-    monkeypatch.setattr(gfmat.SeenKeys, "fresh", recording_fresh)
+    monkeypatch.setattr(SeenKeys, "fresh", recording_fresh)
     with pytest.raises(BudgetExceeded, match="group elements"):
         bfs_closure(classical_rep("A", 2), GF(3))
-    # stored[0] is the identity alone: refused after at least one block was
-    # stored, and while the stored elements still fit
+    # the BFS oracle: stored[0] is the identity alone, refused after at
+    # least one block was stored, and while the stored elements still fit
     assert len(stored) > 1 and max(stored) <= budget
+
+
+def test_word_data_refused_before_any_block(group_of, monkeypatch):
+    # SL3(F3)'s word arrays take 5 616 intp entries each: with a budget one
+    # byte short, reading them is refused before any product of a BFS block;
+    # at the budget they are the words found in full blocks
+    want = group_of("classical", "A", 2, 3)
+    want.dist  # in full blocks, before the budget is lowered
+    E = enumerate_group(want.rep, want.ring)
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 5616 * np.dtype(np.intp).itemsize - 1)
+    blocks = []
+    mat_mul = gfmat.mat_mul
+    monkeypatch.setattr(gfmat, "mat_mul", lambda ring, A, B: blocks.append(A.shape) or mat_mul(ring, A, B))
+    with pytest.raises(BudgetExceeded, match="word data"):
+        E.dist
+    assert blocks == []
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 5616 * np.dtype(np.intp).itemsize)
+    for attr in ("dist", "parent", "genidx"):
+        assert np.array_equal(getattr(E, attr), getattr(want, attr)), attr
+    assert len(blocks) > 1
+
+
+def test_group_lookups_with_repeats_and_misses_on_both_paths(group_of, monkeypatch):
+    # random queries into SL3(F3), as a strided 2-D stack with repeated
+    # elements and matrices off the group: the index's position array and a
+    # set of the same sorted keys that searches them (budget 0) give the
+    # numbers of a dictionary of the elements' bytes
+    E = group_of("classical", "A", 2, 3)
+    ring = E.ring
+    number = {m.tobytes(): i for i, m in enumerate(E.elements)}
+    rng = np.random.default_rng(26)
+    members = E.elements[rng.integers(E.order, size=(60, 50))]
+    others = rng.integers(ring.size, size=(60, 50, 3, 3)).astype(ring.dtype)
+    queries = np.where(rng.random((60, 50, 1, 1)) < 0.5, members, others).transpose(1, 0, 2, 3)
+    want = np.array([[number.get(np.ascontiguousarray(m).tobytes(), -1) for m in row] for row in queries])
+    assert (want >= 0).any() and (want < 0).any() and len(np.unique(want[want >= 0])) < (want >= 0).sum()
+    dense, numbers = E.index, E.idx(members)
+    assert dense._pos is not None
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 0)
+    sparse = MatSet.from_sorted_keys(ring, (3, 3), dense._keys)
+    for s in (dense, sparse):
+        assert np.array_equal(s.contains(queries), want >= 0)
+        assert np.array_equal(s.index(members.transpose(1, 0, 2, 3)), numbers.T)
+        assert np.array_equal(s.index(queries[want >= 0]), want[want >= 0])
+        with pytest.raises(KeyError):
+            s.index(queries)
+    assert sparse._pos is None
 
 
 def test_bruhat_enumeration_refused_before_any_element_block(monkeypatch):
