@@ -128,27 +128,38 @@ class MatrixRep:
             cache["h"] = {}
             cache["n"] = {}
             cache["transport"] = {}
+            cache["root_subgroup"] = {}
         return cache
 
     def identity(self, ring: FiniteRing) -> np.ndarray:
         return gfmat.identity(ring, self.dim)
 
+    def root_subgroup(self, ring: FiniteRing, a: int) -> np.ndarray:
+        """x_alpha(c) = 1 + c M_1 + ... + c^q M_q for every code c, shape
+        (|R|, d, d), row c: one ring product of the (|R|, q + 1) table of
+        powers c^i by the divided powers stacked as rows.  Built once per
+        ring and root, and read-only."""
+        reduced = self._reduced(ring)
+        cache = reduced["root_subgroup"]
+        if a not in cache:
+            powers = reduced["divpow"][a]
+            codes = np.arange(ring.size, dtype=ring.dtype)
+            cpow = np.empty((ring.size, len(powers)), dtype=ring.dtype)
+            cpow[:, 0] = ring.one
+            for i in range(1, len(powers)):
+                cpow[:, i] = ring.mul_t[cpow[:, i - 1], codes]
+            M = np.stack(powers).reshape(len(powers), -1)
+            cache[a] = gfmat.mat_mul(ring, cpow, M).reshape(ring.size, self.dim, self.dim)
+            cache[a].flags.writeable = False
+        return cache[a]
+
     def x(self, ring: FiniteRing, a: int, r) -> np.ndarray:
-        """x_alpha(r) = 1 + r M_1 + ... + r^q M_q."""
-        return self.x_batch(ring, a, np.array([r], dtype=ring.dtype))[0]
+        """x_alpha(r), a fresh copy."""
+        return self.root_subgroup(ring, a)[int(r)].copy()
 
     def x_batch(self, ring: FiniteRing, a: int, rcodes: np.ndarray) -> np.ndarray:
-        """Stack of x_alpha(r) for a vector of ring codes, shape (N, d, d)."""
-        powers = self._reduced(ring)["divpow"][a]
-        rcodes = np.asarray(rcodes, dtype=ring.dtype)
-        out = np.broadcast_to(powers[0], (len(rcodes), self.dim, self.dim)).copy()
-        rp = rcodes
-        for i in range(1, len(powers)):
-            term = ring.mul_t[rp[:, None, None], powers[i][None]]
-            out = ring.add_t[out, term]
-            if i + 1 < len(powers):
-                rp = ring.mul_t[rp, rcodes]
-        return out
+        """x_alpha(r) for each of an array of ring codes, shape rcodes.shape + (d, d)."""
+        return self.root_subgroup(ring, a)[np.asarray(rcodes)]
 
     def h(self, ring: FiniteRing, g: int, t) -> np.ndarray:
         """h_gamma(t) = n_gamma(t) n_gamma(1)^-1 with

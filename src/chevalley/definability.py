@@ -25,7 +25,15 @@ root subgroups to its first factor, the parameter-transport maps
 c: x_alpha(r) -> x_beta(r) and m: (x_alpha(r), x_beta(s)) -> x_gamma(rs),
 the ring structure these induce on a fixed root subgroup, and the
 entrywise isomorphism theta: G(R) -> G(R') built from root-element
-decompositions.
+decompositions.  pi_1, c and m take one matrix or a stack and answer in
+the same shape, so each runs once on a whole root subgroup (c), on all
+its pairs (m, for the ring's multiplication table) or on all the
+generators of one root (theta).  They work through group products and
+inverses of matrices; none reads r off its input through r -> x_alpha(r),
+which would make the checks c(x_alpha(r)) = x_beta(r) circular (from a
+short to a long root, c looks its input up among the images of the
+opposite transport).  theta of an element is theta of its BFS parent
+times theta of its last generator, each found once per map.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -540,18 +549,23 @@ def verify_dc_formula(E: EnumeratedGroup, alpha: int) -> dict:
 
 def proj_pi1(rep: MatrixRep, ring: FiniteRing, roots, g: np.ndarray) -> np.ndarray:
     """The first factor u_1 of g = u_1 ... u_q (u_i in the given root
-    subgroups, in order): {u_1} = g U_q ... U_2 cap U_1."""
-    codes = np.arange(ring.size, dtype=ring.dtype)
-    cur = np.asarray(g, dtype=ring.dtype)[None]
+    subgroups, in order): {u_1} = g U_q ... U_2 cap U_1.  g may be one
+    matrix or a (..., d, d) stack, answered in its shape."""
+    d = rep.dim
+    g = np.asarray(g, dtype=ring.dtype)
+    cur = g.reshape(-1, 1, d, d)  # per element, the products g u_q ... u_k so far
     for a in reversed(roots[1:]):
-        U = rep.x_batch(ring, a, codes)
-        prods = gfmat.mat_mul(ring, cur[:, None], U[None])
-        cur = prods.reshape(-1, rep.dim, rep.dim)
-    U1 = gfmat.MatSet(ring, rep.x_batch(ring, roots[0], codes))
-    hits = gfmat.MatSet.unique(ring, cur[U1.contains(cur)])
-    if len(hits) != 1:
+        cur = gfmat.mat_mul(ring, cur[:, :, None], rep.root_subgroup(ring, a)[None, None])
+        cur = cur.reshape(len(cur), -1, d, d)
+    hit = gfmat.MatSet(ring, rep.root_subgroup(ring, roots[0])).contains(cur)
+    # the first hit of each element, and every hit of it the same matrix
+    first = np.take_along_axis(cur, hit.argmax(axis=1)[:, None, None, None], axis=1)
+    alike = hit.any(axis=1) & ((cur == first).all(axis=(-1, -2)) | ~hit).all(axis=1)
+    if not alike.all():
+        bad = np.argmin(alike)
+        hits = gfmat.MatSet.unique(ring, cur[bad][hit[bad]])
         raise ValueError(f"pi_1 intersection has {len(hits)} points; input not in the product set")
-    return hits[0]
+    return first.reshape(g.shape)
 
 
 def _same_length_transport(rep: MatrixRep, ring: FiniteRing, a: int, b: int, g: np.ndarray) -> np.ndarray:
@@ -579,7 +593,8 @@ def _cross_length_triple(sys):
 def _comm_leading(rep: MatrixRep, ring: FiniteRing, mu: int, nu: int,
                   gmu: np.ndarray, gnu: np.ndarray) -> np.ndarray:
     """pi_1 of [gmu, gnu] with respect to the commutator's root order; the
-    leading root is mu + nu."""
+    leading root is mu + nu.  gmu and gnu may be stacks that broadcast
+    together, answered in the broadcast shape."""
     sys, sc = rep.sys, rep.sc
     template = commutator_template(sc, mu, nu)
     roots = []
@@ -588,9 +603,9 @@ def _comm_leading(rep: MatrixRep, ring: FiniteRing, mu: int, nu: int,
             roots.append(groot)
     if roots[0] != sys.sum_root(mu, nu):
         raise RuntimeError("the commutator's leading root is not mu + nu")
-    inv_mu = gfmat.mat_inv(ring, gmu)
-    inv_nu = gfmat.mat_inv(ring, gnu)
-    comm = gfmat.mat_mul_many(ring, [inv_mu, inv_nu, np.asarray(gmu, dtype=ring.dtype), gnu])
+    gmu, gnu = np.asarray(gmu, dtype=ring.dtype), np.asarray(gnu, dtype=ring.dtype)
+    # [x, y] = x^-1 y^-1 x y = (y x)^-1 (x y), with one inverse
+    comm = gfmat.mat_mul(ring, gfmat.mat_inv(ring, gfmat.mat_mul(ring, gnu, gmu)), gfmat.mat_mul(ring, gmu, gnu))
     return proj_pi1(rep, ring, roots, comm)
 
 
@@ -603,10 +618,12 @@ def _leading_sign(sc, mu: int, nu: int) -> int:
 
 
 def map_c(rep: MatrixRep, ring: FiniteRing, a: int, b: int, g: np.ndarray) -> np.ndarray:
-    """Transport x_a(r) -> x_b(r).  Same length: Weyl conjugation with the
-    sign corrected.  Long to short: conjugate to nu, then push into the
-    short root mu + nu with a commutator and project, then conjugate on.
-    Short to long: invert the opposite transport by exhaustion."""
+    """Transport x_a(r) -> x_b(r), of one matrix or of a (..., d, d) stack,
+    answered in its shape.  Same length: Weyl conjugation with the sign
+    corrected.  Long to short: conjugate to nu, then push into the short
+    root mu + nu with a commutator and project, then conjugate on.  Short
+    to long: invert the opposite transport, by one transport of the whole
+    target root subgroup."""
     sys = rep.sys
     if a == b:
         return np.asarray(g, dtype=ring.dtype)
@@ -619,20 +636,22 @@ def map_c(rep: MatrixRep, ring: FiniteRing, a: int, b: int, g: np.ndarray) -> np
         base = rep.x(ring, mu, ring.from_int(sign))
         ggam = _comm_leading(rep, ring, mu, nu, base, gnu)
         return _same_length_transport(rep, ring, gamma, b, ggam)
-    # short to long: invert map_c(b -> a)
-    images = gfmat.MatSet(ring, np.stack([map_c(rep, ring, b, a, rep.x(ring, b, r))
-                                          for r in ring.elements()]))
+    # short to long: invert map_c(b -> a), which carries row r of U_b to row r of images
+    source = rep.root_subgroup(ring, b)
+    images = gfmat.MatSet(ring, map_c(rep, ring, b, a, source))
     try:
         r = images.index(g)
     except KeyError:
         raise ValueError("element not in the source root subgroup") from None
-    return rep.x(ring, b, ring.dtype(r))
+    return np.take(source, r, axis=0)
 
 
 def map_m(rep: MatrixRep, ring: FiniteRing, a: int, b: int, c: int,
           ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
     """The multiplication transport (x_a(r), x_b(s)) -> x_c(rs), via a
-    commutator [x_mu(+-r), x_nu(s)] = x_{mu+nu}(rs)u_3...u_q and pi_1."""
+    commutator [x_mu(+-r), x_nu(s)] = x_{mu+nu}(rs)u_3...u_q and pi_1; ga
+    and gb may be stacks that broadcast together (ga[:, None] and gb[None]
+    for all pairs), answered in the broadcast shape."""
     sys = rep.sys
     mu, nu = _mult_triple(sys)
     gamma = sys.sum_root(mu, nu)
@@ -677,7 +696,7 @@ class RingInGroup:
         C = self.carrier = rep.x_batch(ring, a0, codes)
         self._decode = gfmat.MatSet(ring, C)  # numbers the carrier by code
         add_t = self.decode(gfmat.mat_mul(ring, C[:, None], C[None]))
-        mul_t = self.decode(np.stack([[map_m(rep, ring, a0, a0, a0, x, y) for y in C] for x in C]))
+        mul_t = self.decode(map_m(rep, ring, a0, a0, a0, C[:, None], C[None]))
         # the unit is the parameter x_{a0}(1), the zero the group identity
         self.table = TableRing(f"U{a0}({ring.name})", add_t, mul_t,
                                zero=self.decode(rep.identity(ring)), one=ring.one)
@@ -703,7 +722,7 @@ def check_ring_axioms(rig: RingInGroup) -> bool:
 def _horner(rig: RingInGroup, coeffs, r) -> np.ndarray:
     """Codes of f(r)' in the ring inside the group, by Horner on its tables;
     coeffs holds integers, its first axis running over X^0, X^1, ..., and
-    the result has the shape of the other axes."""
+    the result has the shape of the other axes broadcast with that of r."""
     T = rig.table
     coeffs = np.asarray(coeffs, dtype=np.int64)
     out = np.full(coeffs.shape[1:], T.zero, dtype=T.dtype)
@@ -729,34 +748,49 @@ class ThetaMap:
     theta works on (d, d) code matrices over the word tables of R' (see
     RingInGroup), so a product is one `gfmat.mat_mul` over that ring.  The
     image of a root element x_a(r) is transported to r' in U_{a0} by map_c,
-    and its entries are the integer divided-power polynomials of X_a
-    evaluated at r' in R'; the image of g is the product of the images of
-    the generators in its witnessing word.  Since code r' stands for
-    x_{a0}(r'), theta(g) read as a matrix over R is g itself."""
+    one call per root on all its generators, and its entries are the
+    integer divided-power polynomials of X_a evaluated at r' in R'.  The
+    image of g is the image of its BFS parent times the image of its last
+    generator, memoised per element: the product of the images of the
+    generators in its witnessing word, left to right.  Since code r'
+    stands for x_{a0}(r'), theta(g) read as a matrix over R is g itself."""
 
     def __init__(self, E: EnumeratedGroup):
         self.E = E
         self.rep = E.rep
         self.ring = E.ring
         self.rig = RingInGroup(E.rep, E.ring)
-        self._gen_theta = {}
+        self._theta = {}  # element number -> its read-only theta, once asked for
 
-    def _root_elt_theta(self, a: int, relt_code) -> np.ndarray:
-        """theta of x_a(r): entry (i,j) is (delta_ij + m1 r + ... + mq r^q)'
-        with m_l the (i,j) entries of the divided powers of X_a."""
+    @cached_property
+    def _gen_theta(self) -> np.ndarray:
+        """theta of each generator x_a(r), in generator order: entry (i,j)
+        is (delta_ij + m1 r' + ... + mq r'^q) with m_l the (i,j) entries of
+        the divided powers of X_a, and r' the code of map_c(x_a(r)) in U_{a0}."""
         rep, ring, rig = self.rep, self.ring, self.rig
-        rprime = rig.decode(map_c(rep, ring, a, rig.a0, rep.x(ring, a, relt_code)))
-        return _horner(rig, rep.divpow[a], rprime)
+        roots = np.array([a for a, _ in self.E.gens_meta])
+        codes = np.array([r for _, r in self.E.gens_meta], dtype=ring.dtype)
+        out = np.empty((len(roots), rep.dim, rep.dim), dtype=rig.table.dtype)
+        for a in dict.fromkeys(roots.tolist()):
+            k = np.flatnonzero(roots == a)
+            rprime = rig.decode(map_c(rep, ring, a, rig.a0, rep.x_batch(ring, a, codes[k])))
+            out[k] = _horner(rig, rep.divpow[a], rprime[:, None, None])
+        return out
 
     def theta(self, idx: int) -> np.ndarray:
-        """theta of the element with index idx in E, via its witnessing word."""
-        E, T = self.E, self.rig.table
-        out = gfmat.identity(T, self.rep.dim)
-        for gi in E.word(idx):
-            if gi not in self._gen_theta:
-                a, rc = E.gens_meta[gi]
-                self._gen_theta[gi] = self._root_elt_theta(a, rc)
-            out = gfmat.mat_mul(T, out, self._gen_theta[gi])
+        """theta of the element with index idx in E, read-only: theta of its
+        BFS parent times theta of its last generator, each found once."""
+        E, memo = self.E, self._theta
+        path, i = [], int(idx)
+        while i >= 0 and i not in memo:  # up to an element already done, or past the identity
+            path.append(i)
+            i = int(E.parent[i])
+        out = memo[i] if i >= 0 else gfmat.identity(self.rig.table, self.rep.dim)
+        for j in reversed(path):
+            if E.genidx[j] >= 0:
+                out = gfmat.mat_mul(self.rig.table, out, self._gen_theta[E.genidx[j]])
+            out.flags.writeable = False
+            memo[j] = out
         return out
 
     def round_trip(self, idx: int) -> bool:

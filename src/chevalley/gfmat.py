@@ -236,13 +236,19 @@ def mat_det(ring: FiniteRing, A: np.ndarray) -> np.ndarray:
 
 
 def mat_inv(ring: FiniteRing, A: np.ndarray) -> np.ndarray:
-    """Inverse of one matrix over a field: the right half of rref([A | 1]),
-    which has a pivot outside the first d columns exactly when A is singular."""
-    d = A.shape[0]
-    R, pivots = rref(ring, np.concatenate([A, identity(ring, d)], axis=1))
-    if pivots[-1] >= d:
-        raise ZeroDivisionError("matrix is singular")
-    return R[:, d:]
+    """Inverse of each matrix of a (..., d, d) stack over a field: the right
+    half of rref([A | 1]), which has a pivot outside the first d columns
+    exactly when A is singular; ZeroDivisionError if any one is."""
+    A = np.asarray(A)
+    d = A.shape[-1]
+    one = identity(ring, d)
+    out = np.empty(A.shape, dtype=ring.dtype)
+    for i in np.ndindex(A.shape[:-2]):
+        R, pivots = rref(ring, np.concatenate([A[i], one], axis=1))
+        if pivots[-1] >= d:
+            raise ZeroDivisionError("matrix is singular")
+        out[i] = R[:, d:]
+    return out
 
 
 def rref(ring: FiniteRing, A: np.ndarray):
@@ -279,12 +285,13 @@ def nullspace(ring: FiniteRing, A: np.ndarray) -> np.ndarray:
     """Basis of {v : A v = 0} over a field, shape (k, cols)."""
     R, pivots = rref(ring, A)
     cols = A.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    # basis vector k: 1 at free column free[k], -R[r, free[k]] at pivot column r
     basis = np.full((len(free), cols), ring.zero, dtype=ring.dtype)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = ring.one
-        for r, pc in enumerate(pivots):
-            basis[bi, pc] = ring.neg_t[R[r, fc]]
+    basis[np.arange(len(free)), free] = ring.one
+    basis[:, pivots] = ring.neg_t[R[:len(pivots), free]].T
     return basis
 
 

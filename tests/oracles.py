@@ -6,6 +6,12 @@ data, which the program finds on element numbers.  It keys every product it
 meets, keeps the sorted keys met so far (`SeenKeys`), and numbers nothing
 through a group's index, so it shares no lookup with `EnumeratedGroup`.
 `sorted_matrices` reads a set's sorted keys back into its matrices.
+
+The loops the program's stacked paths replaced are kept here as their
+references: root elements summed power by power (`x_batch_power_sums`),
+the nullspace basis filled one entry at a time (`nullspace_loop`), and theta
+as the product over an element's whole word of generator images, each
+transported by its own `map_c` call (`theta_by_words`).
 """
 
 import numpy as np
@@ -13,6 +19,7 @@ import numpy as np
 from chevalley import gfmat
 from chevalley.chevgroup import EnumeratedGroup, MatrixRep, root_element_generators
 from chevalley.gfmat import MatSet, _first_unique, _key_weights
+from chevalley.definability import ThetaMap, _horner, map_c
 from chevalley.rings import FiniteRing
 
 
@@ -108,3 +115,45 @@ def sorted_matrices(s: MatSet) -> np.ndarray:
     for i, weight in enumerate(weights):
         flat[:, i] = s._keys // weight % s.ring.size
     return flat.reshape(-1, *s.shape)
+
+
+def x_batch_power_sums(rep: MatrixRep, ring: FiniteRing, a: int, rcodes) -> np.ndarray:
+    """x_alpha(r) = 1 + r M_1 + ... + r^q M_q for a vector of ring codes,
+    shape (N, d, d), one divided power at a time on the ring's tables."""
+    powers = [gfmat.from_int_matrix(ring, M) for M in rep.divpow[a]]
+    rcodes = np.asarray(rcodes, dtype=ring.dtype)
+    out = np.broadcast_to(powers[0], (len(rcodes), rep.dim, rep.dim)).copy()
+    rp = rcodes
+    for i in range(1, len(powers)):
+        term = ring.mul_t[rp[:, None, None], powers[i][None]]
+        out = ring.add_t[out, term]
+        if i + 1 < len(powers):
+            rp = ring.mul_t[rp, rcodes]
+    return out
+
+
+def nullspace_loop(ring: FiniteRing, A: np.ndarray) -> np.ndarray:
+    """Basis of {v : A v = 0} over a field, shape (k, cols), from rref,
+    one entry at a time: vector k is 1 at the k-th free column and
+    -R[r, that column] at the r-th pivot column."""
+    R, pivots = gfmat.rref(ring, A)
+    cols = A.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.full((len(free), cols), ring.zero, dtype=ring.dtype)
+    for bi, fc in enumerate(free):
+        basis[bi, fc] = ring.one
+        for r, pc in enumerate(pivots):
+            basis[bi, pc] = ring.neg_t[R[r, fc]]
+    return basis
+
+
+def theta_by_words(tm: ThetaMap, idx: int) -> np.ndarray:
+    """theta of element idx as the product, left to right, of the images of
+    the generators of its word, each image from a single-matrix `map_c`."""
+    E, rep, ring, rig = tm.E, tm.rep, tm.ring, tm.rig
+    out = gfmat.identity(rig.table, rep.dim)
+    for gi in E.word(idx):
+        a, r = E.gens_meta[gi]
+        rprime = rig.decode(map_c(rep, ring, a, rig.a0, rep.x(ring, a, r)))
+        out = gfmat.mat_mul(rig.table, out, _horner(rig, rep.divpow[a], rprime))
+    return out

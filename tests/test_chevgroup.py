@@ -15,7 +15,7 @@ from chevalley.chevgroup import (
 from chevalley.rings import GF, ProductRing, Zmod
 from chevalley.rootsys import commutator_template, structure_constants
 
-from oracles import bfs, bfs_closure, sorted_matrices
+from oracles import bfs, bfs_closure, sorted_matrices, x_batch_power_sums
 
 ORDERS = {
     ("A", 2, 2): 168,
@@ -40,6 +40,38 @@ def test_one_parameter_subgroup():
                 lhs = gfmat.mat_mul(ring, rep.x(ring, a, ring.dtype(r)),
                                     rep.x(ring, a, ring.dtype(s)))
                 assert (lhs == rep.x(ring, a, ring.add(ring.dtype(r), ring.dtype(s)))).all()
+
+
+@pytest.mark.parametrize("rep, ring", [
+    (classical_rep("A", 2), GF(2)), (classical_rep("A", 2), GF(4)), (classical_rep("A", 2), GF(5)),
+    (classical_rep("C", 2), GF(3)), (classical_rep("C", 2), GF(9)), (classical_rep("B", 3), GF(5)),
+    (adjoint_rep("G", 2), GF(3)), (classical_rep("A", 2), Zmod(4)),
+    (classical_rep("C", 2), ProductRing([GF(2), GF(3)])),
+], ids=["SL3(F2)", "SL3(F4)", "SL3(F5)", "Sp4(F3)", "Sp4(F9)", "SO7(F5)", "G2adj(F3)", "SL3(Z4)", "Sp4(F2xF3)"])
+def test_root_subgroup_is_the_power_sums(rep, ring):
+    # every root subgroup, as one ring product of the power table by the
+    # divided powers, against the divided powers summed one at a time; x
+    # and x_batch read it, and it is read-only
+    codes = np.arange(ring.size, dtype=ring.dtype)
+    for a in range(len(rep.sys.roots)):
+        U = rep.root_subgroup(ring, a)
+        assert U.dtype == ring.dtype and not U.flags.writeable
+        assert np.array_equal(U, x_batch_power_sums(rep, ring, a, codes))
+        assert rep.root_subgroup(ring, a) is U
+        picks = codes[::-1][:, None]
+        assert np.array_equal(rep.x_batch(ring, a, picks), U[picks])
+        assert np.array_equal(rep.x(ring, a, codes[-1]), U[-1])
+
+
+def test_writing_into_a_root_element_leaves_the_root_subgroup_intact():
+    rep, ring = classical_rep("A", 2), GF(3)
+    U = rep.root_subgroup(ring, 0).copy()
+    g = rep.x(ring, 0, ring.one)
+    g[:] = ring.zero
+    stack = rep.x_batch(ring, 0, np.arange(ring.size))
+    stack[:] = ring.zero
+    assert np.array_equal(rep.root_subgroup(ring, 0), U)
+    assert np.array_equal(rep.x(ring, 0, ring.one), U[1]) and (U[1] != ring.zero).any()
 
 
 def test_torus_action_character():

@@ -11,9 +11,11 @@ from chevalley.chevgroup import centralizer_indices, classical_rep
 from chevalley.definability import (
     DC_TEXT, And, Eq, Exists, Forall, Implies, Inv, Mul, Not, One, Or, Param, ParseError,
     RingInGroup, ThetaMap, Var, check_ring_axioms, define_set, evaluate_sentence, free_vars,
-    map_c, map_m, max_param, parse_formula, verify_dc_formula, width_probe,
+    map_c, map_m, max_param, parse_formula, proj_pi1, verify_dc_formula, width_probe,
 )
 from chevalley.rings import GF
+
+from oracles import theta_by_words
 
 
 def test_parse_to_explicit_ast():
@@ -315,6 +317,47 @@ def test_map_m_is_ring_multiplication():
             assert (got == want).all()
 
 
+@pytest.mark.parametrize("spec", ["A", "C"], ids=["SL3(F3)", "Sp4(F3)"])
+def test_stacked_transports_are_the_single_ones(spec):
+    # map_c on a whole root subgroup, in any stack shape, and map_m on all
+    # pairs at once, against one call per element and per pair
+    rep, ring = classical_rep(spec, 2), GF(3)
+    n, q = len(rep.sys.roots), ring.size
+    U = [rep.root_subgroup(ring, a) for a in range(n)]
+    for a in range(n):
+        for b in range(n):
+            single = np.stack([map_c(rep, ring, a, b, U[a][r]) for r in range(q)])
+            assert np.array_equal(single, U[b])
+            assert np.array_equal(map_c(rep, ring, a, b, U[a]), single)
+            assert np.array_equal(map_c(rep, ring, a, b, U[a][[[2, 0], [1, 1]]]), single[[[2, 0], [1, 1]]])
+    for a, b, c in [(0, 0, 0), (0, n - 1, 1), (n - 1, 1, 0)]:
+        got = map_m(rep, ring, a, b, c, U[a][:, None], U[b][None])
+        single = np.stack([[map_m(rep, ring, a, b, c, U[a][r], U[b][s]) for s in range(q)] for r in range(q)])
+        assert np.array_equal(got, single) and np.array_equal(single, U[c][ring.mul_t])
+
+
+def test_proj_pi1_of_a_stack_refuses_an_element_outside_the_product():
+    # U_{a+b} U_a U_b in SL3: the first factor of each product, and a
+    # ValueError for a stack with one element outside it
+    rep, ring = classical_rep("A", 2), GF(3)
+    sys = rep.sys
+    a, b = next((a, b) for a in range(sys.n_pos) for b in range(sys.n_pos)
+                if sys.sum_root(a, b) is not None)
+    roots = [sys.sum_root(a, b), a, b]
+    U = [rep.root_subgroup(ring, r) for r in roots]
+    r = np.array([0, 1, 2, 2])
+    g = gfmat.mat_mul_many(ring, [U[0][r], U[1][r[::-1]], U[2][[1, 2, 0, 2]]])
+    assert np.array_equal(proj_pi1(rep, ring, roots, g), U[0][r])
+    assert np.array_equal(proj_pi1(rep, ring, roots, g[1]), U[0][1])
+    bad = g.copy()
+    bad[2] = rep.x(ring, sys.neg(a), ring.one)
+    with pytest.raises(ValueError, match="pi_1"):
+        proj_pi1(rep, ring, roots, bad)
+    # in U_a U_a every element of U_a is a first factor of each x_a(r)
+    with pytest.raises(ValueError, match="has 3 points"):
+        proj_pi1(rep, ring, [a, a], U[1][[0, 1]])
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_ring_axioms_inside_group(q):
     rig = RingInGroup(classical_rep("A", 2), GF(q))
@@ -341,6 +384,15 @@ def test_theta_round_trip_sl3_f2(group_of):
     E = group_of("classical", "A", 2, 2)
     tm = ThetaMap(E)
     assert all(tm.round_trip(i) for i in range(E.order))
+
+
+def test_theta_through_parents_is_the_word_product_sl3_f2(group_of):
+    E = group_of("classical", "A", 2, 2)
+    tm = ThetaMap(E)
+    for i in np.random.default_rng(1).permutation(E.order):  # parents met before and after
+        got = tm.theta(int(i))
+        assert not got.flags.writeable
+        assert np.array_equal(got, theta_by_words(tm, int(i)))
 
 
 def test_theta_round_trip_sample_sl3_f3(group_of):

@@ -15,7 +15,7 @@ from chevalley.chevgroup import classical_rep, enumerate_group
 from chevalley.gfmat import BudgetExceeded, MatSet, span_elements
 from chevalley.rings import GF, ProductRing, Zmod
 
-from oracles import SeenKeys, bfs_closure, sorted_matrices
+from oracles import SeenKeys, bfs_closure, nullspace_loop, sorted_matrices
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chevalley"
 
@@ -183,6 +183,22 @@ def test_first_unique_is_np_unique(kind, n):
     assert np.array_equal(first, want_first)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_nullspace_is_the_entrywise_loop(q):
+    # wide, tall, zero and full-rank systems, some of rank below both sides
+    ring = GF(q)
+    rng = np.random.default_rng(q)
+    shapes = [(1, 1), (3, 7), (7, 3), (5, 5), (4, 12), (12, 30), (30, 12)]
+    for rows, cols in shapes:
+        for rank in (0, 1, min(rows, cols) // 2, min(rows, cols)):
+            A = gfmat.mat_mul(ring, rng.integers(q, size=(rows, rank)).astype(ring.dtype),
+                              rng.integers(q, size=(rank, cols)).astype(ring.dtype)) \
+                if rank else np.full((rows, cols), ring.zero, dtype=ring.dtype)
+            got = gfmat.nullspace(ring, A)
+            assert got.dtype == ring.dtype and np.array_equal(got, nullspace_loop(ring, A))
+            assert (gfmat.mat_mul(ring, A, got.T) == ring.zero).all()
+
+
 def test_nullspace_over_a_ring_that_is_not_a_field_raises():
     ring = Zmod(6)
     with pytest.raises(ValueError, match="needs a field"):
@@ -313,6 +329,24 @@ def test_mat_inv_inverts_exactly_the_nonsingular(q, d):
         assert (gfmat.mat_mul(ring, B, A) == ident).all()
         invertible += 1
     assert invertible >= 20
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 9], ids=["F2", "F4", "F5", "F9"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_mat_inv_of_a_stack_is_the_inverse_of_each(q, d):
+    ring = GF(q)
+    rng = np.random.default_rng(q * 10 + d)
+    mats = rng.integers(q, size=(60, d, d)).astype(ring.dtype)
+    ok = gfmat.mat_det(ring, mats) != ring.zero
+    stack = mats[ok][:12].reshape(3, 4, d, d)
+    got = gfmat.mat_inv(ring, stack)
+    assert got.shape == stack.shape and got.dtype == ring.dtype
+    for i in np.ndindex(3, 4):
+        assert np.array_equal(got[i], gfmat.mat_inv(ring, stack[i]))
+    singular = stack.copy()
+    singular[2, 1] = mats[~ok][0] if (~ok).any() else ring.zero
+    with pytest.raises(ZeroDivisionError):
+        gfmat.mat_inv(ring, singular)
 
 
 def test_no_matrix_keys_outside_gfmat():
