@@ -21,8 +21,8 @@ group's element numbers, which is also the check that the cells are the
 closure of the root elements; centralizers as the
 elements of a stack inside the linear commutant of the conditions, found
 in a group by looking the commutant's span up when it is small; the
-bound U_{a_1}...U_{a_k}Z as an explicit set; and the Bruhat factorization
-check.
+bound U_{a_1}...U_{a_k}Z as an explicit set, and the one test for the
+exceptional symplectic short-root case; and the Bruhat factorization check.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from math import factorial
 import numpy as np
 
 from . import gfmat
-from .rings import FiniteRing
+from .rings import FiniteRing, hypothesis_profile
 from .rootsys import RootSystem, build_root_system, structure_constants
 
 
@@ -58,7 +58,6 @@ class MatrixRep:
         self.root_X = root_X
         self.membership_form = membership_form
         self.divpow = {}
-        self.q = 1
         for a, X in root_X.items():
             powers = [np.eye(dim, dtype=np.int64)]
             P = X
@@ -72,7 +71,6 @@ class MatrixRep:
                 P = P @ X
                 i += 1
             self.divpow[a] = powers
-            self.q = max(self.q, len(powers) - 1)
         self._check_brackets()
         self._ring_cache = {}
 
@@ -506,8 +504,8 @@ class EnumeratedGroup:
     def mul_table(self) -> np.ndarray | None:
         """The (order, order) table of element numbers, entry [i, j] the
         number of elements[i] elements[j], in the narrowest of int16 and
-        int32 that holds them; None when it would pass the block rule's
-        BUDGET_BYTES >> 5 bytes.  Built in blocks of rows, each one 2-D
+        int32 that holds them; None when it would not fit one block
+        (`gfmat.fits_block`).  Built in blocks of rows, each one 2-D
         product of the block's elements stacked as rows by all elements
         side by side, numbered through `idx` (so through `canon`);
         RuntimeError when a product is not an element.  The table is the
@@ -515,7 +513,7 @@ class EnumeratedGroup:
         Handbook of Computational Group Theory, 2005)."""
         n, d = self.order, self.elements.shape[-1]
         dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-        if n * n * np.dtype(dtype).itemsize > gfmat.BUDGET_BYTES >> 5:
+        if not gfmat.fits_block((n, n), dtype):
             return None
         table = np.empty((n, n), dtype=dtype)
         right = self.elements.transpose(1, 0, 2).reshape(d, n * d)  # every element side by side
@@ -682,6 +680,14 @@ def root_product_center(rep: MatrixRep, ring: FiniteRing, roots,
     (N, d, d); the center is cross-checked against `group` when supplied."""
     codes = np.arange(ring.size, dtype=ring.dtype)
     return product_set(ring, [rep.x_batch(ring, a, codes) for a in roots] + [center_set(rep, ring, group)])
+
+
+def exceptional_short_root(sys: RootSystem, ring: FiniteRing, alpha: int) -> bool:
+    """The exceptional case of the double centralizer: type C, alpha short
+    and R* = {+-1}, where C(C(x_alpha(1))) is not U_alpha Z, the bound is
+    U U1 U2 Z (dc2), and the definition of U_alpha Z needs two more
+    conditions."""
+    return sys.type_label == "C" and not sys.is_long(alpha) and hypothesis_profile(ring).units_eq_pm1
 
 
 def product_set(ring: FiniteRing, sets) -> np.ndarray:

@@ -452,11 +452,11 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("roots", help="dump a root system")
-    p.add_argument("--type", required=True)
+    p.add_argument("--type", type=str.upper, required=True)
     p.add_argument("--rank", type=int, required=True)
 
     p = sub.add_parser("check-commutators")
-    p.add_argument("--type", required=True)
+    p.add_argument("--type", type=str.upper, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--field", type=int, required=True)
 
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
     p.add_argument("--root", choices=("long", "short"), default="long")
 
     p = sub.add_parser("check-witness")
-    p.add_argument("--type", required=True)
+    p.add_argument("--type", type=str.upper, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--set", dest="which", default="auto")

@@ -7,13 +7,15 @@ concrete syntax, plus an exhaustive evaluator over enumerated groups.  The
 evaluator works in rows: each row is one assignment, each variable one
 binding per row.  The bindings are element numbers when the group has a
 multiplication table (`EnumeratedGroup.mul_table`, for groups whose |G|^2
-entries fit the block rule, such as SL2(F11) and SL3(F2)): a product is a
+entries fit one block, such as SL2(F11) and SL3(F2)): a product is a
 gather from the table, an inverse a gather from the inverse map.  Otherwise
 they are matrices, multiplied by the group's product `EnumeratedGroup.mul`
 (SL3(F4) and larger, and SL2(F7xF11) in each mode).  Parameters must be
 elements of the group.  A quantifier pairs the live rows with a growing
 step of its range and drops each row once decided, and `&`, `|` and `->`
-evaluate their right side only on the rows the left leaves open.
+evaluate their right side only on the rows the left leaves open.  A step
+holds at most `gfmat.block_rows(ring, d, 1)` rows in either representation,
+as a block of every other loop over a group does.
 For the ubiquitous shapes `A h.(guard -> body)` / `E h.(guard & body)`
 whose guard mentions only the quantified variable, it restricts the
 quantifier range to the guard's extension first (for centralizer-style
@@ -47,8 +49,8 @@ from functools import cached_property
 import numpy as np
 
 from . import gfmat
-from .chevgroup import EnumeratedGroup, MatrixRep, root_product_center
-from .rings import FiniteRing, TableRing, hypothesis_profile
+from .chevgroup import EnumeratedGroup, MatrixRep, exceptional_short_root, root_product_center
+from .rings import FiniteRing, TableRing
 from .rootsys import commutator_template
 
 
@@ -340,7 +342,7 @@ class _EvalCtx:
             self.inv_idx = E.inv_idx.astype(self.table.dtype)
             values = numbers
         *self.params, self.one = values
-        self.rows = max(1, 2**22 // (d * d))  # bindings one step may hold
+        self.rows = gfmat.block_rows(E.ring, d, 1)  # bindings one step may hold
         self.guards = {}  # id of a quantifier -> mask over E of its guard, or None (see _eval_quant)
 
     def mul(self, a, b):
@@ -486,12 +488,7 @@ def dc_definition_formula(rep: MatrixRep, ring: FiniteRing, alpha: int):
     conditions in the symplectic short-root small-units case."""
     sys = rep.sys
     u = rep.x(ring, alpha, ring.one)
-    exceptional = (
-        sys.type_label == "C"
-        and not sys.is_long(alpha)
-        and hypothesis_profile(ring).units_eq_pm1
-    )
-    if not exceptional:
+    if not exceptional_short_root(sys, ring, alpha):
         return parse_formula(DC_TEXT), [u]
     beta = _b2_long_partner(sys, alpha)
     apb = sys.sum_root(alpha, beta)

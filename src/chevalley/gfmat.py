@@ -33,8 +33,8 @@ large matrix) reduces mod n as C - C // n * n, which numpy divides with a
 multiply and shift; smaller ones take one ``%=`` pass, cheaper there (the
 two cross between 640 and 1024 uint8 or int16 entries).  Other
 rings (TableRing, products such as F3xF4) and rings whose Kronecker reduce
-table would pass the block rule's BUDGET_BYTES >> 5 bytes go through the
-ring's lookup tables, one gather per inner index; that loop,
+table would not fit one block (`fits_block`) go through the ring's lookup
+tables, one gather per inner index; that loop,
 `_mat_mul_tables`, is also the oracle the lifts are tested against.
 
 `MatSet` is the one way to key, deduplicate and look up matrices.  A key
@@ -42,7 +42,11 @@ reads the entries as the base-|R| digits of one integer, first entry most
 significant, computed by Horner's rule in place, so it reads any strided
 (..., d, d) view without copying it.
 `check_budget` is the one size policy: every step that builds a large array
-asks it first, and `block_rows` the one rule that sizes the blocks of a loop.
+asks it first.  This module alone knows how big a block may be, BUDGET_BYTES
+/ 32 read at call time: `fits_block` decides whether a lookup table (a
+reduce table, a position array, a group's multiplication table) is built,
+and `block_rows` sizes the blocks of every loop, the formula evaluator's
+rows per step among them.
 """
 
 from __future__ import annotations
@@ -64,12 +68,29 @@ class BudgetExceeded(ValueError):
     """A step would build an array larger than BUDGET_BYTES."""
 
 
+def _nbytes(shape, dtype) -> int:
+    return math.prod(int(n) for n in shape) * np.dtype(dtype).itemsize
+
+
 def check_budget(step: str, shape, dtype) -> None:
     """Raise BudgetExceeded, before anything is allocated, when an array of
     this shape and dtype would exceed BUDGET_BYTES."""
-    nbytes = math.prod(int(n) for n in shape) * np.dtype(dtype).itemsize
+    nbytes = _nbytes(shape, dtype)
     if nbytes > BUDGET_BYTES:
         raise BudgetExceeded(f"{step}: {nbytes:,} bytes exceeds the budget of {BUDGET_BYTES:,} bytes")
+
+
+def _per_block(shape, dtype) -> int:
+    """How many arrays of this shape and dtype one block holds.  A block,
+    one lookup table or the largest product of one step of a loop, holds
+    BUDGET_BYTES / 32 bytes, read at call time."""
+    return (BUDGET_BYTES >> 5) // _nbytes(shape, dtype)
+
+
+def fits_block(shape, dtype) -> bool:
+    """Whether an array of this shape and dtype fits one block: the rule
+    for whether a lookup table is built at all."""
+    return _per_block(shape, dtype) > 0
 
 
 class Lift(NamedTuple):
@@ -104,8 +125,8 @@ def _residue_modulus(ring) -> int | None:
 def _kronecker_lift(ring: GF, d: int) -> Lift | None:
     p, f = ring.p, ring.deg
     B = 1 << (d * f * (p - 1) ** 2).bit_length()
-    if B ** (2 * f - 1) * np.dtype(ring.dtype).itemsize > BUDGET_BYTES >> 5:
-        return None  # a reduce table past the block rule: the table loop
+    if not fits_block((B ** (2 * f - 1),), ring.dtype):
+        return None  # a reduce table past one block: the table loop
     codes = np.arange(ring.size)
     enc = sum((codes // p**i % p) * B**i for i in range(f))
     # dec[v] = sum_k (v_k mod p) X^k for the base-B digits v_k of v, summed in
@@ -191,11 +212,11 @@ def _mat_mul_tables(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarra
 def block_rows(ring: FiniteRing, d: int, per_row: int) -> int:
     """Rows per block of a loop whose rows each make per_row d x d products:
     one block's product, in the dtype `mat_mul` computes a block of products
-    in (float32 for every lift a suite uses), holds at most BUDGET_BYTES / 32
-    bytes (2^21 float32 entries)."""
+    in (float32 for every lift a suite uses), fits one block (2^21 float32
+    entries); at least one row."""
     lift = _lift(ring, d)
     dtype = ring.dtype if lift is None else lift.float_dtype or lift.work_dtype
-    return max(1, (BUDGET_BYTES >> 5) // (per_row * d * d * np.dtype(dtype).itemsize))
+    return max(1, _per_block((per_row, d, d), dtype))
 
 
 def mat_mul_many(ring, mats) -> np.ndarray:
@@ -324,9 +345,9 @@ class MatSet:
     product as a transposed view).  Deduplication is one unstable argsort
     of the keys (`_first_unique`), lookups one ``searchsorted`` of the
     sorted queries over the sorted keys.  A set made from sorted keys
-    (every group's index) whose key space, |R|^(h w) positions, fits the
-    block rule's BUDGET_BYTES >> 5 bytes answers lookups from a position
-    array over that space instead, built on its first lookup: entry k is
+    (every group's index) whose key space, |R|^(h w) positions, fits one
+    block (`fits_block`) answers lookups from a position array over that
+    space instead, built on its first lookup: entry k is
     the number of key k, or -1 off the set.
     The matrices a set is fed come from `mat_mul`, which multiplies blocks
     of products in float32 or float64 BLAS, exactly by the bound in the
@@ -388,12 +409,12 @@ class MatSet:
 
     def _positions(self) -> np.ndarray | None:
         """The position array of a set made from sorted keys whose key space
-        fits the block rule, built on first use; else None."""
+        fits one block, built on first use; else None."""
         if self._num is not None or self._pos is not None:
             return self._pos
         space = self.ring.size ** (self.shape[0] * self.shape[1])
         dtype = np.int16 if len(self._keys) <= np.iinfo(np.int16).max else np.int32
-        if space * np.dtype(dtype).itemsize <= BUDGET_BYTES >> 5:  # within it, keys are u32
+        if fits_block((space,), dtype):  # then keys are u32
             self._pos = np.full(space, -1, dtype=dtype)
             self._pos[self._keys] = np.arange(len(self._keys), dtype=dtype)
         return self._pos

@@ -366,24 +366,14 @@ class TableRing(FiniteRing):
 
 @dataclass(frozen=True)
 class HypothesisProfile:
-    ring: str
     is_domain: bool
-    char: int
-    units_count: int
-    units_condition: bool  # at least two units
     units_eq_pm1: bool  # R* = {1, -1}
 
 
 def hypothesis_profile(ring: FiniteRing) -> HypothesisProfile:
-    us = set(ring.units())
-    pm1 = {ring.one, ring.neg(ring.one)}
     return HypothesisProfile(
-        ring=ring.name,
         is_domain=ring.is_domain,
-        char=ring.char,
-        units_count=len(us),
-        units_condition=len(us) >= 2,
-        units_eq_pm1=us == pm1,
+        units_eq_pm1=set(ring.units()) == {ring.one, ring.neg(ring.one)},
     )
 
 

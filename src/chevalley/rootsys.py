@@ -15,6 +15,8 @@ from functools import lru_cache, cached_property
 
 import numpy as np
 
+from . import gfmat
+
 
 def _cartan_data(type_label: str, rank: int):
     """Cartan matrix A[i][j] = 2(a_i,a_j)/(a_i,a_i) and the half-lengths
@@ -65,12 +67,16 @@ def _cartan_data(type_label: str, rank: int):
 
 class RootSystem:
     def __init__(self, type_label: str, rank: int):
+        """The roots by reflection closure, and the (|Phi|, |Phi|) Gram and
+        Cartan arrays, which pass `check_budget` before the closure runs."""
         type_label = type_label.upper()
         A, B, d = _cartan_data(type_label, rank)
+        n = rank
+        count = {"A": n * (n + 1), "B": 2 * n * n, "C": 2 * n * n, "D": 2 * n * (n - 1),
+                 "E": {6: 72, 7: 126, 8: 240}.get(n), "F": 48, "G": 12}[type_label]
+        gfmat.check_budget(f"root system {type_label}{rank}", (count, count), np.int64)
         self.type_label = type_label
         self.rank = rank
-        self.fund_cartan = A
-        self._B = B
         self.d = d
 
         # reflection closure from the fundamental roots
@@ -92,8 +98,8 @@ class RootSystem:
             (v for v in seen if all(c >= 0 for c in v)),
             key=lambda v: (sum(v), v),
         )
-        if 2 * len(pos) != len(seen):
-            raise RuntimeError("positive roots must be half of all roots")
+        if 2 * len(pos) != len(seen) or len(seen) != count:
+            raise RuntimeError(f"{len(seen)} roots, {len(pos)} of them positive, where {count} are expected")
         self.roots = pos + [tuple(-c for c in v) for v in pos]
         self.n_pos = len(pos)
         self.index = {v: i for i, v in enumerate(self.roots)}

@@ -32,6 +32,7 @@ from .chevgroup import (
     classical_rep,
     commutant_group_points,
     commutant_indices,
+    exceptional_short_root,
     linear_commutant,
     product_set,
     root_product_center,
@@ -157,9 +158,7 @@ def matrix_witness_check(rep: MatrixRep, ring: FiniteRing, word, alpha: int, bet
 @dataclass
 class WitnessSet:
     target_root: int
-    kind: str
     elements: list  # matrices over the ring
-    provenance: list[str]
     expected: str  # UZ | pmU | UU1U2Z
     extra_roots: tuple = ()  # the long adjacent roots for the UU1U2Z bound
 
@@ -194,7 +193,7 @@ def f4_witness_set(ring: FiniteRing) -> WitnessSet:
         for r2 in [a1, *bs]:
             if r1 != r2 and sys.sum_root(r1, r2) is not None:
                 raise RuntimeError(f"roots {r1} and {r2} sum to a root")
-    elements, prov = [], []
+    elements = []
     for beta in range(sys.n_pos):
         if beta == a1 or beta in bs:
             continue
@@ -202,11 +201,9 @@ def f4_witness_set(ring: FiniteRing) -> WitnessSet:
         if word is None:
             raise RuntimeError(f"missing torus witness for beta index {beta} over {ring.name}")
         elements.append(witness_word_matrix(rep, ring, word))
-        prov.append(f"torus-witness beta={beta}")
     for b in bs:
         elements.append(rep.x(ring, sys.neg(b), ring.one))
-        prov.append(f"opposite-root element -b, b={b}")
-    return WitnessSet(a1, "f4_extended", elements, prov, "UZ")
+    return WitnessSet(a1, elements, "UZ")
 
 
 def _e(d, i, j):
@@ -245,7 +242,6 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
     pos = rep.signed_pos(type_label, m)
 
     ints: list[np.ndarray] = []
-    prov: list[str] = []
     ident = np.eye(d, dtype=np.int64)
     signed = [i for i in range(1, m + 1)] + [-i for i in range(1, m + 1)]
 
@@ -255,7 +251,6 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
             for q in range(n):
                 if p != 1 and q != 0 and p != q:
                     ints.append(ident + _e(d, p, q))
-                    prov.append(f"1+e[{p + 1},{q + 1}]")
         target = _root_index_for_nilpotent(rep, _e(d, 0, 1))
         expected = "UZ"
         extra = ()
@@ -267,7 +262,6 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
         for i in signed:
             if i not in excluded:
                 ints.append(ident + _e(d, pos(i), pos(-i)))
-                prov.append(f"1+e[{i},{-i}]")
         if which == "X1":
             js = [j for j in range(2, m + 1)]
             target = _root_index_for_nilpotent(rep, _e(d, pos(1), pos(-1)))
@@ -276,7 +270,6 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
             target = _root_index_for_nilpotent(rep, _alpha_ij(d, pos, 1, 2, True))
         for j in js:
             ints.append(ident + _alpha_ij(d, pos, 1, j, True))
-            prov.append(f"1+alpha[1,{j}]")
         if which == "X2":
             # the centralizer always contains U.U_1.U_{-2} (those three
             # subgroups commute elementwise with X2 over any ring), so the
@@ -293,16 +286,13 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
     elif which == "X3":
         for i, j in _slist(m):
             ints.append(ident + _alpha_ij(d, pos, i, j, False))
-            prov.append(f"1+alpha[{i},{j}]")
         target = _root_index_for_nilpotent(rep, _alpha_ij(d, pos, 1, 2, False))
         expected = "pmU"  # the sharp form: C_{O_2m}(X3) inside +-U_12
         extra = ()
     elif which == "X4":
         for i, j in _slist(m):
             ints.append(ident + _alpha_ij(d, pos, i, j, False))
-            prov.append(f"1+alpha[{i},{j}]")
         ints.append(_u_short(d, pos, 1))
-        prov.append("u_1(1)")
         target = _root_index_for_nilpotent(rep, _alpha_ij(d, pos, 1, 2, False))
         expected = "pmU"
         extra = ()
@@ -313,15 +303,13 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
             for j in signed:
                 if abs(i) < abs(j) and i != -1 and j != 1:
                     ints.append(ident + _alpha_ij(d, pos, i, j, False))
-                    prov.append(f"u[{i},{j}](1)")
         ints.append(_u_short(d, pos, 1))
-        prov.append("u_1(1)")
         target = _root_index_for_nilpotent(rep, 2 * _e(d, pos(1), 0) - _e(d, 0, pos(-1)))
         expected = "pmU"
         extra = ()
 
     mats = [gfmat.from_int_matrix(ring, M) for M in ints]
-    return WitnessSet(target, f"classical-{which}", mats, prov, expected, extra)
+    return WitnessSet(target, mats, expected, extra)
 
 
 def _slist(m: int):
@@ -354,11 +342,8 @@ def verify_containment(rep: MatrixRep, ring: FiniteRing, ws: WitnessSet) -> dict
     exp = root_product_center(rep, ring, (ws.target_root, *ws.extra_roots))
     contained = gfmat.MatSet(ring, exp).contains(points).all()
     return {
-        "witness_commutes_with_U": commutes,
         "commutant_dim": int(len(basis)),
         "group_points": int(len(points)),
-        "expected_size": int(len(exp)),
-        "contained": bool(contained),
         "ok": bool(commutes and contained),
     }
 
@@ -369,8 +354,6 @@ def verify_containment(rep: MatrixRep, ring: FiniteRing, ws: WitnessSet) -> dict
 
 @dataclass
 class DCReport:
-    group: str
-    root: int
     sizes: dict
     exceptional: bool
     dc1_holds: bool
@@ -397,11 +380,7 @@ def verify_dc(E: EnumeratedGroup, alpha: int, r=None) -> DCReport:
     in_C[C] = True
     ZC = CC[in_C[CC]]
     UZ = root_product_center(rep, ring, (alpha,), group=E)
-    exceptional = (
-        sys.type_label == "C"
-        and not sys.is_long(alpha)
-        and hypothesis_profile(ring).units_eq_pm1
-    )
+    exceptional = exceptional_short_root(sys, ring, alpha)
     dc1 = (np.array_equal(CC, ZC) and len(CC) == len(UZ)
            and bool(gfmat.MatSet(ring, UZ).contains(E.elements[CC]).all()))
     dc2 = None
@@ -417,8 +396,6 @@ def verify_dc(E: EnumeratedGroup, alpha: int, r=None) -> DCReport:
     }
     verdict = dc2 if exceptional else dc1
     return DCReport(
-        group=f"{rep.form}-{sys.type_label}{sys.rank}({ring.name})",
-        root=alpha,
         sizes=sizes,
         exceptional=exceptional,
         dc1_holds=dc1,
@@ -457,17 +434,6 @@ def sp4_phi_set(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
     return gfmat.MatSet.unique(ring, np.stack(out))
 
 
-def sp4_xi_matrix(rep: MatrixRep, ring: FiniteRing) -> np.ndarray:
-    """xi = (e_{1,-2} - e_{2,-1}) - (e_{-1,2} - e_{-2,1}) + sum_{|i|>2} e_{ii}."""
-    m = rep.sys.rank
-    d = rep.dim
-    pos = rep.signed_pos(rep.sys.type_label, m)
-    M = _e(d, pos(1), pos(-2)) - _e(d, pos(2), pos(-1)) - _e(d, pos(-1), pos(2)) + _e(d, pos(-2), pos(1))
-    for i in range(3, m + 1):
-        M += _e(d, pos(i), pos(i)) + _e(d, pos(-i), pos(-i))
-    return gfmat.from_int_matrix(ring, M)
-
-
 def verify_dc_exceptional_sp4(ring: FiniteRing) -> dict:
     """Z(C(v)) for the short root element v in Sp4(R): equals
     +-U.phi(R) when R* = {+-1} and char != 2, and +-U when R* != {+-1}.
@@ -489,18 +455,7 @@ def verify_dc_exceptional_sp4(ring: FiniteRing) -> dict:
     prof = hypothesis_profile(ring)
     in_pmU = gfmat.MatSet(ring, pmU).contains(ZC).all()
     in_pmUphi = gfmat.MatSet(ring, pmUphi).contains(ZC).all()
-    xi = sp4_xi_matrix(rep, ring)
-    xi_centralizes = bool(
-        (gfmat.mat_mul(ring, xi, v) == gfmat.mat_mul(ring, v, xi)).all()
-    ) and bool(rep.membership_mask(ring, xi[None])[0])
-    out = {
-        "ring": ring.name,
-        "ZC_size": int(len(ZC)),
-        "pmU_size": int(len(pmU)),
-        "pmUphi_size": int(len(pmUphi)),
-        "xi_in_C_v": xi_centralizes,
-        "eq1_upper_bound": bool(in_pmUphi),
-    }
+    out = {"ZC_size": int(len(ZC))}
     # ZC, pmU and pmUphi hold distinct matrices, so equal sizes and
     # containment mean equal sets
     if prof.units_eq_pm1 and ring.char != 2:

@@ -9,8 +9,8 @@ from chevalley import chevgroup, gfmat
 from chevalley.adelic import SL2Group
 from chevalley.chevgroup import (
     adjoint_rep, center_set, centralizer_indices, classical_rep, commutant_group_points,
-    enumerate_group, linear_commutant, root_element_generators, torus_set, verify_bruhat,
-    weyl_elements,
+    enumerate_group, exceptional_short_root, linear_commutant, root_element_generators, torus_set,
+    verify_bruhat, weyl_elements,
 )
 from chevalley.rings import GF, ProductRing, Zmod
 from chevalley.rootsys import commutator_template, structure_constants
@@ -680,3 +680,11 @@ def test_multiplication_table_refuses_a_set_not_closed_under_products():
     assert small.order == 3
     with pytest.raises(RuntimeError, match="not an element"):
         small.mul_table
+
+
+def test_exceptional_short_root_is_type_c_short_with_units_pm1():
+    sp4, sl3 = classical_rep("C", 2).sys, classical_rep("A", 2).sys
+    short, long = (next(a for a in range(len(sp4.roots)) if sp4.is_long(a) == lg) for lg in (False, True))
+    assert [exceptional_short_root(sp4, GF(q), short) for q in (2, 3, 4, 5)] == [True, True, False, False]
+    assert not any(exceptional_short_root(sp4, GF(q), long) for q in (2, 3, 4, 5))
+    assert not any(exceptional_short_root(sl3, GF(q), 0) for q in (2, 3))

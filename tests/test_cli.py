@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,31 @@ def test_check_dc_command(capsys):
                  "--group", "SL3", "--field", "2"]) == 0
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     assert check["status"] == "pass" and check["data"]["order"] == 168
+
+
+def test_roots_past_the_budget_are_refused_at_once(capsys):
+    # A80 has 6 480 roots: each (N, N) int64 array would take 336 MB
+    t0 = time.perf_counter()
+    assert main(["roots", "--type", "A", "--rank", "80"]) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("chevalley: error: root system A80: ") and "exceeds the budget" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--type", "g", "--rank", "2"],
+    ["check-commutators", "--type", "g", "--rank", "2", "--field", "2"],  # the adjoint branch
+    ["check-commutators", "--type", "a", "--rank", "2", "--field", "2"],
+    ["check-witness", "--type", "a", "--rank", "2", "--field", "3"],  # --set auto
+], ids=["roots", "check-commutators-G", "check-commutators-A", "check-witness"])
+def test_type_reads_alike_in_either_case(capsys, argv):
+    outs = []
+    for a in (argv, [a.upper() if a.islower() and len(a) == 1 else a for a in argv]):
+        assert main(["--format", "json"] + a) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_check_witness_command(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chevalley import definability, gfmat
-from chevalley.chevgroup import centralizer_indices, classical_rep
+from chevalley.chevgroup import centralizer_indices, classical_rep, enumerate_group
 from chevalley.definability import (
     DC_TEXT, And, Eq, Exists, Forall, Implies, Inv, Mul, Not, One, Or, Param, ParseError,
     RingInGroup, ThetaMap, Var, check_ring_axioms, define_set, evaluate_sentence, free_vars,
@@ -284,6 +284,36 @@ def test_evaluator_against_naive_oracle(group_of, sl2_f3, group, quants, rows, d
         value = evaluate_sentence(S, E, params)
     assert [i in got for i in xs] == [naive.holds(F, {**env, "x": naive.elems[i]}) for i in xs]
     assert value == naive.holds(S, env)
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["numbers", "matrices"])
+def test_evaluator_rows_follow_the_block_rule(table, monkeypatch):
+    """Under a small budget the evaluator's rows per step are gfmat's block
+    rows, fewer than |G|, on element numbers and on matrices alike; no
+    formula is evaluated on more rows at once, and define_set and
+    evaluate_sentence give the answers of the default budget."""
+    rep, ring = classical_rep("A", 2), GF(2)
+    E = enumerate_group(rep, ring)  # its own group: the shared one keeps its table
+    params = [rep.x(ring, 0, ring.one)]
+    F = parse_formula(DC_TEXT)
+    S = parse_formula("E g. ((g*g=1 & !g=1) & A h. (h*@1=@1*h -> g*h=h*g))")
+    want = define_set(F, E, params).tolist(), evaluate_sentence(S, E, params)
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 1 << 16)
+    if not table:
+        E = enumerate_group(rep, ring)  # built under the small budget: no table fits
+    ctx = definability._EvalCtx(E, [])
+    assert (ctx.table is not None) == table
+    assert ctx.rows == gfmat.block_rows(ring, 3, 1) < E.order
+    sizes = []
+    evaluate = definability._eval
+
+    def recording(f, env, n, ctx):
+        sizes.append(n)
+        return evaluate(f, env, n, ctx)
+
+    monkeypatch.setattr(definability, "_eval", recording)
+    assert (define_set(F, E, params).tolist(), evaluate_sentence(S, E, params)) == want
+    assert max(sizes) == ctx.rows
 
 
 def test_dc_formula_double_oracle(group_of):

@@ -1,13 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from chevalley import gfmat
+from chevalley.gfmat import BudgetExceeded
 from chevalley.rootsys import (
-    build_root_system, commutator_template, dump_roots, structure_constants,
+    RootSystem, build_root_system, commutator_template, dump_roots, structure_constants,
 )
 
 POS_COUNTS = {
     ("A", 2): 3, ("B", 2): 4, ("C", 2): 4, ("A", 3): 6, ("C", 3): 9,
     ("B", 3): 9, ("G", 2): 6, ("D", 4): 12, ("F", 4): 24, ("E", 6): 36,
+    ("A", 5): 15, ("B", 4): 16, ("C", 4): 16, ("D", 5): 20, ("E", 7): 63,
 }
 
 
@@ -79,6 +82,17 @@ def test_dump_roots_shape():
     for i, line in enumerate(lines):
         coeffs = tuple(int(c) for c in line.split()[-sys.rank:])
         assert coeffs == sys.roots[i]
+
+
+def test_root_system_past_the_budget_is_refused(monkeypatch):
+    # E8's (240, 240) int64 arrays take 460 800 bytes; built uncached, since
+    # build_root_system keeps every system it has built
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 240 * 240 * 8 - 1)
+    assert len(RootSystem("E", 7).roots) == 126
+    with pytest.raises(BudgetExceeded, match="root system E8"):
+        RootSystem("E", 8)
+    monkeypatch.setattr(gfmat, "BUDGET_BYTES", 240 * 240 * 8)
+    assert len(RootSystem("E", 8).roots) == 240
 
 
 def test_bad_type_rejected():

@@ -109,6 +109,17 @@ MUTANTS = [
      "cpow[:, i] = codes",
      [T_CHEV + "test_root_subgroup_is_the_power_sums"],
      "root elements with c in place of each power c^i"),
+    # one block rule
+    ("B1", "rootsys.py",
+     '        gfmat.check_budget(f"root system {type_label}{rank}", (count, count), np.int64)\n',
+     "",
+     ["tests/test_rootsys.py::test_root_system_past_the_budget_is_refused"],
+     "a root system built past the budget"),
+    ("B2", "definability.py",
+     "self.rows = gfmat.block_rows(E.ring, d, 1)",
+     "self.rows = max(1, 2**22 // (d * d))",
+     [T_DEF + "test_evaluator_rows_follow_the_block_rule"],
+     "the evaluator's rows per step a constant, blind to the budget"),
 ]
 
 
