@@ -14,6 +14,16 @@ set comparisons are exact; each is picked where the componentwise grid of
 SL2(A), which holds every matrix once, meets its coset.
 First-order definitions are double-checked against the direct constructions
 with the formula evaluator, which applies the group product in every mode.
+Every formula is built over one parameter list (`_params`): @1 = u(1),
+@2 = h(tau), @3 = w and @(4 + c) = u(c), with u(0) written as the identity.
+Each bound variable has a fixed name for its role, so equal guards read
+alike and the evaluator scans each once: x, y conjugate u into a member of
+U and z, r into P's first factor (all four range over H = C(h(tau)));
+a, b, c are the V, H and U parts of Gamma_1; y, z in W range over
+u(A_{0,1}); m<k> is the k-th partial product of A_T's polynomial.  The
+offset set S of U's definition is {0}: `_field_factors` refuses
+characteristic 2, 3 and 5, and over every other field each element is
+xi^2 - eta^2 with xi, eta units.
 
 The ring A is read off the group as U = u(A): + is the group product and x
 is the group word P.  Each group evaluates both once, on all pairs of U at
@@ -289,12 +299,9 @@ def define_U(G: SL2Group, S=(0,)) -> dict:
     uy = gfmat.mat_mul_many(ring, [Hinv, G.inv(u1)[None], H])   # u^-y per y
     prods = gfmat.mat_mul(ring, ux[:, None, None], uy[None, :, None])
     got = np.unique(G.idx(gfmat.mat_mul(ring, prods, G.u(np.array(S, dtype=np.int64)))))
-    U = G.idx(_u_stack(G))
-    missing = np.nonzero(~np.isin(U, got))[0].tolist()
-    if np.setdiff1d(got, U).size:
+    if np.setdiff1d(got, G.idx(_u_stack(G))).size:
         raise RuntimeError("define_U produced elements outside u(A)")
-    return {"elements": G.elements[got], "size": len(got), "expected": ring.size,
-            "complete": not missing, "missing": missing}
+    return {"size": len(got), "expected": ring.size, "complete": len(got) == ring.size}
 
 
 def _p_word(G: SL2Group, S) -> np.ndarray:
@@ -343,10 +350,8 @@ def define_AT(G: SL2Group, T) -> dict:
     diffs = [ring.add_t[c, ring.neg_t[ring.from_int(t)]] for t in T]  # c - t per code
     poly = functools.reduce(lambda acc, d: ring.mul_t[acc, d], diffs)
     grp = functools.reduce(lambda acc, d: G.p_table()[acc, d], diffs)
-    poly_ok = np.array_equal(direct, np.nonzero(poly == ring.zero)[0])
-    grp_ok = np.array_equal(direct, np.nonzero(grp == ring.zero)[0])
-    return {"codes": direct.tolist(), "elements": G.u(direct), "ok": poly_ok and grp_ok,
-            "poly_agrees": poly_ok, "group_agrees": grp_ok}
+    ok = all(np.array_equal(direct, np.nonzero(z == ring.zero)[0]) for z in (poly, grp))
+    return {"codes": direct.tolist(), "ok": ok}
 
 
 def define_W(G: SL2Group) -> dict:
@@ -361,9 +366,8 @@ def define_W(G: SL2Group) -> dict:
     x2 = G.mul(x, x)
     found = x[(G.mul(x2, x2) == G.canon(gfmat.identity(ring, 2))).all(axis=(-1, -2))]
     ok = np.array_equal(direct_idx, np.unique(G.idx(found)))
-    expected = 2 ** len(_field_factors(ring))
     return {"elements": direct, "size": len(direct),
-            "expected": expected, "ok": ok and len(direct) == expected}
+            "ok": ok and len(direct) == 2 ** len(_field_factors(ring))}
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +426,7 @@ def gamma1_report(G: SL2Group) -> dict:
     prods = gfmat.mat_mul(ring, gfmat.mat_mul(ring, v_set(G)[:, None], h_set(G)[None]),
                           G.canon(u_set(G))[:, None, None])
     vhu_units = bool(units[prods.reshape(-1, 2, 2)[:, 0, 0]].all())
-    ok = recon and vhu_units
-    return {"size": int(mask.sum()), "reconstructs": recon,
-            "vhu_in_gamma1": vhu_units, "ok": ok}
+    return {"size": int(mask.sum()), "reconstructs": recon, "ok": recon and vhu_units}
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +498,7 @@ def theta_report(G: SL2Group, sample: int = 500, pairs: int = 200, seed: int = 0
     lhs = theta_decode(G, gfmat.mat_mul(G.u_ring, theta_sl2(G, gi), theta_sl2(G, gj)))
     rhs = theta_decode(G, theta_sl2(G, G.mul(gi, gj)))
     mult = bool((lhs == rhs).all())
-    return {"mode": G.mode, "round_trip": rt, "checked": len(idxs),
-            "multiplicative": mult, "pairs": pairs, "ok": rt and mult}
+    return {"round_trip": rt, "checked": len(idxs), "multiplicative": mult, "ok": rt and mult}
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +538,7 @@ def k_alpha_product(G: SL2Group) -> dict:
     for lab in labs * 4:
         mask = np.isin(lab, lab[mask])
         sizes.append(int(mask.sum()))
-    return {"stage_sizes": sizes, "order": G.order, "covered": sizes[-1] == G.order,
+    return {"stage_sizes": sizes, "covered": sizes[-1] == G.order,
             "w_reached": bool(mask[G.idx(G.w)]), "h_reached": bool(mask[G.idx(G.h(make_tau(G.ring)))])}
 
 
@@ -560,30 +561,20 @@ def higher_rank_width(E: EnumeratedGroup) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# first-order definitions, double-checked against the direct constructions
-# by the formula evaluator, which applies the group product of any mode.
+# first-order definitions over `_params`, double-checked against the direct
+# constructions by the formula evaluator, which applies the group product of
+# any mode.
 
 
-class _ParamBag:
-    def __init__(self):
-        self.mats = []
-
-    def add(self, m: np.ndarray) -> Param:
-        """The parameter holding m, numbered from 1 in order of first use."""
-        for k, seen in enumerate(self.mats, start=1):
-            if np.array_equal(seen, m):
-                return Param(k)
-        self.mats.append(np.asarray(m))
-        return Param(len(self.mats))
+def _params(G: SL2Group) -> np.ndarray:
+    """The parameters of every formula below, as one stack: @1 = u(1),
+    @2 = h(tau), @3 = w and @(4 + c) = u(c) for each code c."""
+    return np.concatenate([np.stack([G.u(G.ring.one), G.h(make_tau(G.ring)), G.w]), _u_stack(G)])
 
 
-class _Fresh:
-    def __init__(self):
-        self.n = 0
-
-    def __call__(self) -> str:
-        self.n += 1
-        return f"q{self.n}"
+def _u_of(ring: FiniteRing, c):
+    """The term for u(c): the identity for c = 0, else its parameter."""
+    return One() if c == ring.zero else Param(4 + int(c))
 
 
 def _commutes(t, p):
@@ -594,112 +585,78 @@ def _conj(t, v):
     return Mul(Mul(Inv(v), t), v)
 
 
-def h_formula(G: SL2Group, bag: _ParamBag):
-    hp = bag.add(G.h(make_tau(G.ring)))
-    return _commutes(Var("x1"), hp)
+def _exists_h(name: str, body):
+    """Some element `name` of H = C(h(tau)) with body."""
+    return Exists(name, And(_commutes(Var(name), Param(2)), body))
 
 
-def _u_member(target, G: SL2Group, bag: _ParamBag, S, fresh: _Fresh):
-    """target = u^x u^{-y} u(s) for some x, y in H and s in S."""
-    up = bag.add(G.u(G.ring.one))
-    hp = bag.add(G.h(make_tau(G.ring)))
-    xv, yv = Var(fresh()), Var(fresh())
-    disj = None
-    for s in S:
-        tail = Mul(_conj(up, xv), _conj(Inv(up), yv))
-        if s != G.ring.zero:
-            tail = Mul(tail, bag.add(G.u(s)))
-        eq = Eq(target, tail)
-        disj = eq if disj is None else Or(disj, eq)
-    inner = Exists(yv.name, And(_commutes(yv, hp), disj))
-    return Exists(xv.name, And(_commutes(xv, hp), inner))
+def h_formula():
+    return _commutes(Var("x1"), Param(2))
 
 
-def u_formula(G: SL2Group, bag: _ParamBag, S, fresh: _Fresh):
-    return _u_member(Var("x1"), G, bag, S, fresh)
+def _u_member(target):
+    """target = u^x u^{-y} for some x, y in H."""
+    u, x, y = Param(1), Var("x"), Var("y")
+    return _exists_h("x", _exists_h("y", Eq(target, Mul(_conj(u, x), _conj(Inv(u), y)))))
 
 
-def p_formula(y1, y2, y3, G: SL2Group, bag: _ParamBag, S, fresh: _Fresh):
-    """The multiplication formula: y3 = y1 * y2 on U."""
-    ring = G.ring
-    up = bag.add(G.u(ring.one))
-    hp = bag.add(G.h(make_tau(ring)))
-    zv, rv, xv, yv = (Var(fresh()) for _ in range(4))
+def u_formula():
+    return _u_member(Var("x1"))
 
-    def u_of(c):
-        return One() if c == ring.zero else bag.add(G.u(c))
 
-    disj = None
-    for s in S:
-        for t in S:
-            eq1 = Eq(y1, Mul(Mul(_conj(up, zv), _conj(Inv(up), rv)), u_of(t)))
-            eq2 = Eq(y2, Mul(Mul(_conj(up, xv), _conj(Inv(up), yv)), u_of(s)))
-            rhs = Mul(_conj(y1, xv), _conj(Inv(y1), yv))
-            rhs = Mul(Mul(rhs, _conj(u_of(s), zv)), _conj(Inv(u_of(s)), rv))
-            rhs = Mul(rhs, u_of(ring.mul(s, t)))
-            clause = And(eq1, And(eq2, Eq(y3, rhs)))
-            disj = clause if disj is None else Or(disj, clause)
-    body = disj
-    for v in (yv, xv, rv, zv):
-        body = Exists(v.name, And(_commutes(v, hp), body))
+def p_formula(y1, y2, y3):
+    """The multiplication formula y3 = y1 * y2 on U: y1 = u^z u^{-r},
+    y2 = u^x u^{-y} and y3 = y1^x y1^{-y} for some z, r, x, y in H."""
+    u = Param(1)
+    z, r, x, y = (Var(n) for n in "zrxy")
+    body = And(Eq(y1, Mul(_conj(u, z), _conj(Inv(u), r))),
+               And(Eq(y2, Mul(_conj(u, x), _conj(Inv(u), y))), Eq(y3, Mul(_conj(y1, x), _conj(Inv(y1), y)))))
+    for v in "yxrz":
+        body = _exists_h(v, body)
     return body
 
 
-def at_formula(G: SL2Group, T, bag: _ParamBag, S, fresh: _Fresh):
-    """x1 in u(A_T): x1 in U and f applied inside U vanishes."""
-    ring = G.ring
+def at_formula(ring: FiniteRing, T):
+    """x1 in u(A_T): x1 in U and f applied inside U vanishes, its k-th
+    partial product named m<k>."""
     x1 = Var("x1")
 
-    def factor_term(t):
+    def factor_term(t):  # x1 - t, as the group product x1 u(-t)
         c = ring.neg(ring.from_int(t))
-        return x1 if c == ring.zero else Mul(x1, bag.add(G.u(c)))
+        return x1 if c == ring.zero else Mul(x1, _u_of(ring, c))
 
     T = list(T)
-    member = _u_member(x1, G, bag, S, fresh)
+    member = _u_member(x1)
     if len(T) == 1:
         return And(member, Eq(factor_term(T[0]), One()))
 
-    def chain(acc, rest):
+    def chain(acc, rest, k):
         if len(rest) == 1:
-            return p_formula(acc, factor_term(rest[0]), One(), G, bag, S, fresh)
-        m = Var(fresh())
-        inner = chain(m, rest[1:])
-        return Exists(m.name, And(p_formula(acc, factor_term(rest[0]), m, G, bag, S, fresh), inner))
+            return p_formula(acc, factor_term(rest[0]), One())
+        m = Var(f"m{k}")
+        return Exists(m.name, And(p_formula(acc, factor_term(rest[0]), m), chain(m, rest[1:], k + 1)))
 
-    return And(member, chain(factor_term(T[0]), T[1:]))
+    return And(member, chain(factor_term(T[0]), T[1:], 1))
 
 
-def w_formula(G: SL2Group, bag: _ParamBag, fresh: _Fresh):
+def w_formula(ring: FiniteRing):
     """x1 = y z^w y with y, z in u(A_{0,1}) and x1^4 = 1."""
-    wp = bag.add(G.w)
-    x1 = Var("x1")
-    yv, zv = Var(fresh()), Var(fresh())
+    x1, y, z = Var("x1"), Var("y"), Var("z")
 
     def d_guard(v):
-        out = None
-        for c in at_codes(G.ring, (0, 1)):
-            eq = Eq(v, bag.add(G.u(G.ring.dtype(c))))
-            out = eq if out is None else Or(out, eq)
-        return out
+        return functools.reduce(Or, [Eq(v, _u_of(ring, c)) for c in at_codes(ring, (0, 1))])
 
     x2 = Mul(x1, x1)
-    body = And(Eq(x1, Mul(Mul(yv, _conj(zv, wp)), yv)), Eq(Mul(x2, x2), One()))
-    return Exists(yv.name, And(d_guard(yv),
-                               Exists(zv.name, And(d_guard(zv), body))))
+    body = And(Eq(x1, Mul(Mul(y, _conj(z, Param(3))), y)), Eq(Mul(x2, x2), One()))
+    return Exists("y", And(d_guard(y), Exists("z", And(d_guard(z), body))))
 
 
-def gamma1_formula(G: SL2Group, bag: _ParamBag, S, fresh: _Fresh):
-    """x1 in VHU; V-membership via conjugation by w into U."""
-    wp = bag.add(G.w)
-    hp = bag.add(G.h(make_tau(G.ring)))
-    x1 = Var("x1")
-    av, bv, cv = Var(fresh()), Var(fresh()), Var(fresh())
-    v_guard = _u_member(Mul(Mul(wp, av), Inv(wp)), G, bag, S, fresh)
-    u_guard = _u_member(cv, G, bag, S, fresh)
-    body = Eq(x1, Mul(Mul(av, bv), cv))
-    return Exists(av.name, And(v_guard,
-                  Exists(bv.name, And(_commutes(bv, hp),
-                  Exists(cv.name, And(u_guard, body))))))
+def gamma1_formula():
+    """x1 = a b c in VHU; V-membership via conjugation by w into U."""
+    w, a, b, c = Param(3), Var("a"), Var("b"), Var("c")
+    body = Eq(Var("x1"), Mul(Mul(a, b), c))
+    return Exists("a", And(_u_member(Mul(Mul(w, a), Inv(w))),
+                           _exists_h("b", Exists("c", And(_u_member(c), body)))))
 
 
 def sl2_formula_report(ring: FiniteRing, sets=("H", "U", "AT", "W", "G1")) -> dict:
@@ -707,73 +664,21 @@ def sl2_formula_report(ring: FiniteRing, sets=("H", "U", "AT", "W", "G1")) -> di
     compare with the direct constructions, set by set; U is defined with
     S = {0} and A_T with T = {0, 1}."""
     G = SL2Group(ring, "SL2")
-    S, T = [ring.zero], (0, 1)
-    out = {}
+    T = (0, 1)
     units = ring.unit_mask
-    expected = {  # element indices; define_set returns them ascending
-        "H": lambda: G.idx(h_set(G)),
-        "U": lambda: G.idx(u_set(G)),
-        "AT": lambda: np.unique(G.idx(G.u(at_codes(ring, T)))),
-        "W": lambda: G.idx(define_W(G)["elements"]),
-        "G1": lambda: np.nonzero(units[G.elements[:, 0, 0]])[0],
+    checks = {  # the formula, and the element indices it should define, ascending
+        "H": (h_formula, lambda: G.idx(h_set(G))),
+        "U": (u_formula, lambda: G.idx(u_set(G))),
+        "AT": (lambda: at_formula(ring, T), lambda: np.unique(G.idx(G.u(at_codes(ring, T))))),
+        "W": (lambda: w_formula(ring), lambda: G.idx(define_W(G)["elements"])),
+        "G1": (gamma1_formula, lambda: np.nonzero(units[G.elements[:, 0, 0]])[0]),
     }
+    params = _params(G)
+    out = {}
     for name in sets:
-        bag, fresh = _ParamBag(), _Fresh()
-        if name == "H":
-            F = h_formula(G, bag)
-        elif name == "U":
-            F = u_formula(G, bag, S, fresh)
-        elif name == "AT":
-            F = at_formula(G, T, bag, S, fresh)
-        elif name == "W":
-            F = w_formula(G, bag, fresh)
-        elif name == "G1":
-            F = gamma1_formula(G, bag, S, fresh)
-        else:
+        if name not in checks:
             raise ValueError(f"unknown set {name!r}")
-        got = define_set(F, G, bag.mats)
-        out[name] = {"size": len(got), "match": np.array_equal(got, expected[name]())}
+        formula, expected = checks[name]
+        got = define_set(formula(), G, params)
+        out[name] = {"size": len(got), "match": np.array_equal(got, expected())}
     return out
-
-
-# ---------------------------------------------------------------------------
-# aggregate report
-
-
-def adelic_report(ring: FiniteRing, modes=SL2Group.MODES, seed: int = 0) -> dict:
-    """Everything the check-adelic suite verifies for one ring."""
-    # nested quantifiers priced for a single field; big product groups get
-    # the cheap formulas plus direct-construction checks
-    formula_sets = ("H", "W") if isinstance(ring, ProductRing) else ("H", "U", "AT", "W", "G1")
-    tau = make_tau(ring)
-    report = {"ring": ring.name, "tau": ring.elem_str(tau), "modes": {}}
-    for mode in modes:
-        G = SL2Group(ring, mode)
-        cent = centralizer_H(G, tau)
-        u_bij = len(u_set(G)) == ring.size
-        th = theta_report(G, seed=seed)
-        report["modes"][mode] = {
-            "order": G.order,
-            "H_size": len(cent),
-            "u_bijective": u_bij,
-            "theta": th,
-            "ok": u_bij and th["ok"],
-        }
-    G = SL2Group(ring, "SL2")
-    du = define_U(G)
-    # P realizes ring multiplication: all pairs, the word's table against A's
-    p_ok = np.array_equal(G.p_table(), ring.mul_t)
-    report["define_U"] = {"complete": du["complete"], "missing": du["missing"]}
-    report["P_all_pairs"] = p_ok
-    report["A_T"] = define_AT(G, (0, 1))["ok"]
-    report["W"] = define_W(G)["ok"]
-    report["gamma1"] = gamma1_report(G)["ok"]
-    report["k_alpha"] = k_alpha_product(G)["covered"]
-    report["formulas"] = sl2_formula_report(ring, formula_sets)
-    report["ok"] = all([
-        report["define_U"]["complete"], p_ok, report["A_T"], report["W"],
-        report["gamma1"], report["k_alpha"],
-        all(m["ok"] for m in report["modes"].values()),
-        all(v["match"] for v in report["formulas"].values()),
-    ])
-    return report

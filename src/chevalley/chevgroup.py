@@ -293,7 +293,6 @@ def classical_rep(type_label: str, rank: int) -> MatrixRep:
     """The explicit special linear / symplectic / orthogonal representations,
     with rows and columns labelled 1..m, -1..-m (and a leading 0 for odd
     orthogonal).  Signs are calibrated to the structure-constant table."""
-    type_label = type_label.upper()
     sys = build_root_system(type_label, rank)
     m = rank
     if type_label == "A":

@@ -343,7 +343,7 @@ class _EvalCtx:
             values = numbers
         *self.params, self.one = values
         self.rows = gfmat.block_rows(E.ring, d, 1)  # bindings one step may hold
-        self.guards = {}  # id of a quantifier -> mask over E of its guard, or None (see _eval_quant)
+        self.guards = {}  # (bound variable, guard) -> mask over E, or None (see _eval_quant)
 
     def mul(self, a, b):
         if self.table is None:
@@ -413,14 +413,14 @@ def _eval_quant(f, env: dict, n: int, ctx: _EvalCtx) -> np.ndarray:
     elif not forall and isinstance(body, And):
         guard, rest = body.left, body.right
     if guard is not None:
-        # the mask depends on nothing that varies within one context; keyed
-        # by the node's identity, since a frozen dataclass hashes recursively,
-        # and None where the guard mentions another variable
-        if id(f) not in ctx.guards:
-            ctx.guards[id(f)] = _guard_mask(f.var, guard, ctx) if free_vars(guard) <= {f.var} else None
-        if ctx.guards[id(f)] is not None:
-            domain = domain[ctx.guards[id(f)]]
-            body = rest
+        # the mask depends on nothing that varies within one context, so
+        # equal guards on equal names share it; None where the guard
+        # mentions another variable
+        key = (f.var, guard)
+        if key not in ctx.guards:
+            ctx.guards[key] = _guard_mask(f.var, guard, ctx) if free_vars(guard) <= {f.var} else None
+        if ctx.guards[key] is not None:
+            domain, body = domain[ctx.guards[key]], rest
     # pair the live rows with a domain step that starts at 1 and doubles; a
     # row leaves once decided: a false Forall row, a true Exists row
     out = np.full(n, forall)

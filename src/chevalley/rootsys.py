@@ -69,7 +69,6 @@ class RootSystem:
     def __init__(self, type_label: str, rank: int):
         """The roots by reflection closure, and the (|Phi|, |Phi|) Gram and
         Cartan arrays, which pass `check_budget` before the closure runs."""
-        type_label = type_label.upper()
         A, B, d = _cartan_data(type_label, rank)
         n = rank
         count = {"A": n * (n + 1), "B": 2 * n * n, "C": 2 * n * n, "D": 2 * n * (n - 1),

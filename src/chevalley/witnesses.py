@@ -231,7 +231,6 @@ def classical_witness_set(type_label: str, rank: int, which: str, ring: FiniteRi
     """The explicit witness sets: `which` is one of sl (SL_n, U_12),
     X1 (Sp, long U_1), X2 (Sp, short U_12), X3 (O_2m, U_12),
     X4 (O_2m+1, long U_12), X5 (O_2m+1, short U_1, needs m >= 3)."""
-    type_label = type_label.upper()
     if which not in _WITNESS_SET_TYPE:
         raise ValueError(f"unknown witness set {which}")
     if _WITNESS_SET_TYPE[which] != type_label:
@@ -333,8 +332,8 @@ def verify_containment(rep: MatrixRep, ring: FiniteRing, ws: WitnessSet) -> dict
     """Kernel route: compute the linear commutant of the witness set, check
     that U_alpha lies inside it, enumerate its span, filter by group
     membership and check containment in U_alpha Z, or U U1 U2 Z for the
-    extra roots of the X2 bound.  For the classical forms the center is
-    {+-1}, so the sharp +-U bounds are the UZ bounds."""
+    extra roots of the X2 bound, whose size is `bound`.  For the classical
+    forms the center is {+-1}, so the sharp +-U bounds are the UZ bounds."""
     xa = rep.x_batch(ring, ws.target_root, np.arange(ring.size, dtype=ring.dtype))
     basis = linear_commutant(ring, np.stack(ws.elements))
     commutes = len(commutant_indices(ring, xa, basis)) == len(xa)
@@ -344,6 +343,7 @@ def verify_containment(rep: MatrixRep, ring: FiniteRing, ws: WitnessSet) -> dict
     return {
         "commutant_dim": int(len(basis)),
         "group_points": int(len(points)),
+        "bound": int(len(exp)),
         "ok": bool(commutes and contained),
     }
 
@@ -475,7 +475,8 @@ def verify_witness_centralizer(rep: MatrixRep, ring: FiniteRing, alpha: int) -> 
     s_{alpha,beta} (beta over the other positive roots) together with the
     root elements of every root subgroup contained in C_G(U_alpha).  The
     root elements are needed to force the residual torus part into the
-    center; the torus witnesses alone centralize the whole torus."""
+    center; the torus witnesses alone centralize the whole torus.  Checked
+    as a witness set by `verify_containment`."""
     sys = rep.sys
     sc = rep.sc
     Y = []
@@ -492,12 +493,4 @@ def verify_witness_centralizer(rep: MatrixRep, ring: FiniteRing, alpha: int) -> 
             continue
         if sys.sum_root(alpha, delta) is None and not commutator_template(sc, alpha, delta):
             Y.extend(rep.x_batch(ring, delta, codes[codes != ring.zero]))
-    CY = commutant_group_points(rep, ring, linear_commutant(ring, np.stack(Y)))
-    UZ = root_product_center(rep, ring, (alpha,))
-    contained = gfmat.MatSet(ring, UZ).contains(CY).all()
-    return {
-        "C_Y_size": int(len(CY)),
-        "UZ_size": int(len(UZ)),
-        "contained": bool(contained),
-        "ok": bool(contained),
-    }
+    return verify_containment(rep, ring, WitnessSet(alpha, Y, "UZ"))

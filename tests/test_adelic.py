@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from chevalley import adelic, gfmat
+from chevalley import adelic, definability, gfmat
 from chevalley.adelic import (
-    SL2Group, _coset_labels, adelic_report, centralizer_H, define_AT, define_U, define_W, gamma1_factor,
+    SL2Group, _coset_labels, centralizer_H, define_AT, define_U, define_W, gamma1_factor,
     gamma1_report, h_set, higher_rank_width, k_alpha_product, make_tau,
     mult_formula_P, sl2_formula_report, theta_report, theta_sl2, theta_decode,
     u_set, v_set, w_correction,
 )
 from chevalley.chevgroup import EnumeratedGroup
+from chevalley.cli import suite_adelic
 from chevalley.definability import define_set, parse_formula
 from chevalley.rings import GF, ProductRing, decompose_square_diff
 
@@ -72,7 +73,7 @@ def test_define_U_complete_with_zero(g7):
 
 def test_define_U_incomplete_without_offsets(g7):
     res = define_U(g7, S=())
-    assert not res["complete"] and len(res["missing"]) > 0
+    assert not res["complete"] and res["size"] < res["expected"]
 
 
 def test_mult_formula_P_all_pairs(g7):
@@ -120,6 +121,12 @@ def test_p_table_is_the_word_over_f7xf11(g7x11):
     _assert_p_table_is_the_word(g7x11, (0,))
 
 
+def _f7_check(modes=SL2Group.MODES):
+    """The adelic suite's one check over F7."""
+    (check,) = suite_adelic({"primes": (7,), "modes": modes}, 0)["checks"]
+    return check
+
+
 def test_corrupted_p_table_fails_the_all_pairs_check(monkeypatch):
     def corrupted(G, S):
         P = p_word(G, S)
@@ -128,10 +135,28 @@ def test_corrupted_p_table_fails_the_all_pairs_check(monkeypatch):
         return P
 
     p_word = adelic._p_word
-    assert adelic_report(F7, modes=("SL2",))["P_all_pairs"]
+    assert _f7_check(("SL2",))["data"]["P"]
     monkeypatch.setattr(adelic, "_p_word", corrupted)
-    rpt = adelic_report(F7, modes=("SL2",))
-    assert not rpt["P_all_pairs"] and not rpt["ok"]
+    check = _f7_check(("SL2",))
+    assert not check["data"]["P"] and check["status"] == "fail"
+
+
+def test_suite_fails_when_one_mode_fails_theta(monkeypatch):
+    theta_report = adelic.theta_report
+    monkeypatch.setattr(adelic, "theta_report", lambda G, **kw: {**theta_report(G, **kw), "ok": G.mode != "PSL2"})
+    check = _f7_check()
+    assert check["data"]["theta"] == {"SL2": True, "SL2modZ": True, "PSL2": False}
+    assert check["status"] == "fail"
+
+
+def test_suite_fails_when_u_is_not_bijective_in_one_mode(monkeypatch):
+    # one u(c) listed twice in SL2modZ: every check in the data still holds
+    assert _f7_check()["status"] == "pass"
+    u = adelic.u_set
+    monkeypatch.setattr(adelic, "u_set", lambda G: np.concatenate([u(G), u(G)[:1]]) if G.mode == "SL2modZ" else u(G))
+    check = _f7_check()
+    assert all(all(v.values()) if isinstance(v, dict) else v for v in check["data"].values())
+    assert check["status"] == "fail"
 
 
 def test_u_ring_is_the_ring_on_u(g7x11):
@@ -332,6 +357,22 @@ def test_evaluator_applies_the_group_product_in_every_mode(mode, squares, monkey
     assert len(squares_got) == squares
     assert minus_u_got == [G.idx(minus_u)]
     assert h_got == G.idx(centralizer_H(G, make_tau(F7))).tolist()
+
+
+def test_formula_report_scans_each_guard_once(monkeypatch):
+    # one scan per distinct (bound variable, guard), the scan of the whole
+    # formula included: the H guards of x and y in U-membership and in P
+    # are scanned once between them
+    scans = []
+    guard_mask = definability._guard_mask
+    monkeypatch.setattr(definability, "_guard_mask", lambda *a: scans.append(a[:2]) or guard_mask(*a))
+    counts = {}
+    for name in ("H", "U", "AT", "W", "G1"):
+        scans.clear()
+        assert sl2_formula_report(GF(11), (name,))[name]["match"]
+        assert len(set(scans)) == len(scans)
+        counts[name] = len(scans)
+    assert counts == {"H": 1, "U": 3, "AT": 5, "W": 3, "G1": 6}
 
 
 def test_formula_report_product_h_w(g7x11):

@@ -121,6 +121,21 @@ def test_define_set_scans_each_guard_once(group_of, monkeypatch):
 
 
 @pytest.mark.parametrize("by_matrices", [False, True], ids=["numbers", "matrices"])
+def test_a_guard_mask_belongs_to_its_bound_variable(group_of, by_matrices, monkeypatch):
+    # the same guard text under E x and under E y, which the guard does not
+    # mention: x's range is C(@1), y's is the whole group, so every g holds
+    E = group_of("classical", "A", 2, 2)
+    u = E.rep.x(E.ring, 0, E.ring.one)
+    scans = []
+    guard_mask = definability._guard_mask
+    monkeypatch.setattr(definability, "_guard_mask", lambda *a: scans.append(a[0]) or guard_mask(*a))
+    with _by_matrices(E, by_matrices):
+        got = define_set(parse_formula("E x. (x*@1=@1*x & E y. (x*@1=@1*x & y=g))"), E, [u])
+    assert got.tolist() == list(range(E.order))
+    assert scans == ["g", "x"]  # the whole formula, then x's guard once; y's is no mask
+
+
+@pytest.mark.parametrize("by_matrices", [False, True], ids=["numbers", "matrices"])
 def test_define_set_keeps_the_order_of_a_product(group_of, by_matrices):
     # x_a(1) and x_-a(1) do not commute in SL3(F2): x=@1*@2 holds at the
     # number of @1 @2 alone, taken here by integer matrix products

@@ -155,7 +155,7 @@ def test_kronecker_reduce_table_capped_by_the_block_rule():
     ring = GF(4)
     assert gfmat._lift(ring, 196) is None
     B = 64  # 64^3 codes at d = 16, the largest table a suite builds
-    assert gfmat._lift(ring, 16).dec.size == B**3 <= gfmat.BUDGET_BYTES >> 5
+    assert gfmat._lift(ring, 16).dec.size == B**3 and gfmat.fits_block((B**3,), ring.dtype)
     rng = np.random.default_rng(196)
     A = rng.integers(ring.size, size=(3, 196)).astype(ring.dtype)
     C = rng.integers(ring.size, size=(196, 2)).astype(ring.dtype)
@@ -238,8 +238,8 @@ def test_packed_keys_follow_lexicographic_order(name, w):
 
 
 def _widest_positions(q: int) -> int:
-    """The largest w whose q^w int16 positions fit the block rule's 8 MiB."""
-    return max(w for w in range(1, 24) if q**w * 2 <= gfmat.BUDGET_BYTES >> 5)
+    """The largest w whose q^w int16 positions fit one block."""
+    return max(w for w in range(1, 24) if gfmat.fits_block((q**w,), np.int16))
 
 
 # the key cases above, none of whose key spaces fits a position array, and
@@ -264,7 +264,7 @@ def test_position_lookup_is_the_sorted_search(name, w, monkeypatch):
     assert len(uniq) >= 2
     dense, sparse = (MatSet.from_sorted_keys(ring, (1, w), members) for _ in range(2))
     got = dense.contains(mats)
-    assert (dense._pos is not None) == (ring.size**w * 2 <= gfmat.BUDGET_BYTES >> 5)
+    assert (dense._pos is not None) == gfmat.fits_block((ring.size**w,), np.int16)
     monkeypatch.setattr(gfmat, "BUDGET_BYTES", 0)
     want = sparse.contains(mats)
     assert sparse._pos is None

@@ -111,3 +111,11 @@ def test_coefficients_past_the_root_chain_raise_value_error():
         sc.M(a, b, 3)
     with pytest.raises(ValueError):
         _carter_coeff(sc, a, b, 2, 2)
+
+
+def test_a_lower_case_type_is_refused():
+    # the command line upper-cases a type; the library takes it as given,
+    # so "g" is no second cached system beside "G"
+    with pytest.raises(ValueError):
+        build_root_system("g", 2)
+    assert build_root_system("G", 2).type_label == "G"

@@ -177,8 +177,8 @@ def test_exceptional_sp4_f2_is_open():
 
 def test_witness_centralizer_containment():
     res = verify_witness_centralizer(classical_rep("A", 2), GF(5), 0)
-    assert res["ok"] and res["contained"]
-    assert res["C_Y_size"] <= res["UZ_size"]
+    assert res["ok"]
+    assert res["group_points"] <= res["bound"]
 
 
 def test_witness_word_matrix_is_torus_product():
@@ -189,3 +189,9 @@ def test_witness_word_matrix_is_torus_product():
     from chevalley import gfmat
     want = gfmat.mat_mul(ring, rep.h(ring, 0, ring.dtype(3)), rep.h(ring, 1, ring.dtype(2)))
     assert (witness_word_matrix(rep, ring, word) == want).all()
+
+
+def test_a_lower_case_type_is_refused_by_the_witness_sets():
+    for call in (lambda: classical_rep("a", 2), lambda: classical_witness_set("a", 2, "sl", GF(3))):
+        with pytest.raises(ValueError):
+            call()

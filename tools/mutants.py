@@ -120,6 +120,22 @@ MUTANTS = [
      "self.rows = max(1, 2**22 // (d * d))",
      [T_DEF + "test_evaluator_rows_follow_the_block_rule"],
      "the evaluator's rows per step a constant, blind to the budget"),
+    # one path for the SL2 product-ring checks
+    ("A1", "cli.py",
+     "ok = u_bijective and all(theta.values())",
+     "ok = all(theta.values())",
+     ["tests/test_adelic.py::test_suite_fails_when_u_is_not_bijective_in_one_mode"],
+     "the adelic verdict blind to a u that is not bijective"),
+    ("A2", "cli.py",
+     "ok = u_bijective and all(theta.values()) and",
+     "ok = u_bijective and",
+     ["tests/test_adelic.py::test_suite_fails_when_one_mode_fails_theta"],
+     "the adelic verdict blind to a failed theta"),
+    ("A3", "definability.py",
+     "key = (f.var, guard)",
+     "key = guard",
+     [T_DEF + "test_a_guard_mask_belongs_to_its_bound_variable"],
+     "a guard's mask shared by quantifiers over other variables"),
 ]
 
 
