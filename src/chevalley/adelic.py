@@ -9,9 +9,10 @@ width decompositions, grown as unions of cosets of their factors.
 `SL2Group` is a `chevgroup.EnumeratedGroup`, built by the same
 constructor as the Chevalley groups.  Quotient modes are realized by
 canonical coset representatives (the lexicographically least matrix in the
-coset, `SL2Group.canon`, a running minimum over the central scalars), so
-set comparisons are exact; each is picked where the componentwise grid of
-SL2(A), which holds every matrix once, meets its coset.
+coset, `SL2Group.canon`), so set comparisons are exact; each is picked
+where the componentwise grid of SL2(A), which holds every matrix once,
+meets its coset; canon reads the coset's scalar off two small tables and
+keys nothing (`SL2Group._canon_tables`).
 First-order definitions are double-checked against the direct constructions
 with the formula evaluator, which applies the group product in every mode.
 Every formula is built over one parameter list (`_params`): @1 = u(1),
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import gfmat
 from .chevgroup import EnumeratedGroup
-from .rings import FiniteRing, ProductRing, TableRing, decompose_square_diff
+from .rings import FiniteRing, ProductRing, TableRing, square_diff_table
 from .definability import And, Eq, Exists, Inv, Mul, One, Or, Param, Var, define_set
 
 
@@ -75,9 +76,13 @@ def make_tau(ring: FiniteRing):
                 break
         else:
             raise ValueError(f"no usable tau component in {f.name}")
-    if isinstance(ring, ProductRing):
-        return ring.encode(comps)
-    return comps[0]
+    return _encode(ring, comps)
+
+
+def _encode(ring: FiniteRing, comps) -> int:
+    """The code with these factor components; a plain field is its own
+    single factor."""
+    return ring.encode(comps) if isinstance(ring, ProductRing) else comps[0]
 
 
 def _sl2_field(f: FiniteRing) -> np.ndarray:
@@ -107,40 +112,66 @@ class SL2Group(EnumeratedGroup):
         self.mode = mode
         comps = [_sl2_field(f) for f in _field_factors(ring)]
         gfmat.check_budget(f"SL2({ring.name})", (math.prod(len(c) for c in comps), 2, 2), np.int64)
-        # the central scalars, one coset of them per element
-        self._zs = np.array({"SL2": [ring.one], "SL2modZ": [ring.one, ring.neg(ring.one)],
-                             "PSL2": [z for z in ring.units() if ring.mul(z, z) == ring.one]}[mode])
         cosets = _componentwise(ring, comps)  # all of SL2(A), each matrix once
-        if len(self._zs) > 1:
+        if mode != "SL2":
             # z g != g for z != 1: a coset is |Z| grid matrices, and the one
-            # kept is its own least variant, the one picked by z = 1
-            cosets = cosets[self._least_scalar(cosets) == self._zs.tolist().index(ring.one)]
+            # kept is its own least variant, the one whose scalar is 1
+            cosets = cosets[self._scalar(cosets) == ring.one]
         super().__init__(ring, cosets, self.canon(_adjugate(ring, cosets)))
         self._p_tables = {}  # offset set S -> P table
 
     # -- coset representatives ------------------------------------------
 
     def canon(self, mats: np.ndarray) -> np.ndarray:
-        """Lex-least matrix in the coset mats * Z (`_least_scalar`)."""
+        """Lex-least matrix in the coset mats * Z of the mode's central
+        scalars: mats times `_scalar`."""
         ring = self.ring
         mats = np.asarray(mats, dtype=ring.dtype)
-        if len(self._zs) == 1:
+        if self.mode == "SL2":
             return mats
-        return ring.mul_t[mats, self._zs[self._least_scalar(mats)][..., None, None]]
+        return ring.mul_t.reshape(-1)[_pairs(mats, self._scalar(mats)[..., None, None], ring.size)]
 
-    def _least_scalar(self, mats: np.ndarray) -> np.ndarray:
-        """For each matrix, the position in _zs of the central scalar z whose
-        z mats has the least key: a running minimum over the scalars; the
-        first z keeps a tie."""
+    def _scalar(self, mats: np.ndarray) -> np.ndarray:
+        """For each matrix, the central scalar z for which z mats is the
+        least matrix of its coset: one gather of the pair table per row and
+        one of the combine table (`_canon_tables`); nothing is keyed."""
+        pair, combine = self._canon_tables
+        n, m = self.ring.size, len(combine)
+        first, second = (pair.reshape(-1)[_pairs(mats[..., i, 0], mats[..., i, 1], n)] for i in (0, 1))
+        return combine.reshape(-1)[_pairs(first, second, m)]
+
+    @functools.cached_property
+    def _canon_tables(self):
+        """(pair, combine), built once per quotient group.  A central
+        scalar negates the entries block by block (SL2modZ: one block of all
+        factors; PSL2: one per factor), and the first entry in key order
+        that is nonzero on a block decides it: negate when that gives the
+        smaller code.  A decision is a base-3 digit per block (0 undecided,
+        1 keep, 2 negate); pair[x, y] holds the digits of the entry pair
+        (x, y), and combine[p, q] the scalar of the digits p, each
+        undecided one taken from q."""
         ring = self.ring
-        # 2 x 2 keys are packed integers for every ring within the table budget
-        keys = gfmat.MatSet.keys(ring, ring.mul_t[mats, self._zs[0]])
-        pick = np.zeros(keys.shape, dtype=np.uint8)  # |Z| = 2^k over k factors
-        for i, z in enumerate(self._zs[1:], start=1):
-            var_keys = gfmat.MatSet.keys(ring, ring.mul_t[mats, z])
-            pick[var_keys < keys] = i
-            np.minimum(keys, var_keys, out=keys)
-        return pick
+        factors = _field_factors(ring)
+        blocks = [range(len(factors))] if self.mode == "SL2modZ" else [[i] for i in range(len(factors))]
+        codes = np.arange(ring.size)
+        digits = np.zeros(ring.size, dtype=np.int64)  # each entry's decisions
+        flips = []  # the central scalar that negates each block
+        for j, block in enumerate(blocks):
+            flip = _encode(ring, [f.neg(f.one) if i in block else f.one for i, f in enumerate(factors)])
+            part = _encode(ring, [f.one if i in block else f.zero for i, f in enumerate(factors)])
+            decided = ring.mul_t[codes, part] != ring.zero  # nonzero on the block
+            digits += 3 ** j * np.where(decided, np.where(ring.mul_t[codes, flip] < codes, 2, 1), 0)
+            flips.append(flip)
+        n = 3 ** len(blocks)
+        p, q = np.indices((n, n))
+        first = np.zeros((n, n), dtype=np.int64)  # the digits of p, completed by q
+        scalar = np.full(n, ring.one, dtype=np.int64)  # the central scalar of each digit number
+        for j, flip in enumerate(flips):
+            pj, qj = p // 3 ** j % 3, q // 3 ** j % 3
+            first += 3 ** j * np.where(pj > 0, pj, qj)
+            scalar = np.where(np.arange(n) // 3 ** j % 3 == 2, ring.mul_t[scalar, flip], scalar)
+        pair = first[digits[:, None], digits[None, :]].astype(np.min_scalar_type(n - 1))
+        return pair, scalar[first].astype(ring.dtype)
 
     def conj(self, g, x) -> np.ndarray:
         # g^x = x^-1 g x
@@ -148,20 +179,49 @@ class SL2Group(EnumeratedGroup):
 
     # -- generators -----------------------------------------------------
 
+    @functools.cached_property
+    def _generator_rows(self) -> dict:
+        """u(c), v(c) and h(c) for every code c (h read at units only):
+        read-only stacks, built once per group, whose row c a single code
+        copies."""
+        codes = np.arange(self.ring.size, dtype=self.ring.dtype)
+        rows = {name: self._generator_stack(name, codes) for name in "uvh"}
+        for stack in rows.values():
+            stack.flags.writeable = False
+        return rows
+
+    def _generator(self, name: str, lam) -> np.ndarray:
+        """The generator at a single code, a fresh copy of its row; the
+        stack of them over an array of codes, built from its entries, which
+        is faster than gathering its rows."""
+        if isinstance(lam, np.ndarray) and lam.ndim:
+            return self._generator_stack(name, lam)
+        return self._generator_rows[name][lam].copy()
+
+    def _generator_stack(self, name: str, lam: np.ndarray) -> np.ndarray:
+        """u, v or h over an array of codes, built from its entries."""
+        ring = self.ring
+        one, zero = ring.one, ring.zero
+        if name == "u":
+            entries = one, lam, zero, one
+        elif name == "v":
+            entries = one, zero, ring.neg_t[lam], one
+        else:
+            entries = ring.inv_t[lam], zero, zero, lam
+        return self.canon(_mats(ring.dtype, *entries))
+
     def u(self, lam) -> np.ndarray:
         """u(lam), or the stack of u over an array of codes; so are v and h."""
-        ring = self.ring
-        return self.canon(_mats(ring.dtype, ring.one, lam, ring.zero, ring.one))
+        return self._generator("u", lam)
 
     def v(self, lam) -> np.ndarray:
-        ring = self.ring
-        return self.canon(_mats(ring.dtype, ring.one, ring.zero, ring.neg_t[lam], ring.one))
+        return self._generator("v", lam)
 
     def h(self, lam) -> np.ndarray:
         ring = self.ring
         if not ring.unit_mask[lam].all():
             raise ZeroDivisionError(f"h needs units of {ring.name}")
-        return self.canon(_mats(ring.dtype, ring.inv_t[lam], ring.zero, ring.zero, lam))
+        return self._generator("h", lam)
 
     @functools.cached_property
     def w(self) -> np.ndarray:
@@ -213,6 +273,15 @@ def _mats(dtype, a, b, c, d) -> np.ndarray:
     shape = np.broadcast_shapes(*(np.shape(x) for x in (a, b, c, d)))
     out = np.empty(shape + (2, 2), dtype=dtype)
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def _pairs(x, y, n: int):
+    """x n + y, the flat position of entry [x, y] of an n x n table, in the
+    narrowest unsigned dtype that holds n^2 - 1: a gather through it is
+    faster than one by the index pair."""
+    out = np.multiply(x, n, dtype=np.min_scalar_type(n * n - 1))
+    out += y
     return out
 
 
@@ -310,8 +379,7 @@ def _p_word(G: SL2Group, S) -> np.ndarray:
     ring = G.ring
     # a = xi^2 - eta^2 + s per code, so that u(a) = u^x u^{-y} u(s) with
     # x = h(xi), y = h(eta)
-    dec = np.array([decompose_square_diff(ring, a, S) for a in range(ring.size)],
-                   dtype=ring.dtype)
+    dec = square_diff_table(ring, S)
     b, a = (i.ravel() for i in np.indices((ring.size, ring.size)))
     xi, eta, s = dec[a].T
     zeta, rho, t = dec[b].T

@@ -3,8 +3,9 @@
 Matrices are numpy arrays of ring codes with shape (..., d, d); all leading
 axes broadcast.  `mat_mul` multiplies through one integer lift whenever the
 ring's arithmetic is integer arithmetic.  A lift is (enc, modulus, dec,
-work_dtype, float_dtype, float_enc), built once per ring and inner dimension
-d and kept on the ring: the product is ``enc[A] @ enc[B]``, reduced
+work_dtype, float_dtype, float_enc, enc_bytes, dec_bytes), built once per
+ring and inner dimension d and kept on the ring: the product is
+``enc[A] @ enc[B]``, reduced
 ``mod modulus`` and gathered through ``dec`` back into codes.  Three cases:
 
 * residues: GF(p) and Z/n need no enc or dec; the modulus is n;
@@ -31,11 +32,13 @@ lift at d = 3) nothing is widened to reduce and narrowed again.  A
 product of at least REDUCE_BY_DIVISION entries (a block, a stack or one
 large matrix) reduces mod n as C - C // n * n, which numpy divides with a
 multiply and shift; smaller ones take one ``%=`` pass, cheaper there (the
-two cross between 640 and 1024 uint8 or int16 entries).  Other
-rings (TableRing, products such as F3xF4) and rings whose Kronecker reduce
-table would not fit one block (`fits_block`) go through the ring's lookup
-tables, one gather per inner index; that loop,
-`_mat_mul_tables`, is also the oracle the lifts are tested against.
+two cross between 640 and 1024 uint8 or int16 entries).  An enc or dec
+lookup whose indices and entries are all below 256 (F7xF11; F4 at d = 3)
+is a chunked `bytes.translate` (`_gather`).  Other rings
+(TableRing, products such as F3xF4) and rings whose Kronecker reduce table
+would not fit one block (`fits_block`) go through the ring's lookup tables,
+one gather per inner index; that loop, `_mat_mul_tables`, is also the
+oracle the lifts are tested against.
 
 `MatSet` is the one way to key, deduplicate and look up matrices.  A key
 reads the entries as the base-|R| digits of one integer, first entry most
@@ -100,6 +103,16 @@ class Lift(NamedTuple):
     work_dtype: type  # uint8, int16, int32 or int64: the integer dtype of products and their reduction
     float_dtype: type | None  # the BLAS dtype of blocks of products; None: the integer product
     float_enc: np.ndarray | None  # enc in float_dtype; None: the code itself
+    enc_bytes: bytes | None  # enc as a `bytes.translate` table; None: enc is gathered
+    dec_bytes: bytes | None  # dec as a `bytes.translate` table; None: dec is gathered
+
+
+def _byte_table(table: np.ndarray) -> bytes:
+    """The first 256 entries of a table of codes below 256 as the 256-byte
+    table of `bytes.translate`, zero past the table's end."""
+    out = np.zeros(256, dtype=np.uint8)
+    out[:len(table)] = table[:256]
+    return out.tobytes()
 
 
 def _make_lift(enc, modulus, dec, bound: int) -> Lift | None:
@@ -110,8 +123,14 @@ def _make_lift(enc, modulus, dec, bound: int) -> Lift | None:
         return None
     # a float type holds every integer up to 2^(nmant + 1) exactly
     flt = next((dt for dt in (np.float32, np.float64) if bound < 1 << (np.finfo(dt).nmant + 1)), None)
+    enc_bytes = None if enc is None or len(enc) > 256 or enc.max() > 255 else _byte_table(enc)
+    # dec is bytes when every reduced product is below 256; its entries are
+    # then codes below 256 (a CRT modulus is the ring's order, and a
+    # Kronecker bound is at least (q - 1)^2)
+    small = bound <= 255 if modulus is None else modulus <= 256
+    dec_bytes = _byte_table(dec) if dec is not None and small else None
     return Lift(None if enc is None else enc.astype(work), modulus, dec, work,
-                flt, None if enc is None or flt is None else enc.astype(flt))
+                flt, None if enc is None or flt is None else enc.astype(flt), enc_bytes, dec_bytes)
 
 
 def _residue_modulus(ring) -> int | None:
@@ -177,13 +196,21 @@ def mat_mul(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     lift = _lift(ring, d)
     if lift is None:
         return _mat_mul_tables(ring, A, B)
-    enc, modulus, dec, work, flt, fenc = lift
+    enc, modulus, dec, work, flt, fenc, enc_bytes, dec_bytes = lift
+    if enc_bytes is not None and not A.dtype == B.dtype == np.uint8:
+        enc_bytes = None  # codes wider than bytes: enc is gathered
     if flt is not None and A.ndim == B.ndim == 2 and A.shape[0] * B.shape[1] > d * d:
         # a block of products, stacked or side by side: one GEMM
-        C = (A.astype(flt) @ B.astype(flt) if fenc is None else fenc[A] @ fenc[B]).astype(work)
-    else:
+        if fenc is None:
+            C = A.astype(flt) @ B.astype(flt)
+        else:
+            C = _gather(fenc, enc_bytes, A) @ _gather(fenc, enc_bytes, B)
+        C = C.astype(work)
+    elif enc is None:
         # exact in work_dtype, uint8 included: no partial sum passes the bound
-        C = A.astype(work, copy=False) @ B.astype(work, copy=False) if enc is None else enc[A] @ enc[B]
+        C = A.astype(work, copy=False) @ B.astype(work, copy=False)
+    else:
+        C = _gather(enc, enc_bytes, A) @ _gather(enc, enc_bytes, B)
     if modulus is not None:
         if C.size >= REDUCE_BY_DIVISION:
             # C >= 0; numpy divides by a scalar with a multiply and shift,
@@ -193,7 +220,24 @@ def mat_mul(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
             C -= q
         else:
             C %= modulus  # one pass: cheaper on single products and small stacks
-    return C.astype(ring.dtype, copy=False) if dec is None else dec[C]
+    return C.astype(ring.dtype, copy=False) if dec is None else _gather(dec, dec_bytes, C)
+
+
+def _gather(table: np.ndarray, table_bytes: bytes | None, idx: np.ndarray) -> np.ndarray:
+    """table[idx].  table_bytes is given only when every index is below
+    256; then 256 or more indices are translated 2^16 at a time, straight
+    into the result, so no full-size byte or intp temporary exists.  Fewer
+    indices, where it is as fast, take a fancy-index gather."""
+    if table_bytes is None or idx.size < 256:
+        return table[idx]
+    out = np.empty(idx.shape, dtype=table.dtype)
+    dst = out.reshape(-1)
+    src = idx.reshape(-1) if idx.flags.c_contiguous else idx.flat
+    step = 1 << 16
+    for lo in range(0, dst.size, step):
+        chunk = src[lo:lo + step].astype(np.uint8, copy=False).tobytes()
+        dst[lo:lo + step] = np.frombuffer(chunk.translate(table_bytes), dtype=np.uint8)
+    return out
 
 
 def _mat_mul_tables(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:

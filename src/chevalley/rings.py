@@ -397,3 +397,32 @@ def decompose_square_diff(ring: FiniteRing, a: int, S) -> tuple[int, int, int]:
     raise ValueError(
         f"no decomposition of {ring.elem_str(a)} as xi^2-eta^2+s over {ring.name} with |S|={len(S)}"
     )
+
+
+def square_diff_table(ring: FiniteRing, S) -> np.ndarray:
+    """`decompose_square_diff` of every code at once: row a of the (|R|, 3)
+    table is its (xi, eta, s), found in the same order (s in S in turn, xi^2
+    ascending over the squares of units, each square's least unit root),
+    one pass over the squares for each s.  ValueError, as there, when a
+    code has no decomposition."""
+    S = list(S)
+    units = np.flatnonzero(ring.unit_mask)
+    sqs, first = np.unique(ring.mul_t[units, units], return_index=True)
+    root = np.full(ring.size, -1, dtype=np.int64)  # each square's least unit root
+    root[sqs] = units[first]
+    out = np.zeros((ring.size, 3), dtype=np.int64)
+    todo = np.ones(ring.size, dtype=bool)
+    for s in S:
+        target = ring.add_t[np.arange(ring.size), ring.neg_t[s]]  # a - s per code a
+        e2 = ring.add_t[sqs[None, :], ring.neg_t[target][:, None]]  # x^2 - target
+        ok = root[e2] >= 0
+        hit = np.flatnonzero(todo & ok.any(axis=1))
+        j = ok[hit].argmax(axis=1)
+        out[hit] = np.stack([root[sqs[j]], root[e2[hit, j]], np.full(len(hit), s)], axis=1)
+        todo[hit] = False
+    if todo.any():
+        a = int(np.flatnonzero(todo)[0])
+        raise ValueError(
+            f"no decomposition of {ring.elem_str(a)} as xi^2-eta^2+s over {ring.name} with |S|={len(S)}"
+        )
+    return out.astype(ring.dtype)

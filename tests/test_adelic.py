@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -451,9 +453,8 @@ RING_IDS = ["F7", "F7xF11"]
 @pytest.mark.parametrize("mode", SL2Group.MODES)
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 def test_sl2_group_keys_its_elements_once(ring, mode, monkeypatch):
-    # each full-size stack is keyed once: in a quotient mode canon keys each
-    # central scalar's variant of the grid, then of the inverses; then the
-    # elements and the inverses are keyed, and the index keys nothing more
+    # each full-size stack is keyed once: canon keys nothing in any mode, so
+    # the elements and the inverses are keyed, and the index keys nothing more
     keyed = []
     keys = gfmat.MatSet.keys
 
@@ -466,8 +467,7 @@ def test_sl2_group_keys_its_elements_once(ring, mode, monkeypatch):
     monkeypatch.undo()
 
     mats = adelic._componentwise(ring, [adelic._sl2_field(f) for f in adelic._field_factors(ring)])
-    z = len(mats) // G.order  # the number of central scalars
-    assert keyed == ([len(mats)] * z + [G.order] * z if z > 1 else []) + [G.order] * 2
+    assert keyed == [G.order] * 2
     elements = sorted_matrices(gfmat.MatSet(ring, G.canon(mats)))
     numbered = gfmat.MatSet(ring, elements)
     assert np.array_equal(G.elements, elements)
@@ -537,6 +537,71 @@ def test_running_min_canon_is_the_stacked_argmin(ring, mode):
         assert np.array_equal(G.canon(mats), _canon_oracle(ring, mode, mats))
     # the elements are the grid's matrices that are their own canon
     assert np.array_equal(G.elements, sorted_matrices(gfmat.MatSet(ring, _canon_oracle(ring, mode, grid))))
+
+
+def _small_entry_matrices(ring):
+    """All 7^4 2 x 2 matrices over F7; over a product ring, the 9^4 whose
+    entries have each component in {0, 1, -1}."""
+    if not isinstance(ring, ProductRing):
+        entries = np.arange(ring.size)
+    else:
+        comps = [(f.zero, f.one, f.neg(f.one)) for f in ring.factors]
+        entries = np.array([ring.encode(v) for v in itertools.product(*comps)])
+    return entries[np.indices((len(entries),) * 4).reshape(4, -1).T].reshape(-1, 2, 2).astype(ring.dtype)
+
+
+@pytest.mark.parametrize("mode", SL2Group.MODES)
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_canon_tables_are_the_stacked_argmin_on_small_entries(ring, mode):
+    # zero rows, zero blocks and singular matrices included: the second row
+    # decides the blocks on which the first row vanishes
+    mats = _small_entry_matrices(ring)
+    assert len(mats) == (2401 if ring is F7 else 6561)
+    G = SL2Group(ring, mode)
+    assert np.array_equal(G.canon(mats), _canon_oracle(ring, mode, mats))
+    if mode != "SL2":
+        pair, combine = G._canon_tables
+        k = 1 if mode == "SL2modZ" else len(adelic._field_factors(ring))
+        assert pair.shape == (ring.size, ring.size) and combine.shape == (3 ** k, 3 ** k)
+        assert pair.dtype == np.uint8
+
+
+@pytest.mark.parametrize("mode", SL2Group.MODES)
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_single_generators_are_fresh_copies_of_read_only_rows(ring, mode, monkeypatch):
+    G = SL2Group(ring, mode)
+    codes = np.arange(ring.size, dtype=ring.dtype)
+    one, zero, neg = ring.one, ring.zero, ring.neg_t
+    inv = ring.inv_t
+    by_hand = {"u": (one, codes, zero, one), "v": (one, zero, neg[codes], one), "h": (inv[codes], zero, zero, codes)}
+    for name, (a, b, c, d) in by_hand.items():
+        mats = np.empty((ring.size, 2, 2), dtype=ring.dtype)
+        mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1] = a, b, c, d
+        keep = ring.unit_mask if name == "h" else np.ones(ring.size, dtype=bool)
+        rows = G._generator_rows[name]
+        assert not rows.flags.writeable
+        assert np.array_equal(rows[keep], _canon_oracle(ring, mode, mats[keep]))
+        assert np.array_equal(getattr(G, name)(codes[keep]), rows[keep])
+    # a single code reads its row and builds nothing
+    monkeypatch.setattr(adelic, "_mats", None)
+    for gen in (G.u, G.v, G.h):
+        m = gen(ring.one)
+        assert m.flags.writeable
+        m[0, 0] = ring.add(m[0, 0], ring.one)
+        assert not np.array_equal(gen(ring.one), m)
+
+
+@pytest.mark.parametrize("S", [(0,), (0, 1)])
+def test_p_tables_are_unchanged_by_the_batched_decomposition(S, g7x11, monkeypatch):
+    # the (xi, eta, s) of each code as the scalar search found them one by one
+    scalar = lambda ring, S: np.array([decompose_square_diff(ring, a, S) for a in range(ring.size)],
+                                      dtype=ring.dtype)
+    groups = [SL2Group(F7, mode) for mode in SL2Group.MODES] + [g7x11]
+    batched = [adelic._p_word(G, S) for G in groups]
+    monkeypatch.setattr(adelic, "square_diff_table", scalar)
+    for G, P in zip(groups, batched):
+        assert np.array_equal(P, adelic._p_word(G, S))
+        assert np.array_equal(P, G.ring.mul_t)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)

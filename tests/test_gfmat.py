@@ -149,6 +149,65 @@ def test_mat_mul_lift_agrees_with_the_table_loop(name):
             assert np.array_equal(got, gfmat._mat_mul_tables(ring, X, Y)), d
 
 
+def _recording_gathers(monkeypatch):
+    """Patch gfmat._gather to record, per call, whether it translated: a
+    bytes table and at least 256 indices."""
+    translated = []
+    gather = gfmat._gather
+
+    def recording(table, table_bytes, idx):
+        translated.append(table_bytes is not None and idx.size >= 256)
+        return gather(table, table_bytes, idx)
+
+    monkeypatch.setattr(gfmat, "_gather", recording)
+    return translated
+
+
+@pytest.mark.parametrize("name, d, enc_bytes, dec_bytes", [
+    ("F4", 3, True, True),  # Kronecker, bound 243: enc and dec
+    ("F7xF11", 2, True, True),  # CRT mod 77
+    ("F9", 2, True, False),  # Kronecker, bound 8712: enc only
+])
+def test_translate_lookups_are_the_table_loop(name, d, enc_bytes, dec_bytes, monkeypatch):
+    ring = KERNEL_RINGS[name]()
+    lift = gfmat._lift(ring, d)
+    assert (lift.enc_bytes is not None, lift.dec_bytes is not None) == (enc_bytes, dec_bytes)
+    translated = _recording_gathers(monkeypatch)
+    rng = np.random.default_rng(d)
+    # stacks on both sides of 256 entries and straddling 2^16-entry chunks
+    for n in (3, 256 // d**2 + 1, (1 << 16) // d**2 + 5, (1 << 17) // d**2 + 7):
+        A = rng.integers(ring.size, size=(n, d, d)).astype(ring.dtype)
+        B = rng.integers(ring.size, size=(n, d, d)).astype(ring.dtype)
+        A[0] = B[0] = ring.size - 1  # the bound
+        # stacks, their transposed views, and a block of products (the GEMM path)
+        cases = [(A, B), (A.transpose(0, 2, 1), B), (A, B[::-1].transpose(0, 2, 1)),
+                 (A.reshape(-1, d), B[0]), (A.reshape(-1, d)[:, ::-1], B[:2].transpose(1, 0, 2).reshape(d, -1))]
+        for X, Y in cases:
+            translated.clear()
+            got = gfmat.mat_mul(ring, X, Y)
+            assert got.dtype == ring.dtype
+            assert np.array_equal(got, gfmat._mat_mul_tables(ring, X, Y)), (n, X.shape, Y.shape)
+            big = X.size >= 256 or Y.size >= 256
+            assert any(translated) == big, (n, X.shape, Y.shape)
+
+
+@pytest.mark.parametrize("name, d", [("F7xF11xF13", 2), ("F8", 3), ("F9", 8)])
+def test_wide_lifts_keep_the_gathers(name, d, monkeypatch):
+    # a CRT modulus above 256 (1001), and Kronecker codes whose integers
+    # pass 255 (1 + 16 + 256 for F8 at d = 3, 2 + 2 * 128 for F9 at d = 8)
+    ring = KERNEL_RINGS[name]()
+    lift = gfmat._lift(ring, d)
+    assert lift.enc_bytes is None and lift.dec_bytes is None
+    translated = _recording_gathers(monkeypatch)
+    rng = np.random.default_rng(d)
+    A = rng.integers(ring.size, size=(5000, d, d)).astype(ring.dtype)
+    B = rng.integers(ring.size, size=(5000, d, d)).astype(ring.dtype)
+    A[0] = B[0] = ring.size - 1
+    for X, Y in ((A, B), (A.reshape(-1, d), B[0])):
+        assert np.array_equal(gfmat.mat_mul(ring, X, Y), gfmat._mat_mul_tables(ring, X, Y))
+    assert translated and not any(translated)
+
+
 def test_kronecker_reduce_table_capped_by_the_block_rule():
     # GF(4) at inner dimension 196 would need a reduce table of 512^3 codes,
     # 128 MiB; past the block rule's 8 MiB its products take the table loop

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chevalley.rings import GF, ProductRing, Zmod, decompose_square_diff, hypothesis_profile
+from chevalley.rings import GF, ProductRing, Zmod, decompose_square_diff, hypothesis_profile, square_diff_table
 
 RINGS = [GF(4), GF(5), GF(9), Zmod(6), ProductRing([GF(3), GF(4)])]
 
@@ -81,6 +81,27 @@ def test_square_difference_decomposition():
         x, y, s = decompose_square_diff(f7, f7.dtype(a), [f7.zero])
         lhs = f7.sub(f7.mul(f7.dtype(x), f7.dtype(x)), f7.mul(f7.dtype(y), f7.dtype(y)))
         assert f7.add(lhs, f7.dtype(s)) == f7.dtype(a)
+
+
+@pytest.mark.parametrize("S", [(0,), (0, 1), (3, 0)])
+@pytest.mark.parametrize("ring", [GF(7), GF(11), GF(13), GF(49), ProductRing([GF(7), GF(11)])],
+                         ids=["F7", "F11", "F13", "F49", "F7xF11"])
+def test_square_diff_table_is_the_scalar_search(ring, S):
+    table = square_diff_table(ring, S)
+    assert table.dtype == ring.dtype and table.shape == (ring.size, 3)
+    assert table.tolist() == [list(decompose_square_diff(ring, a, S)) for a in range(ring.size)]
+
+
+def test_square_diff_table_refuses_a_gap_as_the_scalar_search_does():
+    f5 = GF(5)
+    with pytest.raises(ValueError) as scalar:
+        decompose_square_diff(f5, 1, [f5.zero])
+    with pytest.raises(ValueError) as batched:
+        square_diff_table(f5, [f5.zero])
+    assert str(batched.value) == str(scalar.value)
+    with pytest.raises(ValueError):
+        square_diff_table(GF(7), [])
+    assert square_diff_table(f5, [f5.zero, f5.one])[:, 2].tolist() == [0, 1, 0, 0, 1]
 
 
 def test_square_difference_gap_over_f5():

@@ -136,6 +136,22 @@ MUTANTS = [
      "key = guard",
      [T_DEF + "test_a_guard_mask_belongs_to_its_bound_variable"],
      "a guard's mask shared by quantifiers over other variables"),
+    # byte-speed tables: canon from entry pairs, lift lookups by bytes.translate
+    ("T1", "adelic.py",
+     "mats[..., i, 1], n)] for i in (0, 1))",
+     "mats[..., i, 1], n)] for i in (1, 0))",
+     ["tests/test_adelic.py::test_canon_tables_are_the_stacked_argmin_on_small_entries"],
+     "canon's pair table read as (c, d) before (a, b)"),
+    ("T2", "adelic.py",
+     "return pair, scalar[first].astype(ring.dtype)",
+     "return pair, scalar[p].astype(ring.dtype)",
+     ["tests/test_adelic.py::test_canon_tables_are_the_stacked_argmin_on_small_entries"],
+     "canon's combine table blind to the second pair"),
+    ("T3", "gfmat.py",
+     "small = bound <= 255 if modulus is None else modulus <= 256",
+     "small = bound <= 255 if modulus is None else True",
+     [T_GF + "test_wide_lifts_keep_the_gathers"],
+     "dec translated when the modulus is above 256"),
 ]
 
 
