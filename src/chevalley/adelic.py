@@ -255,7 +255,7 @@ class SL2Group(EnumeratedGroup):
         """The ring on U: + is the group product u(a) u(b), x the P word
         with S = {0}; code c stands for u(c)."""
         ring = self.ring
-        U = _u_stack(self)
+        U = self._generator_rows["u"]
         add_t = self.u_decode(self.mul(U[:, None], U[None]))
         return TableRing(f"U({ring.name}) [{self.mode}]", add_t, self.p_table(),
                          zero=self.u_decode(self.canon(gfmat.identity(ring, 2))), one=ring.one)
@@ -320,11 +320,6 @@ def _componentwise(ring: FiniteRing, comps) -> np.ndarray:
 # the subsets of section interest, built directly
 
 
-def _u_stack(G: SL2Group) -> np.ndarray:
-    """u(c) for every code c, shape (size, 2, 2)."""
-    return G.u(np.arange(G.ring.size))
-
-
 def _w_stack(G: SL2Group) -> np.ndarray:
     """W = componentwise {1, w}: entry sum_i b_i 2^(k-1-i) over the k
     factors has w in factor i where b_i = 1, and 1 where b_i = 0."""
@@ -334,15 +329,15 @@ def _w_stack(G: SL2Group) -> np.ndarray:
 
 
 def u_set(G: SL2Group) -> np.ndarray:
-    return G.elements[np.unique(G.idx(_u_stack(G)))]
+    return G.elements[np.unique(G.idx(G._generator_rows["u"]))]
 
 
 def v_set(G: SL2Group) -> np.ndarray:
-    return G.elements[np.unique(G.idx(G.v(np.arange(G.ring.size))))]
+    return G.elements[np.unique(G.idx(G._generator_rows["v"]))]
 
 
 def h_set(G: SL2Group) -> np.ndarray:
-    return G.elements[np.unique(G.idx(G.h(np.nonzero(G.ring.unit_mask)[0])))]
+    return G.elements[np.unique(G.idx(G._generator_rows["h"][G.ring.unit_mask]))]
 
 
 def centralizer_H(G: SL2Group, tau) -> np.ndarray:
@@ -368,7 +363,7 @@ def define_U(G: SL2Group, S=(0,)) -> dict:
     uy = gfmat.mat_mul_many(ring, [Hinv, G.inv(u1)[None], H])   # u^-y per y
     prods = gfmat.mat_mul(ring, ux[:, None, None], uy[None, :, None])
     got = np.unique(G.idx(gfmat.mat_mul(ring, prods, G.u(np.array(S, dtype=np.int64)))))
-    if np.setdiff1d(got, G.idx(_u_stack(G))).size:
+    if np.setdiff1d(got, G.idx(G._generator_rows["u"])).size:
         raise RuntimeError("define_U produced elements outside u(A)")
     return {"size": len(got), "expected": ring.size, "complete": len(got) == ring.size}
 
@@ -637,7 +632,7 @@ def higher_rank_width(E: EnumeratedGroup) -> dict:
 def _params(G: SL2Group) -> np.ndarray:
     """The parameters of every formula below, as one stack: @1 = u(1),
     @2 = h(tau), @3 = w and @(4 + c) = u(c) for each code c."""
-    return np.concatenate([np.stack([G.u(G.ring.one), G.h(make_tau(G.ring)), G.w]), _u_stack(G)])
+    return np.concatenate([np.stack([G.u(G.ring.one), G.h(make_tau(G.ring)), G.w]), G._generator_rows["u"]])
 
 
 def _u_of(ring: FiniteRing, c):
@@ -728,10 +723,15 @@ def gamma1_formula():
 
 
 def sl2_formula_report(ring: FiniteRing, sets=("H", "U", "AT", "W", "G1")) -> dict:
+    """`formula_report` on a new SL2(ring)."""
+    return formula_report(SL2Group(ring, "SL2"), sets)
+
+
+def formula_report(G: SL2Group, sets=("H", "U", "AT", "W", "G1")) -> dict:
     """Evaluate the first-order definitions with the formula evaluator and
     compare with the direct constructions, set by set; U is defined with
     S = {0} and A_T with T = {0, 1}."""
-    G = SL2Group(ring, "SL2")
+    ring = G.ring
     T = (0, 1)
     units = ring.unit_mask
     checks = {  # the formula, and the element indices it should define, ascending

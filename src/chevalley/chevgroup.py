@@ -454,31 +454,28 @@ class EnumeratedGroup:
     def _words(self):
         """(dist, parent, genidx) of the BFS from the identity over the
         generators, on element numbers: each level multiplies its frontier's
-        matrices by the generators side by side, one 2-D product per block
-        of rows, numbers the products through `idx`, and keeps the numbers
-        not reached before (dist < 0) at their first (frontier position,
-        generator).  The word arrays pass `check_budget` before they are
-        allocated.  RuntimeError when a product is not an element, or when
-        the BFS reaches fewer elements than the group has: either way the
-        elements are not the closure of the generators."""
+        matrices by every generator, one outer product per block of rows,
+        numbers the products through `idx`, and keeps the numbers not reached
+        before (dist < 0) at their first (frontier position, generator).  The
+        word arrays pass `check_budget` before they are allocated.
+        RuntimeError when a product is not an element, or when the BFS reaches
+        fewer elements than the group has: either way the elements are not the
+        closure of the generators."""
         n, d, G = self.order, self.elements.shape[-1], len(self.gens)
         gfmat.check_budget("word data", (n,), np.intp)  # each of the three
         dist, parent, genidx = (np.full(n, -1, dtype=np.intp) for _ in range(3))
         frontier = self.idx(gfmat.identity(self.ring, d)[None])
         dist[frontier] = level = 0
         reached = 1
-        gcat = self.gens.transpose(1, 0, 2).reshape(d, G * d)  # the generators side by side
         rows = gfmat.block_rows(self.ring, d, G)
         while len(frontier):
             level += 1
             new = []
             for c0 in range(0, len(frontier), rows):
                 block = frontier[c0:c0 + rows]
-                # prods[i, :, g] is elements[block[i]] gens[g], numbered
-                # through the (i, g, d, d) view
-                prods = gfmat.mat_mul(self.ring, self.elements[block].reshape(-1, d), gcat)
+                prods = gfmat.mat_mul(self.ring, self.elements[block][:, None], self.gens[None])
                 try:
-                    nums = self.idx(prods.reshape(-1, d, G, d).transpose(0, 2, 1, 3)).ravel()
+                    nums = self.idx(prods).ravel()  # [i G + g]: elements[block[i]] gens[g]
                 except KeyError:
                     raise RuntimeError("a product of an element and a generator is not an element") from None
                 pos = np.flatnonzero(dist[nums] < 0)
@@ -501,27 +498,24 @@ class EnumeratedGroup:
 
     @cached_property
     def mul_table(self) -> np.ndarray | None:
-        """The (order, order) table of element numbers, entry [i, j] the
-        number of elements[i] elements[j], in the narrowest of int16 and
-        int32 that holds them; None when it would not fit one block
-        (`gfmat.fits_block`).  Built in blocks of rows, each one 2-D
-        product of the block's elements stacked as rows by all elements
-        side by side, numbered through `idx` (so through `canon`);
-        RuntimeError when a product is not an element.  The table is the
-        usual representation of a small group (Holt, Eick and O'Brien,
-        Handbook of Computational Group Theory, 2005)."""
+        """The (order, order) table of element numbers, entry [i, j] the number
+        of elements[i] elements[j], in the narrowest of int16 and int32 that
+        holds them; None when it would not fit one block (`gfmat.fits_block`).
+        Built in blocks of rows, each one outer product of the block's elements
+        by all elements, numbered through `idx` (so through `canon`);
+        RuntimeError when a product is not an element.  The table is the usual
+        representation of a small group (Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory, 2005)."""
         n, d = self.order, self.elements.shape[-1]
         dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
         if not gfmat.fits_block((n, n), dtype):
             return None
         table = np.empty((n, n), dtype=dtype)
-        right = self.elements.transpose(1, 0, 2).reshape(d, n * d)  # every element side by side
         rows = gfmat.block_rows(self.ring, d, n)
         for lo in range(0, n, rows):
-            block = self.elements[lo:lo + rows]
-            prods = gfmat.mat_mul(self.ring, block.reshape(-1, d), right)
+            prods = gfmat.mat_mul(self.ring, self.elements[lo:lo + rows, None], self.elements[None])
             try:
-                table[lo:lo + len(block)] = self.idx(prods.reshape(-1, d, n, d).transpose(0, 2, 1, 3))
+                table[lo:lo + rows] = self.idx(prods)
             except KeyError:
                 raise RuntimeError("a product of two elements is not an element") from None
         return table
@@ -584,9 +578,9 @@ def root_element_generators(rep: MatrixRep, ring: FiniteRing):
 
 def enumerate_group(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
     """The elements of G(F) over a field F: the products u t n_w v of the
-    Bruhat cells (`bruhat_cells`), one 2-D product (u t n_w) x v per block
-    of rows of a cell, and each inverse v^-1 n_w^-1 t^-1 u^-1 is built in
-    the same layout, so it lands at the place of its element.  ValueError
+    Bruhat cells (`bruhat_cells`), one outer product (u t n_w) x v per block
+    of rows of a cell; each inverse v^-1 (u t n_w)^-1 is the outer product
+    transposed, so it lands at the place of its element.  ValueError
     for a ring that is not a field: the paper's R is an integral domain,
     and a finite one is a field."""
     if not ring.is_field:
@@ -599,20 +593,14 @@ def enumerate_group(rep: MatrixRep, ring: FiniteRing) -> EnumeratedGroup:
     invs = np.empty_like(elems)
     at = 0
     for A, V, B, V_inv in cells:
-        n = len(V)
-        vcat = V.transpose(1, 0, 2).reshape(d, n * d)  # V side by side
+        # element (i, j) of a cell is A[i] V[j], and its inverse V_inv[j] B[i]
+        k, n = len(A), len(V)
+        cell_elems, cell_invs = (x[at:at + k * n].reshape(k, n, d, d) for x in (elems, invs))
         rows = gfmat.block_rows(ring, d, n)
-        for r0 in range(0, len(A), rows):
-            blk = slice(r0, min(r0 + rows, len(A)))
-            k = blk.stop - blk.start
-            out = slice(at, at + k * n)
-            # element (i, j) is A[i] V[j], and its inverse V_inv[j] B[i]
-            elems[out].reshape(k, n, d, d)[:] = (
-                gfmat.mat_mul(ring, A[blk].reshape(-1, d), vcat).reshape(k, d, n, d).transpose(0, 2, 1, 3))
-            bcat = B[blk].transpose(1, 0, 2).reshape(d, k * d)
-            invs[out].reshape(k, n, d, d)[:] = (
-                gfmat.mat_mul(ring, V_inv.reshape(-1, d), bcat).reshape(n, d, k, d).transpose(2, 0, 1, 3))
-            at += k * n
+        for blk in (slice(r0, r0 + rows) for r0 in range(0, k, rows)):
+            cell_elems[blk] = gfmat.mat_mul(ring, A[blk][:, None], V[None])
+            cell_invs[blk] = gfmat.mat_mul(ring, V_inv[:, None], B[blk][None]).swapaxes(0, 1)
+        at += k * n
     return EnumeratedGroup(ring, elems, invs, rep, labels, gmats)
 
 

@@ -377,13 +377,17 @@ def _sqd_ok(ring, a) -> bool:
         return False
 
 
-def _sl2_only_checks(G) -> dict:
-    """The checks of SL2(A) that no quotient mode repeats, on the SL2 group."""
-    return {"define_U": adelic.define_U(G)["complete"],
+def _sl2_only_checks(G) -> tuple:
+    """The checks and the formulas of SL2(A) that no quotient mode repeats, on the SL2 group."""
+    data = {"define_U": adelic.define_U(G)["complete"],
             # P realizes ring multiplication: all pairs, the word's table against A's
             "P": np.array_equal(G.p_table(), G.ring.mul_t),
             "A_T": adelic.define_AT(G, (0, 1))["ok"], "W": adelic.define_W(G)["ok"],
             "gamma1": adelic.gamma1_report(G)["ok"], "k_alpha": adelic.k_alpha_product(G)["covered"]}
+    # nested quantifiers priced for a single field; big product groups get
+    # the cheap formulas plus direct-construction checks
+    sets = ("H", "W") if isinstance(G.ring, ProductRing) else ("H", "U", "AT", "W", "G1")
+    return data, {k: v["match"] for k, v in adelic.formula_report(G, sets).items()}
 
 
 def suite_adelic(config: dict, seed: int) -> dict:
@@ -397,19 +401,15 @@ def suite_adelic(config: dict, seed: int) -> dict:
         rings.append(ProductRing([GF(p) for p in primes]))
     for ring in rings:
         tau = adelic.make_tau(ring)
-        theta, u_bijective, data = {}, True, None
+        theta, u_bijective, sl2 = {}, True, None
         for mode in modes:
             G = adelic.SL2Group(ring, mode)
             adelic.centralizer_H(G, tau)  # raises unless C(h(tau)) = h(A*)
             u_bijective &= len(adelic.u_set(G)) == ring.size
             theta[mode] = adelic.theta_report(G, seed=seed)["ok"]
             if mode == "SL2":
-                data = _sl2_only_checks(G)
-        data = data or _sl2_only_checks(adelic.SL2Group(ring, "SL2"))
-        # nested quantifiers priced for a single field; big product groups get
-        # the cheap formulas plus direct-construction checks
-        sets = ("H", "W") if isinstance(ring, ProductRing) else ("H", "U", "AT", "W", "G1")
-        formulas = {k: v["match"] for k, v in adelic.sl2_formula_report(ring, sets).items()}
+                sl2 = _sl2_only_checks(G)
+        data, formulas = sl2 or _sl2_only_checks(adelic.SL2Group(ring, "SL2"))
         ok = u_bijective and all(theta.values()) and all(data.values()) and all(formulas.values())
         s.add(f"SL2 over {ring.name}", "sl2-product-rings", ok, **data, formulas=formulas, theta=theta)
     return s.done()

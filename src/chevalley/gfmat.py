@@ -17,28 +17,30 @@ ring and inner dimension d and kept on the ring: the product is
   so F7xF11 becomes Z/77; enc and dec map codes to residues and back.
 
 Every partial sum of a product lies in [0, d max(enc)^2], the lift's bound.
-A block of products, two 2-D operands whose product holds more than one
-d x d matrix (matrices stacked as rows, or side by side), is one
-floating-point BLAS GEMM, exact because every partial sum is an integer the
-float type represents (Dumas, Giorgi and Pernet, FFLAS and FFPACK, ACM TOMS
-2008): float32 while the bound is below 2^24, float64 while it is below
-2^53, and the integer product past that.  Single products and stacks
-multiply in work_dtype, the narrowest of uint8, int16, int32 and int64 that
-holds the bound: a single product gains nothing from BLAS but its call
-overhead, and a float32 stacked matmul measured slower than an integer one.
-A block's float product is cast to work_dtype and reduced there.  In uint8
-(a bound of at most 255, as for SL3(F5), Sp4(F3), G2adj(F2) and the F4
-lift at d = 3) nothing is widened to reduce and narrowed again.  A
-product of at least REDUCE_BY_DIVISION entries (a block, a stack or one
-large matrix) reduces mod n as C - C // n * n, which numpy divides with a
-multiply and shift; smaller ones take one ``%=`` pass, cheaper there (the
-two cross between 640 and 1024 uint8 or int16 entries).  An enc or dec
-lookup whose indices and entries are all below 256 (F7xF11; F4 at d = 3)
-is a chunked `bytes.translate` (`_gather`).  Other rings
-(TableRing, products such as F3xF4) and rings whose Kronecker reduce table
-would not fit one block (`fits_block`) go through the ring's lookup tables,
-one gather per inner index; that loop, `_mat_mul_tables`, is also the
-oracle the lifts are tested against.
+An outer product ``mat_mul(ring, A[:, None], B[None])`` of m, n >= 2
+matrices is one block, A stacked as rows by B side by side, returned as the
+(m, n, d, d) view of its tiles; no other module knows this layout.  A block
+of products, two 2-D operands whose product holds more than one d x d
+matrix, is one floating-point BLAS GEMM, exact because every partial sum is
+an integer the float type represents (Dumas, Giorgi and Pernet, FFLAS and
+FFPACK, ACM TOMS 2008): float32 while the bound is below 2^24, float64 while
+it is below 2^53, and the integer product past that.  Single products and
+stacks multiply in work_dtype, the narrowest of uint8, int16, int32 and
+int64 that holds the bound: a single product gains nothing from BLAS but its
+call overhead, and a float32 stacked matmul measured slower than an integer
+one.  A block's float product is cast to work_dtype and reduced there.  In
+uint8 (a bound of at most 255, as for SL3(F5), Sp4(F3), G2adj(F2) and the F4
+lift at d = 3) nothing is widened to reduce and narrowed again.  A product
+of at least REDUCE_BY_DIVISION entries (a block, a stack or one large
+matrix) reduces mod n as C - C // n * n, which numpy divides with a multiply
+and shift; smaller ones take one ``%=`` pass, cheaper there (the two cross
+between 640 and 1024 uint8 or int16 entries).  An enc or dec lookup whose
+indices and entries are all below 256 (F7xF11; F4 at d = 3) is a chunked
+`bytes.translate` (`_gather`).  Other rings (TableRing, products such as
+F3xF4) and rings whose Kronecker reduce table would not fit one block
+(`fits_block`) go through the ring's lookup tables, one gather per inner
+index; that loop, `_mat_mul_tables`, is also the oracle the lifts are tested
+against.
 
 `MatSet` is the one way to key, deduplicate and look up matrices.  A key
 reads the entries as the base-|R| digits of one integer, first entry most
@@ -192,6 +194,15 @@ def _lift(ring: FiniteRing, d: int) -> Lift | None:
 
 
 def mat_mul(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    if A.ndim == B.ndim == 4 and A.shape[1] == B.shape[0] == 1 and A.shape[0] > 1 and B.shape[1] > 1:
+        # one block, A stacked as rows by B side by side, whose tile (i, j) is A[i] B[j]
+        (m, _, p, k), (_, n, _, q) = A.shape, B.shape
+        C = _mat_mul(ring, A.reshape(m * p, k), B[0].transpose(1, 0, 2).reshape(k, n * q))
+        return C.reshape(m, p, n, q).transpose(0, 2, 1, 3)
+    return _mat_mul(ring, A, B)
+
+
+def _mat_mul(ring: FiniteRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     d = A.shape[-1]
     lift = _lift(ring, d)
     if lift is None:

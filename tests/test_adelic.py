@@ -7,7 +7,7 @@ from chevalley import adelic, definability, gfmat
 from chevalley.adelic import (
     SL2Group, _coset_labels, centralizer_H, define_AT, define_U, define_W, gamma1_factor,
     gamma1_report, h_set, higher_rank_width, k_alpha_product, make_tau,
-    mult_formula_P, sl2_formula_report, theta_report, theta_sl2, theta_decode,
+    formula_report, mult_formula_P, sl2_formula_report, theta_report, theta_sl2, theta_decode,
     u_set, v_set, w_correction,
 )
 from chevalley.chevgroup import EnumeratedGroup
@@ -141,6 +141,23 @@ def test_corrupted_p_table_fails_the_all_pairs_check(monkeypatch):
     monkeypatch.setattr(adelic, "_p_word", corrupted)
     check = _f7_check(("SL2",))
     assert not check["data"]["P"] and check["status"] == "fail"
+
+
+@pytest.mark.parametrize("modes", [SL2Group.MODES, ("PSL2",)], ids=["all-modes", "PSL2"])
+def test_suite_builds_one_group_per_mode(modes, monkeypatch):
+    # the checks of SL2(A) alone and the formulas run on the SL2 group of the
+    # mode loop, or on one SL2 group built for both when SL2 is not a mode
+    built = []
+    init = SL2Group.__init__
+
+    def counting(self, ring, mode="SL2"):
+        built.append(mode)
+        init(self, ring, mode)
+
+    monkeypatch.setattr(SL2Group, "__init__", counting)
+    check = _f7_check(modes)
+    assert sorted(built) == sorted(set(modes) | {"SL2"})
+    assert check["status"] == "pass" and all(check["data"]["formulas"].values())
 
 
 def test_suite_fails_when_one_mode_fails_theta(monkeypatch):
@@ -378,7 +395,7 @@ def test_formula_report_scans_each_guard_once(monkeypatch):
 
 
 def test_formula_report_product_h_w(g7x11):
-    rpt = sl2_formula_report(g7x11.ring, sets=("H", "W"))
+    rpt = formula_report(g7x11, sets=("H", "W"))
     assert all(v["match"] for v in rpt.values())
 
 

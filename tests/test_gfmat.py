@@ -126,9 +126,18 @@ def test_mat_mul_lift_agrees_with_the_table_loop(name):
         got = gfmat.mat_mul(ring, A, B)
         assert got.dtype == ring.dtype
         assert np.array_equal(got, gfmat._mat_mul_tables(ring, A, B)), d
-        # broadcasting leading axes, as product_set and the width product use them
-        assert np.array_equal(gfmat.mat_mul(ring, A[:5, None], B[None, :4]),
-                              gfmat._mat_mul_tables(ring, A[:5, None], B[None, :4])), d
+        # outer products A[:m, None] @ B[None, :n], as the BFS, the group
+        # enumeration and product_set use them: from m, n = 2 one block, A
+        # stacked as rows by B side by side, whose tile (i, j) is A[i] B[j];
+        # at m = 1 or n = 1 a stack
+        A2, B2 = A.reshape(-1, d), B.transpose(1, 0, 2).reshape(d, -1)
+        for m, n in ((5, 4), (1, 4), (5, 1), (1, 1)):
+            got = gfmat.mat_mul(ring, A[:m, None], B[None, :n])
+            assert got.shape == (m, n, d, d) and got.dtype == ring.dtype
+            assert np.array_equal(got, gfmat._mat_mul_tables(ring, A[:m, None], B[None, :n])), (d, m, n)
+            block = gfmat.mat_mul(ring, A2[:m * d], B2[:, :n * d])
+            for i, j in np.ndindex(m, n):
+                assert np.array_equal(got[i, j], block[i * d:(i + 1) * d, j * d:(j + 1) * d]), (d, m, n)
         lift = gfmat._lift(ring, d)
         # F8 past d = 5 has a Kronecker reduce table of 32^5 codes, past 8 MiB
         assert (lift is None) == (name == "F3xF4" or (name == "F8" and d > 5)), d
@@ -140,9 +149,8 @@ def test_mat_mul_lift_agrees_with_the_table_loop(name):
             assert lift.work_dtype == next(dt for dt in (np.uint8, np.int16, np.int32, np.int64)
                                            if bound <= np.iinfo(dt).max), d
         # a block of products as one BLAS product: stacked rows times
-        # matrices side by side, the shapes of the BFS and the scans; and a
-        # single product of 2-D operands, which stays on the integer path
-        A2, B2 = A.reshape(-1, d), B.transpose(1, 0, 2).reshape(d, -1)
+        # matrices side by side; and a single product of 2-D operands, which
+        # stays on the integer path
         for X, Y in ((A2, B2), (A[0], B[0])):
             got = gfmat.mat_mul(ring, X, Y)
             assert got.dtype == ring.dtype
@@ -416,6 +424,18 @@ def test_no_matrix_keys_outside_gfmat():
     assert offenders == []
 
 
+def test_no_side_by_side_operands_outside_gfmat():
+    """Only gfmat lays matrices side by side for a block product, or undoes
+    that layout; every other module writes an outer product as
+    mat_mul(ring, A[:, None], B[None])."""
+    pattern = re.compile(r"transpose\(\s*1,\s*0,\s*2\s*\)|(swapaxes|moveaxis)\([^()]*\)\.reshape\("
+                         r"|\.reshape\([^()]*\)\.(transpose|swapaxes)\(")
+    offenders = [f"{p.name}:{i}" for p in sorted(SRC.glob("*.py")) if p.name != "gfmat.py"
+                 for i, line in enumerate(p.read_text().splitlines(), start=1)
+                 if pattern.search(line)]
+    assert offenders == []
+
+
 def test_one_size_budget_outside_gfmat():
     """No module but gfmat defines a *_CAP constant, takes a cap, budget or
     chunk parameter, or raises a size error other than BudgetExceeded."""
@@ -561,21 +581,21 @@ def test_group_lookups_with_repeats_and_misses_on_both_paths(group_of, monkeypat
 
 def test_bruhat_enumeration_refused_before_any_element_block(monkeypatch):
     # SL3(F3) takes 5 616 x 9 bytes: refused from the cells' tuple count,
-    # before any 2-D product of a cell (u t n_w side by side with v) is built.
-    # The torus, whose size the count needs, is a BFS of 2-D blocks of its
-    # own, so it is built first
+    # before any block product of a cell (u t n_w by v, the 2-D operands
+    # that mat_mul lays out) is built.  The torus, whose size the count
+    # needs, is a BFS of blocks of its own, so it is built first
     T = chevgroup.torus_set(classical_rep("A", 2), GF(3))
     monkeypatch.setattr(chevgroup, "torus_set", lambda rep, ring: T)
     monkeypatch.setattr(gfmat, "BUDGET_BYTES", 20_000)
     blocks = []
-    mat_mul = gfmat.mat_mul
+    mat_mul = gfmat._mat_mul
 
     def recording(ring, A, B):
         if A.ndim == B.ndim == 2 and A.shape[0] * B.shape[1] > A.shape[1] ** 2:  # not one d x d product
             blocks.append(A.shape[0] * B.shape[1])
         return mat_mul(ring, A, B)
 
-    monkeypatch.setattr(gfmat, "mat_mul", recording)
+    monkeypatch.setattr(gfmat, "_mat_mul", recording)
     with pytest.raises(BudgetExceeded, match="group elements"):
         enumerate_group(classical_rep("A", 2), GF(3))
     assert blocks == []

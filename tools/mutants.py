@@ -152,6 +152,17 @@ MUTANTS = [
      "small = bound <= 255 if modulus is None else True",
      [T_GF + "test_wide_lifts_keep_the_gathers"],
      "dec translated when the modulus is above 256"),
+    # one outer-product kernel
+    ("O1", "gfmat.py",
+     "B[0].transpose(1, 0, 2).reshape(k, n * q)",
+     "B[0].reshape(k, n * q)",
+     [T_GF + "test_mat_mul_lift_agrees_with_the_table_loop", T_CHEV + "test_bfs_order_oracle"],
+     "an outer product's B laid side by side without its transpose"),
+    ("O2", "gfmat.py",
+     "return C.reshape(m, p, n, q).transpose(0, 2, 1, 3)",
+     "return C.reshape(m, n, p, q)",
+     [T_GF + "test_mat_mul_lift_agrees_with_the_table_loop", T_CHEV + "test_bfs_order_oracle"],
+     "an outer product's block returned without moving its tiles to (i, j)"),
 ]
 
 
